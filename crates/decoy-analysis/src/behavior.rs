@@ -45,7 +45,7 @@ pub struct FamilyBehavior {
 struct Cell<'a> {
     profile: BehaviorProfile,
     document: Vec<&'a str>,
-    activity: ActivityFold,
+    activity: ActivityFold<'a>,
 }
 
 /// Every source's behavior in one view, by dense source id and family.
@@ -64,12 +64,13 @@ impl<'a> BehaviorTable<'a> {
         let sources = view.frame().sources();
         let mut cells: Vec<[Option<Cell<'a>>; FAMILIES]> = Vec::new();
         cells.resize_with(sources.len(), Default::default);
-        for (id, event) in view.sourced_events() {
-            let cell = cells[id as usize][event.honeypot.dbms as usize]
+        for event in view.events() {
+            let cell = cells[event.source as usize][event.honeypot.dbms as usize]
                 .get_or_insert_with(Default::default);
-            cell.profile.merge(classify_event(event));
-            cell.document.extend(event_term(&event.kind));
-            cell.activity.push(&event.kind);
+            let kind = view.kind(event);
+            cell.profile.merge(classify_event(kind));
+            cell.document.extend(event_term(kind));
+            cell.activity.push(kind);
         }
         let profiles = cells
             .iter()

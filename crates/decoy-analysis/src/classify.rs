@@ -5,7 +5,7 @@
 //! scout and scan. [`BehaviorProfile`] keeps the set structure; tables that
 //! need a single label use [`BehaviorProfile::primary`].
 
-use crate::frame::{FrameEvent, FrameKind, FrameView};
+use crate::frame::{FrameKindRef, FrameView};
 use decoy_store::Dbms;
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -139,19 +139,16 @@ pub fn classify_action(action: &str) -> Behavior {
     Behavior::Scanning
 }
 
-/// Classify one event.
-pub fn classify_event(event: &FrameEvent) -> BehaviorProfile {
+/// Classify one event by its kind.
+pub fn classify_event(kind: FrameKindRef<'_>) -> BehaviorProfile {
     let mut profile = BehaviorProfile {
         scanning: true,
         ..Default::default()
     };
-    match &event.kind {
-        FrameKind::Connect
-        | FrameKind::Disconnect
-        | FrameKind::Malformed { .. }
-        | FrameKind::Health { .. } => {}
-        FrameKind::LoginAttempt { .. } => profile.scouting = true,
-        FrameKind::Payload { recognized, .. } => {
+    match kind {
+        FrameKindRef::Connect | FrameKindRef::Disconnect | FrameKindRef::Malformed { .. } => {}
+        FrameKindRef::LoginAttempt { .. } => profile.scouting = true,
+        FrameKindRef::Payload { recognized, .. } => {
             // Foreign-service probes (RDP, JDWP, VMware SOAP, Craft CMS) are
             // scouting per §6.2: "classified as scanning and scouting rather
             // than exploitation".
@@ -159,7 +156,7 @@ pub fn classify_event(event: &FrameEvent) -> BehaviorProfile {
                 profile.scouting = true;
             }
         }
-        FrameKind::Command { action, .. } => match classify_action(action) {
+        FrameKindRef::Command { action, .. } => match classify_action(action) {
             Behavior::Exploiting => {
                 profile.scouting = true;
                 profile.exploiting = true;
@@ -181,9 +178,9 @@ pub fn classify_sources(
 ) -> BTreeMap<IpAddr, BehaviorProfile> {
     let mut out: BTreeMap<IpAddr, BehaviorProfile> = BTreeMap::new();
     for event in view.events_of(dbms) {
-        out.entry(event.src)
+        out.entry(view.src(event))
             .or_default()
-            .merge(classify_event(event));
+            .merge(classify_event(view.kind(event)));
     }
     out
 }

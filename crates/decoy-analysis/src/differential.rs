@@ -18,7 +18,7 @@ use crate::classify::{classify_sources, Behavior, BehaviorProfile};
 use crate::cluster::{cluster_sources, refine_by_behavior};
 use crate::ecdf::retention_days;
 use crate::fold::PartialFrame;
-use crate::frame::{AnalysisFrame, FrameKind, FrameView, Partition};
+use crate::frame::{AnalysisFrame, FrameKind, FrameKindRef, FrameView, Partition};
 use crate::tables::{self, *};
 use crate::tagging::{collect_activity, tag_sources, CampaignTag};
 use crate::timeseries::{hourly_series, HourBucket};
@@ -31,7 +31,6 @@ use decoy_store::{
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
 
 /// The families the behavior table clusters (the report's medium/high set).
 const CLUSTERED: [Dbms; 4] = [Dbms::Elastic, Dbms::MongoDb, Dbms::Postgres, Dbms::Redis];
@@ -230,9 +229,9 @@ fn batch_frame(events: &[Event]) -> AnalysisFrame {
     AnalysisFrame::build(&store, &GeoDb::builtin())
 }
 
-/// Three partials, each with its own string pool and geo memo, merged out
-/// of order.
-fn merged_frame(events: &[Event]) -> AnalysisFrame {
+/// Three partials over consecutive thirds, each with its own string and
+/// source tables.
+fn partials(events: &[Event]) -> [PartialFrame; 3] {
     let (a, b) = (events.len() / 3, 2 * events.len() / 3);
     let fold = |from: usize, to: usize| {
         let enricher = GeoEnricher::new(GeoDb::builtin());
@@ -242,7 +241,12 @@ fn merged_frame(events: &[Event]) -> AnalysisFrame {
         }
         partial
     };
-    let (head, mid, tail) = (fold(0, a), fold(a, b), fold(b, events.len()));
+    [fold(0, a), fold(a, b), fold(b, events.len())]
+}
+
+/// The three partials, merged out of order.
+fn merged_frame(events: &[Event]) -> AnalysisFrame {
+    let [head, mid, tail] = partials(events);
     PartialFrame::merge(PartialFrame::merge(tail, head), mid).seal()
 }
 
@@ -260,11 +264,11 @@ fn naive_logins_by_country(view: FrameView<'_>) -> Vec<CountryLoginRow> {
     let mut login_ips: HashMap<String, BTreeSet<IpAddr>> = HashMap::new();
     let mut all_ips: HashMap<String, BTreeSet<IpAddr>> = HashMap::new();
     for event in view.events() {
-        let country = view.country(event.src).to_string();
+        let country = view.country(view.src(event)).to_string();
         all_ips
             .entry(country.clone())
             .or_default()
-            .insert(event.src);
+            .insert(view.src(event));
         if is_login(&event.kind) {
             *logins.entry(country.clone()).or_insert(0) += 1;
             *per_dbms
@@ -272,7 +276,10 @@ fn naive_logins_by_country(view: FrameView<'_>) -> Vec<CountryLoginRow> {
                 .or_default()
                 .entry(event.honeypot.dbms)
                 .or_insert(0) += 1;
-            login_ips.entry(country).or_default().insert(event.src);
+            login_ips
+                .entry(country)
+                .or_default()
+                .insert(view.src(event));
         }
     }
     let mut rows: Vec<CountryLoginRow> = all_ips
@@ -299,12 +306,12 @@ fn naive_asn_table(view: FrameView<'_>) -> Vec<AsnRow> {
     let mut logins: HashMap<u32, u64> = HashMap::new();
     let mut per_dbms: HashMap<u32, BTreeMap<Dbms, u64>> = HashMap::new();
     for event in view.events() {
-        let meta = view.meta(event.src);
+        let meta = view.meta(view.src(event));
         let asn = meta.map(|m| m.asn).unwrap_or(0);
         if let Some(meta) = meta {
             names.entry(asn).or_insert_with(|| meta.as_name.clone());
         }
-        ips.entry(asn).or_default().insert(event.src);
+        ips.entry(asn).or_default().insert(view.src(event));
         if is_login(&event.kind) {
             *logins.entry(asn).or_insert(0) += 1;
             *per_dbms
@@ -333,7 +340,7 @@ fn naive_asn_table(view: FrameView<'_>) -> Vec<AsnRow> {
 fn naive_login_ips(view: FrameView<'_>) -> BTreeSet<IpAddr> {
     view.events()
         .filter(|e| is_login(&e.kind))
-        .map(|e| e.src)
+        .map(|e| view.src(e))
         .collect()
 }
 
@@ -351,9 +358,9 @@ fn naive_top_credentials(view: FrameView<'_>, dbms: Dbms, k: usize) -> Credentia
     let mut passwords: HashMap<String, u64> = HashMap::new();
     let mut combos: BTreeSet<(String, String)> = BTreeSet::new();
     for event in view.events_of(Some(dbms)) {
-        if let FrameKind::LoginAttempt {
+        if let FrameKindRef::LoginAttempt {
             username, password, ..
-        } = &event.kind
+        } = view.kind(event)
         {
             *users.entry(username.to_string()).or_insert(0) += 1;
             *passwords.entry(password.to_string()).or_insert(0) += 1;
@@ -401,9 +408,9 @@ fn naive_control_group_summary(view: FrameView<'_>) -> ControlGroupSummary {
             ConfigVariant::MultiService => (&mut multi, &mut brute_multi),
             _ => continue,
         };
-        seen.insert(event.src);
+        seen.insert(view.src(event));
         if is_login(&event.kind) {
-            brute.insert(event.src);
+            brute.insert(view.src(event));
         }
     }
     ControlGroupSummary {
@@ -416,7 +423,7 @@ fn naive_control_group_summary(view: FrameView<'_>) -> ControlGroupSummary {
 }
 
 fn naive_scanning_summary(view: FrameView<'_>) -> ScanningSummary {
-    let sources: BTreeSet<IpAddr> = view.events().map(|e| e.src).collect();
+    let sources: BTreeSet<IpAddr> = view.events().map(|e| view.src(e)).collect();
     let mut per_country: HashMap<String, usize> = HashMap::new();
     let mut institutional_ips = 0;
     for &src in &sources {
@@ -443,7 +450,7 @@ fn naive_retention_days(
 ) -> BTreeMap<IpAddr, usize> {
     let mut days: BTreeMap<IpAddr, BTreeSet<u64>> = BTreeMap::new();
     for event in view.events_of(dbms) {
-        days.entry(event.src)
+        days.entry(view.src(event))
             .or_default()
             .insert(event.ts.days_since(origin));
     }
@@ -460,7 +467,7 @@ fn naive_hourly_series(
     for event in view.events_of(dbms) {
         let hour = event.ts.hours_since(origin) as usize;
         if event.ts >= origin && hour < hours {
-            per_hour[hour].insert(event.src);
+            per_hour[hour].insert(view.src(event));
         }
     }
     let mut seen: BTreeSet<IpAddr> = BTreeSet::new();
@@ -539,12 +546,9 @@ fn naive_astype_behavior(view: FrameView<'_>) -> BTreeMap<AsType, BTreeMap<Behav
 /// Assert the fixture reaches every case the flat arrays must handle.
 fn assert_coverage(frame: &AnalysisFrame) {
     let low = frame.view(Partition::Low);
-    let low_ips: BTreeSet<IpAddr> = low.events().map(|e| e.src).collect();
-    let mh_ips: BTreeSet<IpAddr> = frame
-        .view(Partition::MedHigh)
-        .events()
-        .map(|e| e.src)
-        .collect();
+    let low_ips: BTreeSet<IpAddr> = low.events().map(|e| low.src(e)).collect();
+    let mh = frame.view(Partition::MedHigh);
+    let mh_ips: BTreeSet<IpAddr> = mh.events().map(|e| mh.src(e)).collect();
     assert!(low_ips.len() > 64, "{} low sources", low_ips.len());
     assert!(
         mh_ips.difference(&low_ips).count() > 0,
@@ -726,19 +730,21 @@ fn source_id_aggregations_match_naive_folds() {
     assert_matches_naive(&batch);
 
     let merged = merged_frame(&events);
-    // the premise of the merged run: equal credential strings from
-    // different partials are different allocations
-    let usernames: Vec<&Arc<str>> = merged
-        .events()
+    // the premise of the merged run: the partials number an equal
+    // credential string differently, so the merge rewrites their ids
+    let usernames: BTreeSet<&str> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            FrameKind::LoginAttempt { username, .. } => Some(username),
+            EventKind::LoginAttempt { username, .. } => Some(username.as_str()),
             _ => None,
         })
         .collect();
-    assert!(usernames
-        .iter()
-        .any(|u| usernames.iter().any(|v| u == v && !Arc::ptr_eq(u, v))));
+    let parts = partials(&events);
+    assert!(usernames.iter().any(|u| {
+        let mut syms = parts.iter().filter_map(|p| p.symbol(u));
+        syms.next()
+            .is_some_and(|first| syms.any(|other| other != first))
+    }));
     assert_matches_naive(&merged);
     assert_eq!(merged, batch);
 }

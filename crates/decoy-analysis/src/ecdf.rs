@@ -91,7 +91,8 @@ pub fn retention_days(
     // days are kept exactly, per (id, panel)
     let mut masks = vec![[0u64; PANELS]; frame.distinct_sources()];
     let mut late: BTreeMap<(u32, usize), BTreeSet<u64>> = BTreeMap::new();
-    for (id, event) in view.sourced_events() {
+    for event in view.events() {
+        let id = event.source;
         let day = event.ts.days_since(origin);
         for panel in [0, 1 + event.honeypot.dbms as usize] {
             if day < 64 {

@@ -8,80 +8,198 @@
 //!   every table and figure works over,
 //! * enriches each distinct source IP exactly once through a caching
 //!   [`GeoEnricher`], and
-//! * interns every action/credential string into a shared `Arc<str>` pool so
-//!   the 23 report sections share references instead of cloning payloads.
+//! * interns every action/credential string into one per-frame string
+//!   table, so a row names its strings by `u32` [`Sym`]bol.
 //!
 //! Sessions (`(HoneypotId, SessionKey)` groups) are only counted, once,
 //! when the frame is sealed: no section reads a per-session index.
 //!
-//! Sealing also gives every distinct source a dense id: its index in the
-//! ascending [`AnalysisFrame::sources`] list. One `u32` id per event sits
-//! beside the partition index columns, so per-source aggregations index
-//! flat arrays ([`FrameView::sourced_events`]) instead of inserting each
-//! event's address into a set. Ids ascend in `IpAddr` order, so walking
-//! ids in order visits sources in the same order a `BTreeMap<IpAddr, _>`
-//! does.
+//! Every row is a 40-byte [`FrameEvent`]: its timestamp, session,
+//! honeypot, the dense id of its source, and a [`FrameKind`] whose strings
+//! are symbols. A source's id is its index in the ascending
+//! [`AnalysisFrame::sources`] list, so per-source aggregations index flat
+//! arrays by `event.source` instead of inserting each event's address into
+//! a set, and walking ids in order visits sources in the same order a
+//! `BTreeMap<IpAddr, _>` does. The string table is sorted too, so symbol
+//! order is string order. With the `u32` position each row has in one
+//! partition index column, the frame costs 44 bytes per event; it cost 96
+//! when rows held `Arc<str>`s and a 17-byte `IpAddr`, beside a parallel
+//! source-id column. At the benchmark's default scale, folds of the
+//! 1.19 M-event journal and of the 2.82 M-event shard join measured 54 MB
+//! and 126 MB resident (47 bytes per event, tables included).
 //!
 //! Downstream modules consume [`FrameView`]s (cheap `Copy` handles onto one
-//! partition); the report they render is pinned byte for byte to the
-//! committed golden `tests/golden/report.txt`.
+//! partition), which resolve a row's source ([`FrameView::src`]) and its
+//! strings ([`FrameView::kind`]) on demand; the report they render is
+//! pinned byte for byte to the committed golden `tests/golden/report.txt`.
 
 use decoy_base::time::Timestamp;
 use decoy_geo::{GeoDb, GeoEnricher, IpMeta};
 use decoy_store::events::count_sessions;
 use decoy_store::{Dbms, Event, EventKindRef, EventStore, HoneypotId, SessionKey};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::net::IpAddr;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
-/// A deduplicating `Arc<str>` pool: equal strings share one allocation.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// Keys numbered densely in first-seen order: a key's id is its index in
+/// `keys`. Lookups go through the default keyed-SipHash map, because the
+/// keys (source addresses, credentials, commands) are attacker-chosen.
+#[derive(Debug, Clone)]
+pub(crate) struct Table<K> {
+    keys: Vec<K>,
+    index: HashMap<K, u32>,
+}
+
+impl<K> Default for Table<K> {
+    fn default() -> Self {
+        Table {
+            keys: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Clone + Eq + Hash + Ord> Table<K> {
+    /// The id of `key`, `None` when the table has not seen it.
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<u32>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.index.get(key).copied()
+    }
+
+    /// The id of `key`, numbering it next when it is new.
+    pub(crate) fn insert(&mut self, key: K) -> u32 {
+        if let Some(&id) = self.index.get(&key) {
+            return id;
+        }
+        let id = u32::try_from(self.keys.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("fewer than 2^32 - 1 distinct keys in one frame");
+        self.index.insert(key.clone(), id);
+        self.keys.push(key);
+        id
+    }
+
+    /// The key numbered `id`.
+    pub(crate) fn key(&self, id: u32) -> &K {
+        &self.keys[id as usize]
+    }
+
+    /// Number of distinct keys.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Add every key of `other` (the merge half of the fold); returns, for
+    /// each of `other`'s ids, that key's id here.
+    pub(crate) fn absorb(&mut self, other: Table<K>) -> Vec<u32> {
+        other.keys.into_iter().map(|key| self.insert(key)).collect()
+    }
+
+    /// The keys in ascending order, and for each id its position among
+    /// them (the seal half of the fold: the order no longer depends on
+    /// which keys were seen first).
+    pub(crate) fn into_sorted(self) -> (Vec<K>, Vec<u32>) {
+        let mut keyed: Vec<(K, u32)> = self.keys.into_iter().zip(0..).collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut ids = vec![0; keyed.len()];
+        for (position, &(_, id)) in (0..).zip(&keyed) {
+            ids[id as usize] = position;
+        }
+        (keyed.into_iter().map(|(key, _)| key).collect(), ids)
+    }
+}
+
+/// An interned string: its index in its frame's string table, plus one,
+/// so an `Option<Sym>` takes no more room than a `Sym`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Sym(NonZeroU32);
+
+impl Sym {
+    /// The symbol of table index `index`.
+    fn at(index: u32) -> Sym {
+        Sym(NonZeroU32::MIN.saturating_add(index))
+    }
+
+    /// This symbol's index in its string table.
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
+/// A deduplicating string table: equal strings share one [`Sym`] and one
+/// allocation.
+#[derive(Debug, Default, Clone)]
 pub struct Interner {
-    pool: HashSet<Arc<str>>,
+    table: Table<Arc<str>>,
 }
 
 impl Interner {
-    /// An empty pool.
+    /// An empty table.
     pub fn new() -> Self {
         Interner::default()
     }
 
-    /// Union another pool into this one (the merge half of the fold).
-    ///
-    /// Strings present in both pools keep this pool's allocation; the
-    /// distinct-string count after absorbing is exactly the count a single
-    /// interner would have reached over the concatenated input.
-    pub(crate) fn absorb(&mut self, other: Interner) {
-        for s in other.pool {
-            self.pool.insert(s);
+    /// The symbol of `s`, allocating only on first sight.
+    pub fn intern(&mut self, s: &str) -> Sym {
+        match self.get(s) {
+            Some(sym) => sym,
+            None => Sym::at(self.table.insert(Arc::from(s))),
         }
     }
 
-    /// The shared `Arc<str>` for `s`, allocating only on first sight.
-    pub fn intern(&mut self, s: &str) -> Arc<str> {
-        if let Some(existing) = self.pool.get(s) {
-            return Arc::clone(existing);
-        }
-        let arc: Arc<str> = Arc::from(s);
-        self.pool.insert(Arc::clone(&arc));
-        arc
+    /// The symbol of `s`, `None` when it was never interned.
+    pub fn get(&self, s: &str) -> Option<Sym> {
+        self.table.get(s).map(Sym::at)
+    }
+
+    /// The string `sym` names.
+    pub fn resolve(&self, sym: Sym) -> &str {
+        &self.table.keys[sym.index()]
     }
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.pool.len()
+        self.table.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
+        self.table.len() == 0
+    }
+
+    /// Union another table into this one (the merge half of the fold);
+    /// returns, indexed by each of `other`'s symbols, its symbol here.
+    ///
+    /// The distinct-string count after absorbing is exactly the count a
+    /// single interner would have reached over the concatenated input.
+    pub(crate) fn absorb(&mut self, other: Interner) -> Vec<Sym> {
+        let ids = self.table.absorb(other.table);
+        ids.into_iter().map(Sym::at).collect()
+    }
+
+    /// The strings in ascending order, and indexed by each symbol its
+    /// symbol in that order.
+    pub(crate) fn into_sorted(self) -> (Vec<Arc<str>>, Vec<Sym>) {
+        let (strings, ids) = self.table.into_sorted();
+        (strings, ids.into_iter().map(Sym::at).collect())
     }
 }
 
-/// [`EventKind`](decoy_store::EventKind) with every string replaced by an
-/// interned `Arc<str>` shared across the frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameKind {
+/// [`EventKind`](decoy_store::EventKind) as the frame keeps it, generic
+/// over how a string is held: a row holds a [`FrameKind`], whose strings
+/// are [`Sym`]s into the frame's string table, and sections match on a
+/// [`FrameKindRef`], whose strings are resolved. Fleet-health telemetry has
+/// no variant (the fold diverts it before interning), and a payload keeps
+/// no byte count (no section reads one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind<S> {
     /// TCP connection accepted.
     Connect,
     /// Connection ended (by either side).
@@ -89,110 +207,129 @@ pub enum FrameKind {
     /// An authentication attempt with the captured credentials.
     LoginAttempt {
         /// Username as typed.
-        username: Arc<str>,
+        username: S,
         /// Password as observed.
-        password: Arc<str>,
+        password: S,
         /// Whether the honeypot granted access.
         success: bool,
     },
     /// A command/query executed against the emulated DBMS.
     Command {
         /// Normalized action token (§6.1 masking applied).
-        action: Arc<str>,
+        action: S,
         /// The raw rendered command, verbatim.
-        raw: Arc<str>,
+        raw: S,
     },
     /// An opaque payload that did not parse as the DBMS protocol.
     Payload {
-        /// Captured byte count.
-        len: usize,
         /// Recognized foreign protocol label, if any.
-        recognized: Option<Arc<str>>,
+        recognized: Option<S>,
         /// Lossy text rendering for the logs.
-        preview: Arc<str>,
+        preview: S,
     },
     /// Input that violated the protocol grammar.
     Malformed {
         /// Human-readable description.
-        detail: Arc<str>,
-    },
-    /// Fleet-health transition (operational telemetry, not attacker traffic).
-    Health {
-        /// Supervisor state label ("healthy" / "degraded" / "down").
-        state: Arc<str>,
-        /// Lifetime restart count for the listener.
-        restarts: u32,
-        /// Human-readable transition reason.
-        detail: Arc<str>,
+        detail: S,
     },
 }
 
+/// A row's kind: every string a [`Sym`] into the frame's string table.
+pub type FrameKind = Kind<Sym>;
+
+/// A kind with its strings resolved: what sections match on.
+pub type FrameKindRef<'a> = Kind<&'a str>;
+
+impl<S> Kind<S> {
+    /// This kind with every string mapped through `f`, in field order.
+    pub fn map<T>(self, mut f: impl FnMut(S) -> T) -> Kind<T> {
+        match self {
+            Kind::Connect => Kind::Connect,
+            Kind::Disconnect => Kind::Disconnect,
+            Kind::LoginAttempt {
+                username,
+                password,
+                success,
+            } => Kind::LoginAttempt {
+                username: f(username),
+                password: f(password),
+                success,
+            },
+            Kind::Command { action, raw } => Kind::Command {
+                action: f(action),
+                raw: f(raw),
+            },
+            Kind::Payload {
+                recognized,
+                preview,
+            } => Kind::Payload {
+                recognized: recognized.map(&mut f),
+                preview: f(preview),
+            },
+            Kind::Malformed { detail } => Kind::Malformed { detail: f(detail) },
+        }
+    }
+}
+
 impl FrameKind {
-    /// Intern one borrowed event kind.
-    pub(crate) fn from_kind(kind: EventKindRef<'_>, interner: &mut Interner) -> FrameKind {
-        match kind {
-            EventKindRef::Connect => FrameKind::Connect,
-            EventKindRef::Disconnect => FrameKind::Disconnect,
+    /// Intern one borrowed event kind; `None` for fleet-health telemetry,
+    /// which is not interned.
+    pub(crate) fn from_kind(kind: EventKindRef<'_>, strings: &mut Interner) -> Option<FrameKind> {
+        let kind = match kind {
+            EventKindRef::Connect => Kind::Connect,
+            EventKindRef::Disconnect => Kind::Disconnect,
             EventKindRef::LoginAttempt {
                 username,
                 password,
                 success,
-            } => FrameKind::LoginAttempt {
-                username: interner.intern(username),
-                password: interner.intern(password),
+            } => Kind::LoginAttempt {
+                username,
+                password,
                 success,
             },
-            EventKindRef::Command { action, raw } => FrameKind::Command {
-                action: interner.intern(action),
-                raw: interner.intern(raw),
-            },
+            EventKindRef::Command { action, raw } => Kind::Command { action, raw },
             EventKindRef::Payload {
-                len,
                 recognized,
                 preview,
-            } => FrameKind::Payload {
-                len,
-                recognized: recognized.map(|r| interner.intern(r)),
-                preview: interner.intern(preview),
+                ..
+            } => Kind::Payload {
+                recognized,
+                preview,
             },
-            EventKindRef::Malformed { detail } => FrameKind::Malformed {
-                detail: interner.intern(detail),
-            },
-            EventKindRef::Health {
-                state,
-                restarts,
-                detail,
-            } => FrameKind::Health {
-                state: interner.intern(state.label()),
-                restarts,
-                detail: interner.intern(detail),
-            },
-        }
-    }
-
-    /// True for kinds that constitute meaningful interaction (§4.3) —
-    /// mirrors [`EventKind::is_interactive`](decoy_store::EventKind::is_interactive).
-    pub fn is_interactive(&self) -> bool {
-        !matches!(
-            self,
-            FrameKind::Connect | FrameKind::Disconnect | FrameKind::Health { .. }
-        )
+            EventKindRef::Malformed { detail } => Kind::Malformed { detail },
+            EventKindRef::Health { .. } => return None,
+        };
+        Some(kind.map(|s| strings.intern(s)))
     }
 }
 
-/// One interned log record (mirrors [`decoy_store::Event`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One frame row (mirrors [`decoy_store::Event`]): 40 bytes, with the
+/// source as its dense id and every string as a [`Sym`]. Resolve both
+/// through the frame ([`AnalysisFrame::src`], [`AnalysisFrame::kind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameEvent {
     /// When it happened.
     pub ts: Timestamp,
-    /// Which honeypot logged it.
-    pub honeypot: HoneypotId,
-    /// Source address.
-    pub src: IpAddr,
     /// Per-honeypot session sequence number.
     pub session: u64,
+    /// Which honeypot logged it.
+    pub honeypot: HoneypotId,
+    /// Dense source id: an index into [`AnalysisFrame::sources`].
+    pub source: u32,
     /// What happened, with interned strings.
     pub kind: FrameKind,
+}
+
+impl FrameEvent {
+    /// This row with its source id and symbols rewritten through `sources`
+    /// and `strings` (each indexed by the old id).
+    pub(crate) fn renumbered(self, sources: &[u32], strings: &[Sym]) -> FrameEvent {
+        FrameEvent {
+            source: sources[self.source as usize],
+            kind: self.kind.map(|sym| strings[sym.index()]),
+            ..self
+        }
+    }
 }
 
 /// Number of DBMS families. Per-family arrays index a family by
@@ -220,7 +357,15 @@ pub enum Partition {
     MedHigh,
 }
 
+/// Distinct sources in ascending order, with their enrichment in a
+/// parallel `Vec`.
+pub(crate) type SourceList = (Vec<IpAddr>, Vec<Option<Arc<IpMeta>>>);
+
 /// The one-pass materialized view of an [`EventStore`].
+///
+/// Both tables are in ascending order (sources by address, strings by
+/// content), so a frame does not depend on the order its events were
+/// folded and merged in, and the derived equality compares content.
 #[derive(Debug, PartialEq)]
 pub struct AnalysisFrame {
     events: Vec<FrameEvent>,
@@ -228,14 +373,13 @@ pub struct AnalysisFrame {
     low: Vec<u32>,
     /// Positions of the medium/high events in `events`, ascending.
     med_high: Vec<u32>,
-    /// Dense source id of every event, parallel to `events`.
-    source_ids: Vec<u32>,
     sessions: usize,
     /// Distinct sources in ascending order; a source's id is its index.
     sources: Vec<IpAddr>,
     /// Memoized enrichment, parallel to `sources`.
     source_meta: Vec<Option<Arc<IpMeta>>>,
-    interned_strings: usize,
+    /// Distinct strings in ascending order; a symbol names its index.
+    strings: Vec<Arc<str>>,
     health: Vec<Event>,
 }
 
@@ -262,37 +406,32 @@ impl AnalysisFrame {
     }
 
     /// Assemble a frame from already-folded parts (the seal step of
-    /// [`PartialFrame`](crate::fold::PartialFrame)): count its sessions,
-    /// sort the geo memo's sources into id order, and give every event its
-    /// source id.
+    /// [`PartialFrame`](crate::fold::PartialFrame)), whose rows already
+    /// carry ids into the sorted `sources` and `strings`, and count its
+    /// sessions.
     pub(crate) fn from_parts(
         events: Vec<FrameEvent>,
         low: Vec<u32>,
         med_high: Vec<u32>,
-        meta: HashMap<IpAddr, Option<Arc<IpMeta>>>,
-        interned_strings: usize,
+        (sources, source_meta): SourceList,
+        strings: Vec<Arc<str>>,
         health: Vec<Event>,
     ) -> Self {
         let sessions = count_sessions(events.iter().map(|e| {
             let key = SessionKey {
-                src: e.src,
+                src: sources[e.source as usize],
                 session: e.session,
             };
             (e.honeypot, key)
         }));
-        let mut by_ip: Vec<(IpAddr, Option<Arc<IpMeta>>)> = meta.into_iter().collect();
-        by_ip.sort_unstable_by_key(|&(ip, _)| ip);
-        let (sources, source_meta): (Vec<IpAddr>, Vec<_>) = by_ip.into_iter().unzip();
-        let source_ids = source_ids(&events, &sources);
         AnalysisFrame {
             events,
             low,
             med_high,
-            source_ids,
             sessions,
             sources,
             source_meta,
-            interned_strings,
+            strings,
             health,
         }
     }
@@ -323,6 +462,21 @@ impl AnalysisFrame {
     /// Number of distinct `(honeypot, session)` groups (counted at seal).
     pub fn session_count(&self) -> usize {
         self.sessions
+    }
+
+    /// The source address of `event`.
+    pub fn src(&self, event: &FrameEvent) -> IpAddr {
+        self.sources[event.source as usize]
+    }
+
+    /// The string `sym` names.
+    pub fn string(&self, sym: Sym) -> &str {
+        &self.strings[sym.index()]
+    }
+
+    /// The kind of `event` with its strings resolved.
+    pub fn kind(&self, event: &FrameEvent) -> FrameKindRef<'_> {
+        event.kind.map(|sym| self.string(sym))
     }
 
     /// The memoized enrichment of `ip` (computed once at build time).
@@ -365,9 +519,9 @@ impl AnalysisFrame {
             .unwrap_or("??")
     }
 
-    /// Number of distinct strings in the `Arc<str>` pool.
+    /// Number of distinct strings in the string table.
     pub fn interned_strings(&self) -> usize {
-        self.interned_strings
+        self.strings.len()
     }
 
     /// Fleet-health telemetry in log order.
@@ -380,28 +534,6 @@ impl AnalysisFrame {
     pub fn health_events(&self) -> &[Event] {
         &self.health
     }
-}
-
-/// The dense source id of every event: `sources` is ascending, and a run of
-/// events from one source costs a single binary search.
-fn source_ids(events: &[FrameEvent], sources: &[IpAddr]) -> Vec<u32> {
-    let mut ids = Vec::with_capacity(events.len());
-    let mut last: Option<(IpAddr, u32)> = None;
-    for event in events {
-        let id = match last {
-            Some((ip, id)) if ip == event.src => id,
-            _ => {
-                let idx = sources
-                    .binary_search(&event.src)
-                    .expect("the geo memo holds every folded source");
-                let id = u32::try_from(idx).expect("fewer than 2^32 distinct sources");
-                last = Some((event.src, id));
-                id
-            }
-        };
-        ids.push(id);
-    }
-    ids
 }
 
 /// Iterator over one partition's events in log order.
@@ -489,15 +621,6 @@ impl<'a> FrameView<'a> {
         }
     }
 
-    /// This partition's events in log order, each paired with its dense
-    /// source id (an index into [`AnalysisFrame::sources`]).
-    pub fn sourced_events(self) -> impl Iterator<Item = (u32, &'a FrameEvent)> {
-        let AnalysisFrame {
-            events, source_ids, ..
-        } = self.frame;
-        self.positions().map(move |i| (source_ids[i], &events[i]))
-    }
-
     /// This partition's events in log order, optionally restricted to one
     /// DBMS family (`None` keeps every family).
     pub fn events_of(self, dbms: Option<Dbms>) -> impl Iterator<Item = &'a FrameEvent> {
@@ -513,6 +636,21 @@ impl<'a> FrameView<'a> {
     /// True when the partition holds no events.
     pub fn is_empty(self) -> bool {
         self.len() == 0
+    }
+
+    /// The source address of `event`.
+    pub fn src(self, event: &FrameEvent) -> IpAddr {
+        self.frame.src(event)
+    }
+
+    /// The kind of `event` with its strings resolved.
+    pub fn kind(self, event: &FrameEvent) -> FrameKindRef<'a> {
+        self.frame.kind(event)
+    }
+
+    /// The string `sym` names.
+    pub fn string(self, sym: Sym) -> &'a str {
+        self.frame.string(sym)
     }
 
     /// The memoized enrichment of `ip`.
@@ -602,10 +740,28 @@ mod tests {
         let a = interner.intern("INFO server");
         let b = interner.intern("INFO server");
         let c = interner.intern("KEYS *");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(interner.resolve(a), "INFO server");
+        assert_eq!(interner.resolve(c), "KEYS *");
         assert_eq!(interner.len(), 2);
         assert!(!interner.is_empty());
+    }
+
+    /// A row is at most 48 bytes, and holds no `Arc` (it is `Copy`) and no
+    /// `IpAddr` (its source is a `u32` id).
+    #[test]
+    fn a_row_is_at_most_48_bytes() {
+        fn copy<T: Copy>() {}
+        copy::<FrameEvent>();
+        assert!(std::mem::size_of::<FrameEvent>() <= 48);
+        assert_eq!(std::mem::size_of::<Option<Sym>>(), 4);
+        let (store, geo, mapped, _) = fixture();
+        let frame = AnalysisFrame::build(&store, &geo);
+        let first = &frame.events()[0];
+        let id: u32 = first.source;
+        assert_eq!(frame.src(first), mapped);
+        assert_eq!(frame.sources()[id as usize], mapped);
     }
 
     #[test]
@@ -645,17 +801,24 @@ mod tests {
         let (store, geo, mapped, unmapped) = fixture();
         let frame = AnalysisFrame::build(&store, &geo);
         // "INFO server" appears twice (from two different sources) but is
-        // one allocation.
-        let actions: Vec<&Arc<str>> = frame
+        // one symbol.
+        let actions: Vec<Sym> = frame
             .events()
             .iter()
-            .filter_map(|e| match &e.kind {
+            .filter_map(|e| match e.kind {
                 FrameKind::Command { action, .. } => Some(action),
                 _ => None,
             })
             .collect();
         assert_eq!(actions.len(), 2);
-        assert!(Arc::ptr_eq(actions[0], actions[1]));
+        assert_eq!(actions[0], actions[1]);
+        assert_eq!(frame.string(actions[0]), "INFO server");
+        match frame.kind(&frame.events()[1]) {
+            FrameKindRef::LoginAttempt {
+                username, password, ..
+            } => assert_eq!((username, password), ("sa", "123")),
+            other => panic!("{other:?}"),
+        }
         // pool: "sa", "123", "INFO server" (action == raw collapses too)
         assert_eq!(frame.interned_strings(), 3);
         let _ = (mapped, unmapped);
@@ -693,14 +856,19 @@ mod tests {
         assert_eq!(frame.source_meta(3), None);
         assert_eq!(frame.source_country(3), "??");
         // every event carries its source's id, and every id is used
+        let logged = store.all();
+        assert_eq!(frame.len(), logged.len());
+        for (event, logged) in frame.events().iter().zip(&logged) {
+            assert_eq!(sources[event.source as usize], logged.src);
+            assert_eq!(frame.src(event), logged.src);
+        }
         let mut used = BTreeSet::new();
         for partition in [Partition::All, Partition::Low, Partition::MedHigh] {
             let view = frame.view(partition);
-            assert_eq!(view.sourced_events().count(), view.len());
-            for ((id, sourced), event) in view.sourced_events().zip(view.events()) {
-                assert!(std::ptr::eq(sourced, event));
-                assert_eq!(sources[id as usize], event.src);
-                used.insert(id);
+            assert_eq!(view.events().count(), view.len());
+            for event in view.events() {
+                assert_eq!(view.src(event), sources[event.source as usize]);
+                used.insert(event.source);
             }
         }
         assert!(used.into_iter().eq(0..3));
@@ -726,7 +894,7 @@ mod tests {
         assert_eq!(mh.partition(), Partition::MedHigh);
         let redis: Vec<&FrameEvent> = mh.events_of(Some(Dbms::Redis)).collect();
         assert_eq!(redis.len(), 2);
-        assert_eq!(redis[0].src, mapped);
+        assert_eq!(mh.src(redis[0]), mapped);
         assert!(mh.events_of(Some(Dbms::Mssql)).next().is_none());
         let all: Vec<&FrameEvent> = mh.events_of(None).collect();
         assert_eq!(all.len(), 3);
@@ -734,7 +902,7 @@ mod tests {
         let store_redis = store.filter(|e| e.honeypot.dbms == Dbms::Redis);
         assert_eq!(redis.len(), store_redis.len());
         for (f, e) in redis.iter().zip(&store_redis) {
-            assert_eq!(f.src, e.src);
+            assert_eq!(mh.src(f), e.src);
             assert_eq!(f.ts, e.ts);
         }
         assert!(!mh.is_empty());

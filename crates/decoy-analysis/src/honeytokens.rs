@@ -9,7 +9,7 @@
 //! (§3, related work): any bait credential appearing in an authentication
 //! attempt anywhere in the fleet is a high-confidence alarm.
 
-use crate::frame::{FrameKind, FrameView};
+use crate::frame::{FrameKindRef, FrameView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 
@@ -52,29 +52,23 @@ pub fn detect_reuse(view: FrameView<'_>, bait: &[(String, String)]) -> Honeytoke
         ..Default::default()
     };
     for event in view.events() {
-        match &event.kind {
-            FrameKind::LoginAttempt { password, .. }
-                if passwords.contains_key(password.as_ref()) =>
-            {
+        match view.kind(event) {
+            FrameKindRef::LoginAttempt { password, .. } if passwords.contains_key(password) => {
                 report.reuse_attempts += 1;
-                let entry = report.knowing_sources.entry(event.src).or_default();
-                if !entry
-                    .reused_passwords
-                    .iter()
-                    .any(|p| p == password.as_ref())
-                {
-                    entry.reused_passwords.push(password.as_ref().to_string());
+                let entry = report.knowing_sources.entry(view.src(event)).or_default();
+                if !entry.reused_passwords.iter().any(|p| p == password) {
+                    entry.reused_passwords.push(password.to_string());
                 }
                 entry.reuse_sites.insert(event.honeypot.dbms);
             }
-            FrameKind::Command { raw, .. } => {
+            FrameKindRef::Command { raw, .. } => {
                 if let Some(key) = raw.strip_prefix("GET ") {
                     if keys.contains(key.trim()) {
                         // harvests are stashed for every reader; only
                         // sources that also reuse survive the retain below
                         report
                             .knowing_sources
-                            .entry(event.src)
+                            .entry(view.src(event))
                             .or_default()
                             .harvested_keys
                             .push(key.trim().to_string());

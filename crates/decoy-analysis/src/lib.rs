@@ -6,12 +6,12 @@
 //! The paper's analysis pipeline (§4.3, §5, §6) over the standardized event
 //! stream:
 //!
-//! * [`frame`] — the materialized [`AnalysisFrame`](frame::AnalysisFrame):
+//! * [`frame`] — the materialized [`AnalysisFrame`]:
 //!   one zero-clone pass over the events that partitions the fleet, enriches
 //!   each source IP once, interns strings, and gives every source a dense
 //!   id that per-source tables and figures index. Every paper artifact below
 //!   has exactly one implementation, and it takes a
-//!   [`FrameView`](frame::FrameView), so the whole report shares that
+//!   [`FrameView`], so the whole report shares that
 //!   single pass.
 //! * [`classify`] — the scanning / scouting / exploiting behavior rules.
 //! * [`tf`] — per-source action sequences and Term Frequency vectors (§6.1);
@@ -43,9 +43,9 @@
 //! * [`fleet`] — fleet-uptime rows folded from the supervisor's
 //!   [`EventKind::Health`](decoy_store::EventKind) telemetry.
 //! * [`fold`] — the incrementally foldable
-//!   [`PartialFrame`](fold::PartialFrame): fold per journal segment, merge
+//!   [`PartialFrame`]: fold per journal segment, merge
 //!   associatively across segments or shards, seal into the same
-//!   [`AnalysisFrame`](frame::AnalysisFrame) the batch path builds.
+//!   [`AnalysisFrame`] the batch path builds.
 
 pub mod behavior;
 pub mod classify;

@@ -14,7 +14,7 @@
 
 use crate::behavior::BehaviorTable;
 use crate::classify::Behavior;
-use crate::frame::{FrameKind, FrameView, FAMILIES};
+use crate::frame::{FrameKind, FrameView, Sym, FAMILIES};
 use decoy_geo::AsType;
 use decoy_store::Dbms;
 use std::collections::{BTreeMap, HashMap};
@@ -38,8 +38,8 @@ pub struct CountryLoginRow {
 /// `dbms as usize`), `None` for the ids `view` never saw.
 fn logins_per_source(view: FrameView<'_>) -> Vec<Option<[u64; FAMILIES]>> {
     let mut per_source = vec![None; view.frame().distinct_sources()];
-    for (id, event) in view.sourced_events() {
-        let counts = per_source[id as usize].get_or_insert([0; FAMILIES]);
+    for event in view.events() {
+        let counts = per_source[event.source as usize].get_or_insert([0; FAMILIES]);
         if matches!(event.kind, FrameKind::LoginAttempt { .. }) {
             counts[event.honeypot.dbms as usize] += 1;
         }
@@ -164,9 +164,9 @@ pub fn asn_table(view: FrameView<'_>) -> Vec<AsnRow> {
 /// Per source id: did it attempt at least one login in `view`?
 pub fn login_sources(view: FrameView<'_>) -> Vec<bool> {
     let mut logged_in = vec![false; view.frame().distinct_sources()];
-    for (id, event) in view.sourced_events() {
+    for event in view.events() {
         if matches!(event.kind, FrameKind::LoginAttempt { .. }) {
-            logged_in[id as usize] = true;
+            logged_in[event.source as usize] = true;
         }
     }
     logged_in
@@ -261,31 +261,33 @@ pub struct CredentialStats {
 }
 
 /// Compute credential statistics for `dbms`, keeping the top `k` of each.
-/// Attempts are counted once per `(username, password)` pair, keyed by the
-/// strings' content (equal strings folded in different segments may sit in
-/// different allocations) under the default hasher, since attackers choose
-/// the credentials; the per-field counts are derived from the pair counts.
+/// Attempts are counted once per `(username, password)` symbol pair (a
+/// frame numbers each distinct string once); the per-field counts are
+/// derived from the pair counts. Symbol order is string order in a sealed
+/// frame, so ties rank by symbol and only the top `k` are resolved.
 pub fn top_credentials(view: FrameView<'_>, dbms: Dbms, k: usize) -> CredentialStats {
-    let mut pairs: HashMap<(&str, &str), u64> = HashMap::new();
+    let mut pairs: HashMap<(Sym, Sym), u64> = HashMap::new();
     for event in view.events_of(Some(dbms)) {
         if let FrameKind::LoginAttempt {
             username, password, ..
-        } = &event.kind
+        } = event.kind
         {
-            *pairs.entry((&**username, &**password)).or_insert(0) += 1;
+            *pairs.entry((username, password)).or_insert(0) += 1;
         }
     }
-    let mut users: HashMap<&str, u64> = HashMap::new();
-    let mut passwords: HashMap<&str, u64> = HashMap::new();
+    let mut users: HashMap<Sym, u64> = HashMap::new();
+    let mut passwords: HashMap<Sym, u64> = HashMap::new();
     for (&(username, password), &n) in &pairs {
         *users.entry(username).or_insert(0) += n;
         *passwords.entry(password).or_insert(0) += n;
     }
-    let top = |map: HashMap<&str, u64>| {
-        let mut v: Vec<(&str, u64)> = map.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    let top = |map: HashMap<Sym, u64>| {
+        let mut v: Vec<(Sym, u64)> = map.into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v.truncate(k);
-        v.into_iter().map(|(s, n)| (s.to_string(), n)).collect()
+        v.into_iter()
+            .map(|(s, n)| (view.string(s).to_string(), n))
+            .collect()
     };
     CredentialStats {
         unique_combinations: pairs.len(),
@@ -313,10 +315,10 @@ pub struct BruteforceSummary {
 pub fn bruteforce_summary(view: FrameView<'_>) -> BruteforceSummary {
     let mut per_dbms = [0u64; FAMILIES];
     let mut clients = vec![false; view.frame().distinct_sources()];
-    for (id, event) in view.sourced_events() {
+    for event in view.events() {
         if matches!(event.kind, FrameKind::LoginAttempt { .. }) {
             per_dbms[event.honeypot.dbms as usize] += 1;
-            clients[id as usize] = true;
+            clients[event.source as usize] = true;
         }
     }
     let total_logins: u64 = per_dbms.iter().sum();
@@ -355,15 +357,15 @@ pub fn control_group_summary(view: FrameView<'_>) -> ControlGroupSummary {
     // per source id: seen on [single, multi], brute-forced [single, multi]
     let mut seen = vec![[false; 2]; view.frame().distinct_sources()];
     let mut brute = vec![[false; 2]; seen.len()];
-    for (id, event) in view.sourced_events() {
+    for event in view.events() {
         let group = match event.honeypot.config {
             ConfigVariant::SingleService => 0,
             ConfigVariant::MultiService => 1,
             _ => continue,
         };
-        seen[id as usize][group] = true;
+        seen[event.source as usize][group] = true;
         if matches!(event.kind, FrameKind::LoginAttempt { .. }) {
-            brute[id as usize][group] = true;
+            brute[event.source as usize][group] = true;
         }
     }
     let count = |flags: &[[bool; 2]], pred: fn([bool; 2]) -> bool| {
@@ -393,8 +395,8 @@ pub struct ScanningSummary {
 pub fn scanning_summary(view: FrameView<'_>) -> ScanningSummary {
     let frame = view.frame();
     let mut seen = vec![false; frame.distinct_sources()];
-    for (id, _) in view.sourced_events() {
-        seen[id as usize] = true;
+    for event in view.events() {
+        seen[event.source as usize] = true;
     }
     let mut per_country: BTreeMap<&str, usize> = BTreeMap::new();
     let mut unique_ips = 0usize;

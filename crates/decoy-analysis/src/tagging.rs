@@ -6,11 +6,10 @@
 //! associated with the attacks." This module encodes those recognitions as
 //! rules over the raw command stream of each source.
 
-use crate::frame::{FrameKind, FrameView};
+use crate::frame::{FrameKindRef, FrameView};
 use decoy_store::Dbms;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
-use std::sync::Arc;
 
 /// The campaigns of Table 9 (plus brute-force, which the paper tags too).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,13 +105,13 @@ impl AttackCategory {
 }
 
 /// Everything observed from one source on one DBMS, prepared for tagging.
-/// Strings are shared `Arc<str>` references into the frame's interned pool.
+/// Strings borrow the frame's string table.
 #[derive(Debug, Clone, Default)]
-pub struct SourceActivity {
+pub struct SourceActivity<'a> {
     /// Raw commands in order.
-    pub raws: Vec<Arc<str>>,
+    pub raws: Vec<&'a str>,
     /// Recognized foreign-payload labels.
-    pub foreign: Vec<Arc<str>>,
+    pub foreign: Vec<&'a str>,
     /// Number of login attempts.
     pub login_attempts: usize,
     /// Distinct (username, password) pairs attempted.
@@ -121,15 +120,9 @@ pub struct SourceActivity {
 
 /// Tag one source's activity. Multiple tags are possible (e.g. a Kinsing
 /// bot that also brute-forced its way in).
-pub fn tag_activity(activity: &SourceActivity) -> Vec<CampaignTag> {
+pub fn tag_activity(activity: &SourceActivity<'_>) -> Vec<CampaignTag> {
     let mut tags = Vec::new();
-    let joined = activity
-        .raws
-        .iter()
-        .map(|r| r.as_ref())
-        .collect::<Vec<&str>>()
-        .join("\n")
-        .to_lowercase();
+    let joined = activity.raws.join("\n").to_lowercase();
 
     if joined.contains("exp.so") || joined.contains("system.exec") {
         tags.push(CampaignTag::P2pInfect);
@@ -163,8 +156,8 @@ pub fn tag_activity(activity: &SourceActivity) -> Vec<CampaignTag> {
     if activity.distinct_credentials >= 2 || activity.login_attempts >= 3 {
         tags.push(CampaignTag::BruteForce);
     }
-    for label in &activity.foreign {
-        let tag = match label.as_ref() {
+    for &label in &activity.foreign {
+        let tag = match label {
             "rdp-scan" => Some(CampaignTag::RdpScan),
             "jdwp-scan" => Some(CampaignTag::JdwpScan),
             "vmware-recon" => Some(CampaignTag::VmwareRecon),
@@ -190,34 +183,33 @@ pub fn tag_activity(activity: &SourceActivity) -> Vec<CampaignTag> {
 /// One source's [`SourceActivity`] under construction: the activity plus
 /// the distinct credential pairs it counts, folded one event at a time.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ActivityFold {
-    activity: SourceActivity,
-    credentials: BTreeSet<(Arc<str>, Arc<str>)>,
+pub(crate) struct ActivityFold<'a> {
+    activity: SourceActivity<'a>,
+    credentials: BTreeSet<(&'a str, &'a str)>,
 }
 
-impl ActivityFold {
-    /// Fold one of the source's events in, sharing the frame's interned
-    /// strings instead of cloning them.
-    pub(crate) fn push(&mut self, kind: &FrameKind) {
+impl<'a> ActivityFold<'a> {
+    /// Fold one of the source's events in, borrowing the frame's strings
+    /// instead of cloning them.
+    pub(crate) fn push(&mut self, kind: FrameKindRef<'a>) {
         match kind {
-            FrameKind::Command { raw, .. } => self.activity.raws.push(Arc::clone(raw)),
-            FrameKind::LoginAttempt {
+            FrameKindRef::Command { raw, .. } => self.activity.raws.push(raw),
+            FrameKindRef::LoginAttempt {
                 username, password, ..
             } => {
                 self.activity.login_attempts += 1;
-                self.credentials
-                    .insert((Arc::clone(username), Arc::clone(password)));
+                self.credentials.insert((username, password));
             }
-            FrameKind::Payload {
+            FrameKindRef::Payload {
                 recognized: Some(label),
                 ..
-            } => self.activity.foreign.push(Arc::clone(label)),
+            } => self.activity.foreign.push(label),
             _ => {}
         }
     }
 
     /// The finished activity.
-    pub(crate) fn finish(self) -> SourceActivity {
+    pub(crate) fn finish(self) -> SourceActivity<'a> {
         SourceActivity {
             distinct_credentials: self.credentials.len(),
             ..self.activity
@@ -229,10 +221,13 @@ impl ActivityFold {
 pub fn collect_activity(
     view: FrameView<'_>,
     dbms: Option<Dbms>,
-) -> BTreeMap<IpAddr, SourceActivity> {
-    let mut folds: BTreeMap<IpAddr, ActivityFold> = BTreeMap::new();
+) -> BTreeMap<IpAddr, SourceActivity<'_>> {
+    let mut folds: BTreeMap<IpAddr, ActivityFold<'_>> = BTreeMap::new();
     for event in view.events_of(dbms) {
-        folds.entry(event.src).or_default().push(&event.kind);
+        folds
+            .entry(view.src(event))
+            .or_default()
+            .push(view.kind(event));
     }
     folds
         .into_iter()
@@ -255,9 +250,9 @@ pub fn tag_sources(view: FrameView<'_>, dbms: Option<Dbms>) -> BTreeMap<IpAddr, 
 mod tests {
     use super::*;
 
-    fn activity(raws: &[&str]) -> SourceActivity {
+    fn activity<'a>(raws: &[&'a str]) -> SourceActivity<'a> {
         SourceActivity {
-            raws: raws.iter().map(|s| Arc::from(*s)).collect(),
+            raws: raws.to_vec(),
             ..Default::default()
         }
     }
@@ -356,7 +351,7 @@ mod tests {
     #[test]
     fn foreign_probe_tags() {
         let a = SourceActivity {
-            foreign: vec!["rdp-scan".into(), "jdwp-scan".into(), "rdp-scan".into()],
+            foreign: vec!["rdp-scan", "jdwp-scan", "rdp-scan"],
             ..Default::default()
         };
         let tags = tag_activity(&a);

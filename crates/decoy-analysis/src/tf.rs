@@ -10,7 +10,7 @@
 
 pub use crate::tfvec::{TfVector, Vocabulary};
 
-use crate::frame::{FrameKind, FrameView};
+use crate::frame::{FrameKindRef, FrameView};
 use decoy_store::Dbms;
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -18,16 +18,17 @@ use std::net::IpAddr;
 /// The §6.1 term of one event: the normalized command action, `LOGIN` for
 /// an authentication attempt, the recognized label of a foreign payload
 /// (`PAYLOAD` when unrecognized), and `MALFORMED` for a grammar violation.
-/// Connects, disconnects and health telemetry carry no behavioral signal
-/// and have no term (they would swamp the TF mass of scanners' documents).
+/// Connects and disconnects carry no behavioral signal and have no term
+/// (they would swamp the TF mass of scanners' documents); fleet-health
+/// telemetry never becomes a frame row.
 /// Terms borrow the frame's interned strings.
-pub(crate) fn event_term(kind: &FrameKind) -> Option<&str> {
+pub(crate) fn event_term<'a>(kind: FrameKindRef<'a>) -> Option<&'a str> {
     match kind {
-        FrameKind::Connect | FrameKind::Disconnect | FrameKind::Health { .. } => None,
-        FrameKind::LoginAttempt { .. } => Some("LOGIN"),
-        FrameKind::Command { action, .. } => Some(action),
-        FrameKind::Payload { recognized, .. } => Some(recognized.as_deref().unwrap_or("PAYLOAD")),
-        FrameKind::Malformed { .. } => Some("MALFORMED"),
+        FrameKindRef::Connect | FrameKindRef::Disconnect => None,
+        FrameKindRef::LoginAttempt { .. } => Some("LOGIN"),
+        FrameKindRef::Command { action, .. } => Some(action),
+        FrameKindRef::Payload { recognized, .. } => Some(recognized.unwrap_or("PAYLOAD")),
+        FrameKindRef::Malformed { .. } => Some("MALFORMED"),
     }
 }
 
@@ -40,9 +41,9 @@ pub fn action_sequences(view: FrameView<'_>, dbms: Option<Dbms>) -> BTreeMap<IpA
     for event in view.events_of(dbms) {
         // Every connecting source gets a (possibly empty) document so that
         // scanners appear in the clustering input too.
-        docs.entry(event.src)
+        docs.entry(view.src(event))
             .or_default()
-            .extend(event_term(&event.kind));
+            .extend(event_term(view.kind(event)));
     }
     docs
 }

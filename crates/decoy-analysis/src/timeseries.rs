@@ -71,7 +71,8 @@ pub fn hourly_series(
     let words = view.frame().distinct_sources().div_ceil(64);
     // one bit per (panel, hour, source id), a row of `words` per hour
     let mut bits = vec![0u64; PANELS * hours * words];
-    for (id, event) in view.sourced_events() {
+    for event in view.events() {
+        let id = event.source;
         if event.ts < origin {
             continue;
         }

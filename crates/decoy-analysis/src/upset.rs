@@ -62,7 +62,7 @@ pub fn upset(view: FrameView<'_>, families: &[Dbms]) -> UpSet {
     for event in view.events() {
         let dbms = event.honeypot.dbms;
         if families.contains(&dbms) {
-            membership.entry(event.src).or_default().insert(dbms);
+            membership.entry(view.src(event)).or_default().insert(dbms);
         }
     }
     let mut result = UpSet::default();

@@ -18,11 +18,11 @@
 //! to the order in which independent merges are recorded (Murtagh's
 //! nearest-neighbor-chain argument). Ties are broken identically in both
 //! implementations (smallest slot index wins). A tie is any two
-//! dissimilarities within a relative [`TIE_TOLERANCE`], not only bitwise
+//! dissimilarities within a relative `TIE_TOLERANCE`, not only bitwise
 //! equal ones: the two implementations update the matrix in different
 //! orders, so one real tie can round to values a few ulps apart, in
 //! opposite directions in each, and a bitwise rule would then join
-//! different pairs and grow different trees. [`canonicalize`]
+//! different pairs and grow different trees. `canonicalize`
 //! rewrites either merge history into a unique order — stable sort by
 //! `(height, min-leaf child ids)` constrained to dependency order, with a
 //! union-find-style relabel — so `cut_at`/`cut_into` partitions coincide.

@@ -13,12 +13,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use decoy_analysis::cluster::{cluster_sources, ward_cluster};
-use decoy_analysis::frame::{AnalysisFrame, FrameKind, FrameView, Partition};
+use decoy_analysis::frame::{AnalysisFrame, FrameKindRef, FrameView, Partition};
 use decoy_analysis::tf::TfVector;
 use decoy_base::Rng;
 use decoy_store::Dbms;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// Synthetic TF vectors: `k` true groups, `n` points.
 fn synthetic(n: usize, k: usize, dims: usize) -> Vec<TfVector> {
@@ -90,24 +89,23 @@ fn bench(c: &mut Criterion) {
 fn cluster_on_raw(view: FrameView<'_>, dbms: Dbms, threshold: f64) -> usize {
     use decoy_analysis::tf::{TfVector, Vocabulary};
     use std::collections::{BTreeMap, HashMap};
-    let login: Arc<str> = Arc::from("LOGIN");
-    let mut docs: BTreeMap<std::net::IpAddr, Vec<Arc<str>>> = BTreeMap::new();
+    let mut docs: BTreeMap<std::net::IpAddr, Vec<&str>> = BTreeMap::new();
     for event in view.events_of(Some(dbms)) {
-        let term = match &event.kind {
-            FrameKind::Command { raw, .. } => Some(Arc::clone(raw)),
-            FrameKind::LoginAttempt { .. } => Some(Arc::clone(&login)),
-            FrameKind::Payload { preview, .. } => Some(Arc::clone(preview)),
+        let term = match view.kind(event) {
+            FrameKindRef::Command { raw, .. } => Some(raw),
+            FrameKindRef::LoginAttempt { .. } => Some("LOGIN"),
+            FrameKindRef::Payload { preview, .. } => Some(preview),
             _ => None,
         };
-        let doc = docs.entry(event.src).or_default();
+        let doc = docs.entry(view.src(event)).or_default();
         if let Some(term) = term {
             doc.push(term);
         }
     }
     // dedup identical raw documents (same as the real pipeline)
-    let mut unique: Vec<&[Arc<str>]> = Vec::new();
+    let mut unique: Vec<&[&str]> = Vec::new();
     let mut members: Vec<f64> = Vec::new();
-    let mut by_doc: HashMap<&[Arc<str>], usize> = HashMap::new();
+    let mut by_doc: HashMap<&[&str], usize> = HashMap::new();
     for doc in docs.values() {
         match by_doc.get(doc.as_slice()) {
             Some(&i) => members[i] += 1.0,

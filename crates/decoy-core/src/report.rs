@@ -7,12 +7,12 @@
 //! orderings, who-wins) directly.
 //!
 //! Every generation path funnels into one section pipeline,
-//! [`render_sections`], which renders the paper from a sealed
+//! `render_sections`, which renders the paper from a sealed
 //! [`AnalysisFrame`] plus the three inputs no event carries (volume scale,
 //! planted bait, final fleet snapshot). [`Report::generate`] folds the
 //! in-memory store into one frame ("fold one partial, seal");
-//! [`Report::from_journal_streaming`] folds a journal's replay with peak
-//! memory bounded by the largest segment; [`Report::from_shards`] folds
+//! [`Report::from_journal_streaming`] folds a journal's replay one segment
+//! at a time, never holding the event store; [`Report::from_shards`] folds
 //! the segments of several journal directories on scoped worker threads,
 //! straight from the segment decoder, and merges the partial frames into
 //! one global report; and [`LiveReport`] keeps a running fold over a
@@ -27,7 +27,7 @@ use decoy_analysis::classify::{Behavior, BehaviorProfile, ClassCounts};
 use decoy_analysis::ecdf::{retention_days, single_day_fraction, Ecdf};
 use decoy_analysis::fleet::{fleet_totals, fleet_uptime, ListenerUptime};
 use decoy_analysis::fold::PartialFrame;
-use decoy_analysis::frame::{AnalysisFrame, FrameKind, FrameView, Partition};
+use decoy_analysis::frame::{AnalysisFrame, FrameKind, FrameKindRef, FrameView, Partition};
 use decoy_analysis::honeytokens::{detect_reuse, HoneytokenReport};
 use decoy_analysis::intel::{coverage, IntelFeed};
 use decoy_analysis::tables;
@@ -132,10 +132,13 @@ impl Report {
     /// first sequence number ([`decode_segment`] hands over one borrowed
     /// record at a time, so no segment's events are ever collected or
     /// copied) and merges that into its own running partial; the main
-    /// thread merges the workers' partials in block order. Each worker holds one raw segment and its
-    /// partial in flight, beside its running partial with its own interner
-    /// and geo memo, so peak memory grows with the number of workers (it
-    /// has been measured at 2 only). The merge keeps the longest copy of
+    /// thread merges the workers' partials in block order. Each worker
+    /// holds one raw segment and its partial in flight, beside its running
+    /// partial with its own string and source tables, so peak memory grows
+    /// with the number of workers: the 2.82 M-event join at the benchmark's
+    /// default scale peaked at 176, 181, 186 and 203 MB with 1, 2, 4 and 8
+    /// workers, of which the rows and indices take 124 MB (44 bytes per
+    /// event). The merge keeps the longest copy of
     /// every segment that the shards hold, so for shards that hold whole or
     /// damaged copies of one journal's segment files neither shard order on
     /// the command line nor how the segments fell to the workers changes
@@ -153,13 +156,23 @@ impl Report {
         config: ExperimentConfig,
         dirs: &[P],
     ) -> std::io::Result<(Report, RecoveryStats)> {
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Report::join_shards(config, dirs, workers)
+    }
+
+    /// [`Report::from_shards`] on `workers` scoped worker threads.
+    fn join_shards<P: AsRef<std::path::Path>>(
+        config: ExperimentConfig,
+        dirs: &[P],
+        workers: usize,
+    ) -> std::io::Result<(Report, RecoveryStats)> {
         let mut jobs = Vec::new();
         for dir in dirs {
             let reader = JournalReader::open(dir)?;
             jobs.extend(reader.segment_paths().iter().cloned().enumerate());
         }
         let enricher = GeoEnricher::new(GeoDb::builtin());
-        let (merged, mut stats) = fold_segments(&jobs, &enricher);
+        let (merged, mut stats) = fold_segments(&jobs, &enricher, workers);
         stats.records_kept = merged.span();
         if stats.error.is_none() {
             if let Some((expected, found)) = coverage_gap(&merged.run_ranges()) {
@@ -261,7 +274,7 @@ fn render_sections(
     })
 }
 
-/// Fold the shard join's segments on scoped workers (see
+/// Fold the shard join's segments on `workers` scoped workers (see
 /// [`Report::from_shards`]). `jobs` holds each segment's position within
 /// its own directory and its path, in (directory, segment) order; each
 /// worker folds one contiguous block of them. Returns the merged partial
@@ -270,9 +283,9 @@ fn render_sections(
 fn fold_segments(
     jobs: &[(usize, PathBuf)],
     enricher: &GeoEnricher,
+    workers: usize,
 ) -> (PartialFrame, RecoveryStats) {
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let block = jobs.len().div_ceil(workers).max(1);
+    let block = jobs.len().div_ceil(workers.max(1)).max(1);
     let blocks: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = jobs
             .chunks(block)
@@ -979,7 +992,7 @@ fn sec6_config_data(all: FrameView<'_>) -> (u64, u64, usize) {
         }
         if e.honeypot.dbms == Dbms::Redis
             && e.honeypot.config == ConfigVariant::FakeData
-            && matches!(&e.kind, FrameKind::Command { raw, .. } if raw.starts_with("TYPE "))
+            && matches!(all.kind(e), FrameKindRef::Command { raw, .. } if raw.starts_with("TYPE "))
         {
             type_walks += 1;
         }
@@ -1115,10 +1128,10 @@ fn noisy_sources(low: FrameView<'_>) -> BTreeSet<IpAddr> {
 fn sec_detectability(all: FrameView<'_>) -> Section {
     let mut rows: BTreeMap<&'static str, (BTreeSet<IpAddr>, u64)> = BTreeMap::new();
     for e in all.events() {
-        if let FrameKind::Command { raw, .. } = &e.kind {
+        if let FrameKindRef::Command { raw, .. } = all.kind(e) {
             if decoy_analysis::detect::is_fingerprint_probe(raw) {
                 let entry = rows.entry(e.honeypot.dbms.label()).or_default();
-                entry.0.insert(e.src);
+                entry.0.insert(all.src(e));
                 entry.1 = entry.1.saturating_add(1);
             }
         }
@@ -1303,6 +1316,55 @@ fn sparkline(values: &[f64], width: usize) -> String {
 mod tests {
     use super::*;
     use crate::runner::{run_direct, ExperimentConfig};
+    use decoy_store::{JournalConfig, JournalWriter};
+
+    /// The shard join renders the batch report at every worker count from
+    /// 1 to 8: a small run journaled into 16 KiB segments, split over two
+    /// directories, so the workers' blocks cut the segments, and the
+    /// directories, at every offset.
+    #[test]
+    fn shard_join_renders_the_batch_report_at_every_worker_count() {
+        let config = ExperimentConfig::direct(5, 0.0001);
+        let result = run_direct(config.clone()).unwrap();
+        let batch = Report::generate(&result).render_text();
+        let root = std::env::temp_dir().join(format!("decoy-shard-workers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let spool = root.join("spool");
+        let journal = JournalWriter::open(JournalConfig {
+            segment_bytes: 16 * 1024,
+            fsync: false,
+            ..JournalConfig::spool(&spool)
+        })
+        .unwrap();
+        result.store.read(|events| {
+            for event in events {
+                journal.append(event);
+            }
+        });
+        journal.close().unwrap();
+        let segments = JournalReader::open(&spool)
+            .unwrap()
+            .segment_paths()
+            .to_vec();
+        assert!(segments.len() >= 8, "{} segments", segments.len());
+        let shards = [root.join("a"), root.join("b")];
+        for (i, segment) in segments.iter().enumerate() {
+            let shard = &shards[usize::from(2 * i >= segments.len())];
+            std::fs::create_dir_all(shard).unwrap();
+            std::fs::copy(segment, shard.join(segment.file_name().unwrap())).unwrap();
+        }
+        for workers in 1..=8 {
+            let (report, stats) = Report::join_shards(config.clone(), &shards, workers).unwrap();
+            assert_eq!(stats.error, None, "{workers} workers");
+            assert_eq!(
+                stats.records_kept,
+                result.store.len() as u64,
+                "{workers} workers"
+            );
+            assert!(report.render_text() == batch, "{workers} workers");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
     #[test]
     fn report_generates_all_sections() {

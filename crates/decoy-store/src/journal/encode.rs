@@ -35,7 +35,7 @@
 //! Strings are `varint(len) | UTF-8 bytes`. Kind tags and their fields:
 //! `0` Connect, `1` Disconnect, `2` LoginAttempt (username, password,
 //! success u8), `3` Command (action, raw), `4` Payload (len, has_recognized
-//! u8, [recognized], preview), `5` Malformed (detail), `6` Health (state u8,
+//! u8, `[recognized]`, preview), `5` Malformed (detail), `6` Health (state u8,
 //! restarts, detail).
 //!
 //! The decoding side lives in [`super::decode`], which is registered in the

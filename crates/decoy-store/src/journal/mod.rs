@@ -5,7 +5,7 @@
 //! length-prefixed, CRC-protected [`Event`] frames to size-rotated segment
 //! files. The appending thread encodes each record once, with its sequence
 //! number, into a buffer it shares with a background writer thread
-//! ([`JournalSink::send`], which the event store calls under its write
+//! (`JournalSink::send`, which the event store calls under its write
 //! lock); the writer takes that buffer whole when woken and does all the
 //! I/O with group commit: a batch is pushed to the OS every `flush_every`
 //! records or `flush_interval_ms` of [`Clock`] time, and `fsync`ed on
@@ -168,7 +168,7 @@ impl JournalSink {
 
 /// Durable append-only writer over a segment directory.
 ///
-/// [`JournalWriter::append`] and [`JournalSink::send`] encode each record
+/// [`JournalWriter::append`] and `JournalSink::send` encode each record
 /// once, into a buffer shared with a background thread that does all the
 /// I/O: it takes the whole buffer when woken (once per `flush_every`
 /// records, every 20 ms, on [`JournalWriter::sync`] and on close) and

@@ -19,7 +19,7 @@
 //!   inter-function lock-order cycles across the serving crates.
 //! * [`alloc`] — hot-path allocation bans in `decoy-hot-path`-tagged
 //!   modules.
-//! * [`bench`] — freshness of committed `BENCH_*.json` placeholders.
+//! * [`bench`](mod@bench) — freshness of committed `BENCH_*.json` placeholders.
 //! * [`analyze`] — the orchestrator wiring scopes, passes, and baseline
 //!   together.
 

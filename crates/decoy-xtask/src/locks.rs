@@ -18,7 +18,7 @@
 //! * **`lock-order`**: within a function, guard A alive when B is acquired
 //!   adds the edge A→B; a call to a known function while A is alive adds
 //!   A→L for every lock L that function may (transitively) acquire — but
-//!   only unambiguous call shapes propagate (see [`is_propagated_call`]:
+//!   only unambiguous call shapes propagate (see `is_propagated_call`:
 //!   bare calls, `self.` methods, `*_locked` methods). Cycles
 //!   in the resulting graph — including self-loops, i.e. re-acquiring a
 //!   lock you may already hold — are deadlock candidates.

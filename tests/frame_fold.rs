@@ -28,24 +28,31 @@ fn batch_frame(events: &[Event]) -> AnalysisFrame {
     AnalysisFrame::build(&store, &GeoDb::builtin())
 }
 
-/// Cut `events` into contiguous segments at `cuts` (taken modulo the event
-/// count, deduplicated) and fold each window into its own `PartialFrame`
-/// anchored at its global start position.
-fn fold_segments(events: &[Event], cuts: &[usize], enricher: &GeoEnricher) -> Vec<PartialFrame> {
+/// The bounds of the contiguous segments that `cuts` (taken modulo the
+/// event count, deduplicated) cut `events` into.
+fn segment_bounds(events: &[Event], cuts: &[usize]) -> Vec<usize> {
     let mut bounds: Vec<usize> = vec![0, events.len()];
     bounds.extend(cuts.iter().map(|c| c % (events.len() + 1)));
     bounds.sort_unstable();
     bounds.dedup();
     bounds
+}
+
+/// Fold `events[start..end]` into a `PartialFrame` anchored at `start`.
+fn fold_window(events: &[Event], start: usize, end: usize, enricher: &GeoEnricher) -> PartialFrame {
+    let mut partial = PartialFrame::new(start as u64);
+    for event in &events[start..end] {
+        partial.push(event, enricher);
+    }
+    partial
+}
+
+/// Cut `events` into contiguous segments at `cuts` and fold each window
+/// into its own `PartialFrame` anchored at its global start position.
+fn fold_segments(events: &[Event], cuts: &[usize], enricher: &GeoEnricher) -> Vec<PartialFrame> {
+    segment_bounds(events, cuts)
         .windows(2)
-        .map(|w| {
-            let (start, end) = (w[0], w[1]);
-            let mut partial = PartialFrame::new(start as u64);
-            for event in &events[start..end] {
-                partial.push(event, enricher);
-            }
-            partial
-        })
+        .map(|w| fold_window(events, w[0], w[1], enricher))
         .collect()
 }
 
@@ -128,5 +135,47 @@ fn empty_and_singleton_segments_fold_cleanly() {
         assert_eq!(folded.span(), events.len() as u64);
         assert_eq!(folded.len(), events.len() - telemetry);
         assert_eq!(folded.seal(), batch_frame(events));
+    });
+}
+
+/// Whole and cut-short copies of random segments change nothing: merged
+/// with the segments pairwise in random order, they seal to the batch
+/// frame, with the same sources, strings and sessions. A cut-short copy is
+/// a prefix of its segment folded at the segment's start (a torn or
+/// corrupt tail), the shape two shards of one journal hold; this pins the
+/// table-union rule that the merge's id rewrite must keep.
+#[test]
+fn replicas_and_cut_short_copies_change_nothing() {
+    let gen = |rng: &mut Rng| (arb_events(rng, 1..60), arb_cuts(rng, 1..6), rng.next_u64());
+    for_all(0x7e91, 48, gen, |(events, cuts, seed)| {
+        let enricher = GeoEnricher::new(GeoDb::builtin());
+        let mut rng = Rng::seed_from_u64(*seed);
+        let bounds = segment_bounds(events, cuts);
+        let mut parts: Vec<PartialFrame> = bounds
+            .windows(2)
+            .map(|w| fold_window(events, w[0], w[1], &enricher))
+            .collect();
+        for _ in 0..rng.gen_range(1..6) {
+            let segment = rng.gen_range(0..bounds.len() - 1);
+            let (start, end) = (bounds[segment], bounds[segment + 1]);
+            let end = if rng.gen_bool(0.5) {
+                end
+            } else {
+                rng.gen_range(start..end)
+            };
+            parts.push(fold_window(events, start, end, &enricher));
+        }
+        while parts.len() > 1 {
+            let a = parts.swap_remove(rng.gen_range(0..parts.len()));
+            let b = parts.swap_remove(rng.gen_range(0..parts.len()));
+            parts.push(PartialFrame::merge(a, b));
+        }
+        let merged = parts.pop().unwrap();
+        assert_eq!(merged.span(), events.len() as u64);
+        let (sealed, batch) = (merged.seal(), batch_frame(events));
+        assert_eq!(sealed.distinct_sources(), batch.distinct_sources());
+        assert_eq!(sealed.interned_strings(), batch.interned_strings());
+        assert_eq!(sealed.session_count(), batch.session_count());
+        assert_eq!(sealed, batch);
     });
 }

@@ -157,7 +157,7 @@ fn frame_aggregates_match_naive_fold() {
         let mut frame_per_ip: HashMap<IpAddr, usize> = HashMap::new();
         let mut frame_logins: HashMap<Dbms, usize> = HashMap::new();
         for e in frame.events() {
-            *frame_per_ip.entry(e.src).or_default() += 1;
+            *frame_per_ip.entry(frame.src(e)).or_default() += 1;
             if matches!(e.kind, FrameKind::LoginAttempt { .. }) {
                 *frame_logins.entry(e.honeypot.dbms).or_default() += 1;
             }
@@ -207,14 +207,14 @@ fn session_queries_match_linear_filter() {
             let frame_events: Vec<_> = frame
                 .events()
                 .iter()
-                .filter(|e| e.honeypot == hp && e.src == key.src && e.session == key.session)
+                .filter(|e| e.honeypot == hp && frame.src(e) == key.src && e.session == key.session)
                 .collect();
             let store_events = store.by_session(hp, key);
             assert_eq!(frame_events.len(), store_events.len());
             for (f, s) in frame_events.iter().zip(&store_events) {
                 assert_eq!(f.ts, s.ts);
                 assert_eq!(f.honeypot, s.honeypot);
-                assert_eq!(f.src, s.src);
+                assert_eq!(frame.src(f), s.src);
                 assert_eq!(f.session, s.session);
             }
         }
