@@ -375,6 +375,38 @@ impl PartialFrame {
     }
 }
 
+/// Fold `jobs` on `workers` scoped threads, the split the batch build and
+/// the shard join share: the jobs are cut into contiguous blocks, one per
+/// worker and at most one per job, each block is folded by `fold` on its
+/// own thread into a partial and a side result, and the partials are
+/// merged in block order. Returns the merged partial and the side results,
+/// in block order.
+pub fn fold_blocks<J: Sync, T: Send>(
+    jobs: &[J],
+    workers: usize,
+    fold: impl Fn(&[J]) -> (PartialFrame, T) + Sync,
+) -> (PartialFrame, Vec<T>) {
+    let block = jobs.len().div_ceil(workers.max(1)).max(1);
+    let fold = &fold;
+    let blocks: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .chunks(block)
+            .map(|jobs| s.spawn(move || fold(jobs)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fold worker panicked"))
+            .collect()
+    });
+    let mut merged = PartialFrame::new(0);
+    let mut sides = Vec::with_capacity(blocks.len());
+    for (partial, side) in blocks {
+        merged = PartialFrame::merge(merged, partial);
+        sides.push(side);
+    }
+    (merged, sides)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

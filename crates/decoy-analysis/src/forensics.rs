@@ -3,7 +3,7 @@
 //! numbered command lines with volatile fields already masked, connection
 //! boundaries marked, and login attempts summarized.
 
-use decoy_store::{Dbms, Event, EventKind, EventStore, HoneypotId};
+use decoy_store::{Dbms, EventKindRef, EventRef, EventStore, HoneypotId};
 use std::fmt::Write as _;
 use std::net::IpAddr;
 
@@ -22,20 +22,20 @@ pub struct SessionListing {
 /// Consecutive events of one `(honeypot, session)` form one listing.
 pub fn sessions_of(store: &EventStore, src: IpAddr, dbms: Option<Dbms>) -> Vec<SessionListing> {
     let mut sessions: Vec<SessionListing> = Vec::new();
-    store.read(|events| {
-        let scoped = |e: &&Event| e.src == src && dbms.map_or(true, |d| e.honeypot.dbms == d);
-        for event in events.iter().filter(scoped) {
-            let line = match &event.kind {
-                EventKind::Connect => "NewConnect".to_string(),
-                EventKind::Disconnect => "Closed".to_string(),
-                EventKind::Command { action, .. } => action.clone(),
-                EventKind::LoginAttempt {
+    store.read(|log| {
+        let scoped = |e: &EventRef<'_>| e.src == src && dbms.map_or(true, |d| e.honeypot.dbms == d);
+        for event in log.iter().filter(scoped) {
+            let line = match event.kind {
+                EventKindRef::Connect => "NewConnect".to_string(),
+                EventKindRef::Disconnect => "Closed".to_string(),
+                EventKindRef::Command { action, .. } => action.to_string(),
+                EventKindRef::LoginAttempt {
                     username, success, ..
                 } => format!(
                     "login {} as {username} (password masked)",
-                    if *success { "accepted" } else { "rejected" },
+                    if success { "accepted" } else { "rejected" },
                 ),
-                EventKind::Payload {
+                EventKindRef::Payload {
                     recognized,
                     preview,
                     ..
@@ -43,9 +43,9 @@ pub fn sessions_of(store: &EventStore, src: IpAddr, dbms: Option<Dbms>) -> Vec<S
                     Some(label) => format!("[{label}] {preview}"),
                     None => format!("[payload] {preview}"),
                 },
-                EventKind::Malformed { detail } => format!("[malformed] {detail}"),
+                EventKindRef::Malformed { detail } => format!("[malformed] {detail}"),
                 // Operational telemetry never belongs in an attacker listing.
-                EventKind::Health { .. } => continue,
+                EventKindRef::Health { .. } => continue,
             };
             match sessions.last_mut() {
                 Some(last) if (last.honeypot, last.session) == (event.honeypot, event.session) => {
@@ -79,7 +79,7 @@ pub fn render_listing(store: &EventStore, src: IpAddr, dbms: Option<Dbms>) -> St
 mod tests {
     use super::*;
     use decoy_base::time::EXPERIMENT_START;
-    use decoy_store::{ConfigVariant, InteractionLevel};
+    use decoy_store::{ConfigVariant, Event, EventKind, InteractionLevel};
 
     fn log(store: &EventStore, session: u64, kind: EventKind) {
         let honeypot = HoneypotId::new(

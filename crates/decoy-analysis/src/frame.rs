@@ -2,7 +2,8 @@
 //!
 //! The paper's pipeline is one normalization/enrichment pass feeding many
 //! downstream consumers (§4, Figure 1). [`AnalysisFrame`] is that pass made
-//! explicit: a single zero-clone scan of the store that
+//! explicit: a single fold of the store's log (its chunks decoded in
+//! place, on every core) that
 //!
 //! * partitions the fleet into the low-interaction and medium/high slices
 //!   every table and figure works over,
@@ -35,8 +36,7 @@
 
 use decoy_base::time::Timestamp;
 use decoy_geo::{GeoDb, GeoEnricher, IpMeta};
-use decoy_store::events::count_sessions;
-use decoy_store::{Dbms, Event, EventKindRef, EventStore, HoneypotId, SessionKey};
+use decoy_store::{Dbms, Event, EventKindRef, EventStore, HoneypotId, SessionSet};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -392,16 +392,29 @@ impl AnalysisFrame {
     /// Build the frame, enriching through an existing (possibly pre-warmed)
     /// cache.
     ///
-    /// Internally this is "fold one [`PartialFrame`](crate::fold::PartialFrame),
-    /// seal" — the same code path the streaming/segment fold uses, so batch
-    /// and incremental construction cannot drift apart.
+    /// The store's chunks are folded on
+    /// [`std::thread::available_parallelism`] scoped workers, each into its
+    /// own [`PartialFrame`](crate::fold::PartialFrame) anchored at its first
+    /// chunk's log position, and the partials are merged in order and
+    /// sealed: the fold, merge and seal the streaming and shard paths use,
+    /// so batch and incremental construction cannot drift apart.
     pub fn build_with(store: &EventStore, enricher: &GeoEnricher) -> Self {
-        store.read(|events| {
-            let mut partial = crate::fold::PartialFrame::new(0);
-            for event in events.iter() {
-                partial.push(event, enricher);
-            }
-            partial.seal()
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        AnalysisFrame::build_on(store, enricher, workers)
+    }
+
+    /// [`AnalysisFrame::build_with`] on `workers` scoped workers.
+    fn build_on(store: &EventStore, enricher: &GeoEnricher, workers: usize) -> Self {
+        store.read(|log| {
+            let (folded, _) = crate::fold::fold_blocks(log.chunks(), workers, |chunks| {
+                let start = chunks.first().map_or(0, |chunk| chunk.start());
+                let mut partial = crate::fold::PartialFrame::new(start);
+                for event in chunks.iter().flat_map(|chunk| chunk.events()) {
+                    partial.push(event, enricher);
+                }
+                (partial, ())
+            });
+            folded.seal()
         })
     }
 
@@ -417,18 +430,15 @@ impl AnalysisFrame {
         strings: Vec<Arc<str>>,
         health: Vec<Event>,
     ) -> Self {
-        let sessions = count_sessions(events.iter().map(|e| {
-            let key = SessionKey {
-                src: sources[e.source as usize],
-                session: e.session,
-            };
-            (e.honeypot, key)
-        }));
+        let mut sessions = SessionSet::new();
+        for e in &events {
+            sessions.insert(e.honeypot, e.session, e.source);
+        }
         AnalysisFrame {
             events,
             low,
             med_high,
-            sessions,
+            sessions: sessions.len(),
             sources,
             source_meta,
             strings,
@@ -872,6 +882,87 @@ mod tests {
             }
         }
         assert!(used.into_iter().eq(0..3));
+    }
+
+    /// The batch build folds the store's chunks on 1 to 8 workers to one
+    /// frame: every worker's block lands in it, in log order, whichever
+    /// chunks fell to which worker. The frame is everything the report
+    /// renders from, compared whole (rows, partitions, tables, enrichment,
+    /// session count, health), here and against a serial fold of the log.
+    #[test]
+    fn build_folds_every_chunk_at_every_worker_count() {
+        let store = EventStore::new();
+        let mut rng = decoy_base::Rng::seed_from_u64(0xF01D);
+        let levels = [
+            InteractionLevel::Low,
+            InteractionLevel::Medium,
+            InteractionLevel::High,
+        ];
+        let mut sessions = [0u64; 6];
+        while store.read(|log| log.chunks().len()) < 8 {
+            let n = rng.next_u64();
+            let which = (n % 6) as usize;
+            sessions[which] += 1;
+            let honeypot = hp(Dbms::all()[which], levels[which % 3]);
+            let src = match (n >> 8) % 40 {
+                0 => IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, (n >> 16) as u16 % 7]),
+                k => IpAddr::from([198, 51, 100, k as u8]),
+            };
+            let session = sessions[which];
+            let at = |ms: u64, kind| Event {
+                ts: EXPERIMENT_START.add_millis((n >> 20) % 86_400_000 + ms),
+                honeypot,
+                src,
+                session,
+                kind,
+            };
+            let mut events = vec![at(0, EventKind::Connect)];
+            for i in 0..(n >> 40) % 4 {
+                events.push(at(
+                    i + 1,
+                    match (n >> (44 + i)) % 3 {
+                        0 => EventKind::LoginAttempt {
+                            username: ["sa", "root", "admin"][(i % 3) as usize].into(),
+                            password: format!("pw{}", (n >> 48) % 50),
+                            success: false,
+                        },
+                        1 => cmd(&format!("GET key{}", (n >> 52) % 30)),
+                        _ => EventKind::Payload {
+                            len: 4,
+                            recognized: None,
+                            preview: "\u{1}x".into(),
+                        },
+                    },
+                ));
+            }
+            if n % 97 == 0 {
+                events.push(at(
+                    9,
+                    EventKind::Health {
+                        state: decoy_base::HealthState::Degraded,
+                        restarts: 1,
+                        detail: "stall".into(),
+                    },
+                ));
+            }
+            events.push(at(10, EventKind::Disconnect));
+            store.log_many(events);
+        }
+        let geo = GeoDb::builtin();
+        let enricher = GeoEnricher::new(Arc::clone(&geo));
+        let one = AnalysisFrame::build_on(&store, &enricher, 1);
+        let mut serial = crate::fold::PartialFrame::new(0);
+        for event in store.all() {
+            serial.push(&event, &enricher);
+        }
+        assert!(one == serial.seal(), "one worker is the serial fold");
+        assert_eq!(one.len() + one.health_events().len(), store.len());
+        assert_eq!(one.session_count(), store.session_count());
+        for workers in 2..=8 {
+            let enricher = GeoEnricher::new(Arc::clone(&geo));
+            let frame = AnalysisFrame::build_on(&store, &enricher, workers);
+            assert!(frame == one, "{workers} workers");
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! stream:
 //!
 //! * [`frame`] — the materialized [`AnalysisFrame`]:
-//!   one zero-clone pass over the events that partitions the fleet, enriches
-//!   each source IP once, interns strings, and gives every source a dense
-//!   id that per-source tables and figures index. Every paper artifact below
+//!   one pass over the events (decoded in place, on every core) that
+//!   partitions the fleet, enriches each source IP once, interns strings,
+//!   and gives every source a dense id that per-source tables and figures
+//!   index. Every paper artifact below
 //!   has exactly one implementation, and it takes a
 //!   [`FrameView`], so the whole report shares that
 //!   single pass.

@@ -10,7 +10,7 @@
 //! `render_sections`, which renders the paper from a sealed
 //! [`AnalysisFrame`] plus the three inputs no event carries (volume scale,
 //! planted bait, final fleet snapshot). [`Report::generate`] folds the
-//! in-memory store into one frame ("fold one partial, seal");
+//! in-memory store's chunks on scoped workers, merges and seals;
 //! [`Report::from_journal_streaming`] folds a journal's replay one segment
 //! at a time, never holding the event store; [`Report::from_shards`] folds
 //! the segments of several journal directories on scoped worker threads,
@@ -26,7 +26,7 @@ use decoy_analysis::behavior::{BehaviorTable, FamilyBehavior};
 use decoy_analysis::classify::{Behavior, BehaviorProfile, ClassCounts};
 use decoy_analysis::ecdf::{retention_days, single_day_fraction, Ecdf};
 use decoy_analysis::fleet::{fleet_totals, fleet_uptime, ListenerUptime};
-use decoy_analysis::fold::PartialFrame;
+use decoy_analysis::fold::{fold_blocks, PartialFrame};
 use decoy_analysis::frame::{AnalysisFrame, FrameKind, FrameKindRef, FrameView, Partition};
 use decoy_analysis::honeytokens::{detect_reuse, HoneytokenReport};
 use decoy_analysis::intel::{coverage, IntelFeed};
@@ -78,8 +78,9 @@ pub struct Report {
 impl Report {
     /// Build every artifact from a finished run.
     ///
-    /// Folds the store into one [`PartialFrame`] and seals it (the only
-    /// full event scan), then renders every section concurrently from that
+    /// Folds the store's chunks into [`PartialFrame`]s on every core,
+    /// merges and seals them ([`AnalysisFrame::build_with`], the only full
+    /// walk of the log), then renders every section concurrently from that
     /// shared view. Sections land in paper order regardless of completion
     /// order.
     pub fn generate(result: &ExperimentResult) -> Report {
@@ -275,44 +276,31 @@ fn render_sections(
 }
 
 /// Fold the shard join's segments on `workers` scoped workers (see
-/// [`Report::from_shards`]). `jobs` holds each segment's position within
-/// its own directory and its path, in (directory, segment) order; each
-/// worker folds one contiguous block of them. Returns the merged partial
-/// and the stats of every segment's verdict, applied in job order;
-/// `records_kept` and the coverage check are left to the caller.
+/// [`Report::from_shards`]) through [`fold_blocks`], the block split and
+/// in-order merge the batch build uses too. `jobs` holds each segment's
+/// position within its own directory and its path, in (directory, segment)
+/// order; each worker folds one contiguous block of them. Returns the
+/// merged partial and the stats of every segment's verdict, applied in job
+/// order; `records_kept` and the coverage check are left to the caller.
 fn fold_segments(
     jobs: &[(usize, PathBuf)],
     enricher: &GeoEnricher,
     workers: usize,
 ) -> (PartialFrame, RecoveryStats) {
-    let block = jobs.len().div_ceil(workers.max(1)).max(1);
-    let blocks: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks(block)
-            .map(|jobs| s.spawn(move || fold_block(jobs, enricher)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard fold worker panicked"))
-            .collect()
-    });
-    let mut merged = PartialFrame::new(0);
+    let (merged, blocks) = fold_blocks(jobs, workers, |jobs| fold_block(jobs, enricher));
     let mut stats = RecoveryStats::default();
-    for (folded, verdicts) in blocks {
-        merged = PartialFrame::merge(merged, folded);
-        for verdict in verdicts {
-            let (dropped, truncated, error) = match verdict {
-                Ok(verdict) => (
-                    verdict.records_dropped,
-                    verdict.bytes_truncated,
-                    verdict.error,
-                ),
-                Err(unreadable) => (0, 0, Some(unreadable)),
-            };
-            stats.count_segment(dropped, truncated);
-            if stats.error.is_none() {
-                stats.error = error;
-            }
+    for verdict in blocks.into_iter().flatten() {
+        let (dropped, truncated, error) = match verdict {
+            Ok(verdict) => (
+                verdict.records_dropped,
+                verdict.bytes_truncated,
+                verdict.error,
+            ),
+            Err(unreadable) => (0, 0, Some(unreadable)),
+        };
+        stats.count_segment(dropped, truncated);
+        if stats.error.is_none() {
+            stats.error = error;
         }
     }
     (merged, stats)
@@ -1336,11 +1324,9 @@ mod tests {
             ..JournalConfig::spool(&spool)
         })
         .unwrap();
-        result.store.read(|events| {
-            for event in events {
-                journal.append(event);
-            }
-        });
+        result
+            .store
+            .read(|log| log.iter().for_each(|event| journal.append(event)));
         journal.close().unwrap();
         let segments = JournalReader::open(&spool)
             .unwrap()

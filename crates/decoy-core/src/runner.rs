@@ -330,7 +330,7 @@ pub fn window_end() -> Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_store::EventKind;
+    use decoy_store::EventKindRef;
 
     #[test]
     fn direct_mode_small_run() {
@@ -340,25 +340,19 @@ mod tests {
         assert_eq!(result.errors, 0);
         assert!(!result.store.is_empty());
         // inspect events in place — no full-store clone
-        let (in_window, mssql_logins, other_logins) = result.store.read(|all| {
-            let in_window = all
+        let (in_window, mssql_logins, other_logins) = result.store.read(|log| {
+            let in_window = log
                 .iter()
                 .all(|e| e.ts >= EXPERIMENT_START && e.ts <= window_end());
-            let mssql_logins = all
-                .iter()
-                .filter(|e| {
-                    e.honeypot.dbms == decoy_store::Dbms::Mssql
-                        && matches!(e.kind, EventKind::LoginAttempt { .. })
-                })
-                .count();
-            let other_logins = all
-                .iter()
-                .filter(|e| {
-                    e.honeypot.dbms != decoy_store::Dbms::Mssql
-                        && matches!(e.kind, EventKind::LoginAttempt { .. })
-                })
-                .count();
-            (in_window, mssql_logins, other_logins)
+            let logins = |mssql: bool| {
+                log.iter()
+                    .filter(|e| {
+                        (e.honeypot.dbms == decoy_store::Dbms::Mssql) == mssql
+                            && matches!(e.kind, EventKindRef::LoginAttempt { .. })
+                    })
+                    .count()
+            };
+            (in_window, logins(true), logins(false))
         });
         // events carry virtual timestamps inside the window
         assert!(in_window);

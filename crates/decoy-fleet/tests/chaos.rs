@@ -16,7 +16,7 @@ use decoy_base::HealthState;
 use decoy_core::report::Report;
 use decoy_core::runner::ExperimentConfig;
 use decoy_net::chaos::FaultPlan;
-use decoy_store::EventKind;
+use decoy_store::EventKindRef;
 use std::time::Duration;
 
 const SEED: u64 = 904;
@@ -61,10 +61,9 @@ async fn chaotic_replay_survives_with_bounded_loss() {
     let health_logged = wait_for_events(
         &result.store,
         |s| {
-            s.read(|events| {
-                events
-                    .iter()
-                    .any(|e| matches!(e.kind, EventKind::Health { .. }))
+            s.read(|log| {
+                log.iter()
+                    .any(|e| matches!(e.kind, EventKindRef::Health { .. }))
             })
         },
         Duration::from_secs(5),

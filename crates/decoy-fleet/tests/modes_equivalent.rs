@@ -61,8 +61,8 @@ async fn modes_equivalent() {
     // identical source populations per family
     for dbms in Dbms::all() {
         let family_sources = |store: &EventStore| {
-            let mut sources: Vec<IpAddr> = store.read(|events| {
-                let family = events.iter().filter(|e| e.honeypot.dbms == dbms);
+            let mut sources: Vec<IpAddr> = store.read(|log| {
+                let family = log.iter().filter(|e| e.honeypot.dbms == dbms);
                 family.map(|e| e.src).collect()
             });
             sources.sort();

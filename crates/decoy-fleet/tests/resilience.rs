@@ -16,7 +16,7 @@ use decoy_core::deployment::instance_seed;
 use decoy_honeypots::deploy::{spawn, spawn_with_options, HoneypotSpec, RunningHoneypot};
 use decoy_net::framed::Framed;
 use decoy_net::server::{ListenerOptions, SessionLimits};
-use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
+use decoy_store::{ConfigVariant, Dbms, EventKindRef, EventStore, HoneypotId, InteractionLevel};
 use decoy_wire::resp::{RespCodec, RespValue};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,8 +42,8 @@ async fn spawn_family(
     (hp, store)
 }
 
-fn count_kind(store: &EventStore, pred: impl Fn(&EventKind) -> bool) -> usize {
-    store.read(|events| events.iter().filter(|e| pred(&e.kind)).count())
+fn count_kind(store: &EventStore, pred: impl Fn(EventKindRef<'_>) -> bool) -> usize {
+    store.read(|log| log.iter().filter(|e| pred(e.kind)).count())
 }
 
 /// Every family survives random garbage and keeps serving real clients.
@@ -110,9 +110,12 @@ async fn garbage_flood_does_not_wedge_any_family() {
         let logged = wait_for_events(
             &store,
             |s| {
-                count_kind(s, |k| *k == EventKind::Connect) >= 3
+                count_kind(s, |k| k == EventKindRef::Connect) >= 3
                     && count_kind(s, |k| {
-                        matches!(k, EventKind::Malformed { .. } | EventKind::Payload { .. })
+                        matches!(
+                            k,
+                            EventKindRef::Malformed { .. } | EventKindRef::Payload { .. }
+                        )
                     }) >= 1
             },
             LOG_WAIT,
@@ -126,7 +129,7 @@ async fn garbage_flood_does_not_wedge_any_family() {
         assert!(
             wait_for_events(
                 &store,
-                |s| count_kind(s, |k| *k == EventKind::Connect) >= 4,
+                |s| count_kind(s, |k| k == EventKindRef::Connect) >= 4,
                 LOG_WAIT,
             )
             .await,
@@ -163,7 +166,7 @@ async fn oversized_frame_is_bounded() {
     assert!(
         wait_for_events(
             &store,
-            |s| count_kind(s, |k| *k == EventKind::Disconnect) >= 1,
+            |s| count_kind(s, |k| k == EventKindRef::Disconnect) >= 1,
             LOG_WAIT,
         )
         .await,
@@ -206,12 +209,12 @@ async fn concurrent_connect_storm_is_fully_logged() {
     // on the socket API, before shutting down.
     wait_for_events(
         &store,
-        |s| count_kind(s, |k| *k == EventKind::Connect) >= STORM,
+        |s| count_kind(s, |k| k == EventKindRef::Connect) >= STORM,
         LOG_WAIT,
     )
     .await;
     hp.shutdown().await;
-    let connects = count_kind(&store, |k| *k == EventKind::Connect);
+    let connects = count_kind(&store, |k| k == EventKindRef::Connect);
     assert!(
         connects >= STORM * 9 / 10,
         "only {connects}/{STORM} storm connections logged"
@@ -236,15 +239,15 @@ async fn half_open_handshakes_close_cleanly() {
     assert!(
         wait_for_events(
             &store,
-            |s| count_kind(s, |k| *k == EventKind::Disconnect) >= 1,
+            |s| count_kind(s, |k| k == EventKindRef::Disconnect) >= 1,
             LOG_WAIT,
         )
         .await,
         "half-open session never closed"
     );
     hp.shutdown().await;
-    let connects = count_kind(&store, |k| *k == EventKind::Connect);
-    let disconnects = count_kind(&store, |k| *k == EventKind::Disconnect);
+    let connects = count_kind(&store, |k| k == EventKindRef::Connect);
+    let disconnects = count_kind(&store, |k| k == EventKindRef::Disconnect);
     assert_eq!(connects, 1);
     assert_eq!(disconnects, 1, "session did not close: {:?}", store.all());
 }
@@ -328,7 +331,7 @@ async fn slow_drip_clients_are_evicted_by_the_session_deadline() {
         assert!(
             wait_for_events(
                 &store,
-                |s| count_kind(s, |k| *k == EventKind::Disconnect) >= 1,
+                |s| count_kind(s, |k| k == EventKindRef::Disconnect) >= 1,
                 LOG_WAIT,
             )
             .await,

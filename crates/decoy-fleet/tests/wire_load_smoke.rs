@@ -14,7 +14,7 @@ use decoy_base::time::Clock;
 use decoy_honeypots::deploy::{spawn, HoneypotSpec};
 use decoy_net::framed::Framed;
 use decoy_store::{
-    ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel, JournalConfig,
+    ConfigVariant, Dbms, EventKindRef, EventStore, HoneypotId, InteractionLevel, JournalConfig,
     JournalReader, JournalWriter,
 };
 use decoy_wire::mongo::bson::doc;
@@ -245,10 +245,9 @@ async fn concurrent_wire_sessions_decode_cleanly_and_journal_in_parity() {
     }
 
     // zero decode errors: every event the fleet recorded parsed cleanly
-    let malformed = store.read(|events| {
-        events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Malformed { .. }))
+    let malformed = store.read(|log| {
+        log.iter()
+            .filter(|e| matches!(e.kind, EventKindRef::Malformed { .. }))
             .count()
     });
     assert_eq!(

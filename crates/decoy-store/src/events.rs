@@ -1,11 +1,18 @@
 //! The standardized event store (the paper's SQLite pipeline stage).
 //!
 //! Every honeypot session appends [`Event`]s here through a cheaply clonable
-//! handle. The store is the log and nothing else: an append touches only the
-//! event vector (and the journal sink's encoder when spooling). The analysis
-//! crate reads it through one zero-clone scan ([`EventStore::read`]) into its
-//! analysis frame; the few query methods here scan the log too.
+//! handle. The store is the log and nothing else. An append encodes the
+//! event once, as the journal's record payload behind a varint length, into
+//! the store's current fixed-size byte [`Chunk`], and notes its `(honeypot,
+//! session, source)` in a [`SessionSet`]; when spooling, the journal sink
+//! frames a copy of the same bytes. No `Event` is kept. Readers walk the
+//! chunks in place ([`EventStore::read`]), decoding each record into a
+//! borrowed [`EventRef`] as it is visited; the analysis crate folds the
+//! chunks into its frame on every core, and the query methods here decode
+//! through the same walk.
 
+use crate::journal::decode::Payloads;
+use crate::journal::{encode, JournalSink};
 use decoy_base::json::{self, Value};
 use decoy_base::sync::RwLock;
 use decoy_base::time::Timestamp;
@@ -221,17 +228,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// The `(honeypot, session key)` pair this event belongs to.
-    pub(crate) fn session_id(&self) -> (HoneypotId, SessionKey) {
-        (
-            self.honeypot,
-            SessionKey {
-                src: self.src,
-                session: self.session,
-            },
-        )
-    }
-
     /// This event as a borrowed record.
     pub fn view(&self) -> EventRef<'_> {
         let kind = match &self.kind {
@@ -400,12 +396,12 @@ impl<'a> From<&'a Event> for EventRef<'a> {
     }
 }
 
-impl Event {
+impl EventRef<'_> {
     /// Write this event as one line of the Appendix-B dataset, in the
     /// layout serde's derives give these types: fields in declaration order,
     /// `ts` a bare number, `src` its display string, unit variants by name
     /// and struct variants as `{"Name":{fields}}`.
-    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    fn write_json<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
         let HoneypotId {
             dbms,
             level,
@@ -422,10 +418,10 @@ impl Event {
             self.src,
             self.session,
         )?;
-        match &self.kind {
-            EventKind::Connect => out.write_str(r#""Connect""#)?,
-            EventKind::Disconnect => out.write_str(r#""Disconnect""#)?,
-            EventKind::LoginAttempt {
+        match self.kind {
+            EventKindRef::Connect => out.write_str(r#""Connect""#)?,
+            EventKindRef::Disconnect => out.write_str(r#""Disconnect""#)?,
+            EventKindRef::LoginAttempt {
                 username,
                 password,
                 success,
@@ -436,14 +432,14 @@ impl Event {
                 json::quote(out, password)?;
                 write!(out, r#","success":{success}}}}}"#)?;
             }
-            EventKind::Command { action, raw } => {
+            EventKindRef::Command { action, raw } => {
                 out.write_str(r#"{"Command":{"action":"#)?;
                 json::quote(out, action)?;
                 out.write_str(r#","raw":"#)?;
                 json::quote(out, raw)?;
                 out.write_str("}}")?;
             }
-            EventKind::Payload {
+            EventKindRef::Payload {
                 len,
                 recognized,
                 preview,
@@ -457,12 +453,12 @@ impl Event {
                 json::quote(out, preview)?;
                 out.write_str("}}")?;
             }
-            EventKind::Malformed { detail } => {
+            EventKindRef::Malformed { detail } => {
                 out.write_str(r#"{"Malformed":{"detail":"#)?;
                 json::quote(out, detail)?;
                 out.write_str("}}")?;
             }
-            EventKind::Health {
+            EventKindRef::Health {
                 state,
                 restarts,
                 detail,
@@ -478,8 +474,10 @@ impl Event {
         }
         out.write_char('}')
     }
+}
 
-    /// Read one line written by [`Event::write_json`]. Fields may come in
+impl Event {
+    /// Read one line written by `EventRef::write_json`. Fields may come in
     /// any order, unknown fields are ignored and a missing `recognized` is
     /// `None`, as serde's derives read them.
     fn from_json(v: &Value) -> Result<Event, String> {
@@ -602,39 +600,147 @@ variant_names! {
     HealthState: Healthy, Degraded, Down;
 }
 
-/// Number of distinct `(honeypot, session key)` pairs among `keys`.
+/// Distinct `(honeypot, session, source)` triples, counted as they are
+/// inserted: the store's session list (sources as addresses) and a sealed
+/// frame's (sources as dense ids).
 ///
-/// Keys are bucketed per honeypot as `(session number, source)` pairs, and
-/// a repeat of its bucket's last pair is skipped (a session's events are
-/// contiguous, or nearly so, in the log). A honeypot numbers its sessions
-/// in order, so a bucket is usually sorted already and the sort and dedup
-/// that make the count exact cost about one pass. No hashing is involved,
-/// so attacker-chosen sources cannot force collisions.
-pub fn count_sessions(keys: impl IntoIterator<Item = (HoneypotId, SessionKey)>) -> usize {
-    let mut per_honeypot: Vec<(HoneypotId, Vec<(u64, IpAddr)>)> = Vec::new();
-    let mut slot = 0;
-    for (honeypot, key) in keys {
-        if per_honeypot.get(slot).map(|(h, _)| *h) != Some(honeypot) {
-            let found = per_honeypot.binary_search_by_key(&honeypot, |(h, _)| *h);
-            slot = found.unwrap_or_else(|slot| {
-                per_honeypot.insert(slot, (honeypot, Vec::new()));
+/// Each honeypot keeps its `(session, source)` pairs sorted and distinct.
+/// A honeypot numbers its sessions in order, and a session's events are
+/// contiguous, or nearly so, in the log, so an insert almost always repeats
+/// its bucket's last pair or goes after it; anything else costs a binary
+/// search, plus, for a session first seen out of order, an insert inside
+/// its bucket. No hashing is involved, so attacker-chosen sources cannot
+/// force collisions.
+#[derive(Debug, Clone)]
+pub struct SessionSet<K> {
+    /// Per honeypot, ascending by honeypot: its sorted, distinct pairs.
+    per_honeypot: Vec<(HoneypotId, Vec<(u64, K)>)>,
+    /// Index in `per_honeypot` of the honeypot inserted last.
+    slot: usize,
+    /// Distinct triples.
+    len: usize,
+}
+
+impl<K> Default for SessionSet<K> {
+    fn default() -> Self {
+        SessionSet {
+            per_honeypot: Vec::new(),
+            slot: 0,
+            len: 0,
+        }
+    }
+}
+
+impl<K: Copy + Ord> SessionSet<K> {
+    /// An empty set.
+    pub fn new() -> Self {
+        SessionSet::default()
+    }
+
+    /// Add session `session` from `source` on `honeypot`, if it is new.
+    pub fn insert(&mut self, honeypot: HoneypotId, session: u64, source: K) {
+        if self.per_honeypot.get(self.slot).map(|(h, _)| *h) != Some(honeypot) {
+            let found = self
+                .per_honeypot
+                .binary_search_by_key(&honeypot, |(h, _)| *h);
+            self.slot = found.unwrap_or_else(|slot| {
+                self.per_honeypot.insert(slot, (honeypot, Vec::new()));
                 slot
             });
         }
-        let session = (key.session, key.src);
-        match per_honeypot.get_mut(slot) {
-            Some((_, sessions)) if sessions.last() != Some(&session) => sessions.push(session),
-            _ => {}
+        let Some((_, pairs)) = self.per_honeypot.get_mut(self.slot) else {
+            return;
+        };
+        let pair = (session, source);
+        match pairs.last() {
+            Some(last) if *last == pair => return,
+            Some(last) if *last > pair => match pairs.binary_search(&pair) {
+                Ok(_) => return,
+                Err(at) => pairs.insert(at, pair),
+            },
+            _ => pairs.push(pair),
         }
+        self.len += 1;
     }
-    per_honeypot
-        .iter_mut()
-        .map(|(_, sessions)| {
-            sessions.sort_unstable();
-            sessions.dedup();
-            sessions.len()
+
+    /// Number of distinct triples.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing was inserted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every triple, ascending by honeypot, then session, then source.
+    pub fn iter(&self) -> impl Iterator<Item = (HoneypotId, u64, K)> + '_ {
+        self.per_honeypot.iter().flat_map(|(honeypot, pairs)| {
+            pairs
+                .iter()
+                .map(move |&(session, source)| (*honeypot, session, source))
         })
-        .sum()
+    }
+}
+
+/// Capacity of one of the store's chunks. An event whose encoding does not
+/// fit gets a chunk of its own.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Room for an event's length prefix: the longest varint.
+const MAX_PREFIX: usize = 10;
+
+/// One fixed-capacity buffer of the store's log: whole events, each the
+/// journal's record payload behind its varint length.
+#[derive(Debug)]
+pub struct Chunk {
+    /// Log position of the chunk's first event.
+    start: u64,
+    bytes: Vec<u8>,
+}
+
+impl Chunk {
+    /// Log position of the chunk's first event: the number of events
+    /// logged before it.
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+
+    /// The chunk's events in log order, each decoded as it is visited into
+    /// a record borrowing the chunk.
+    pub fn events(&self) -> impl Iterator<Item = EventRef<'_>> {
+        Payloads::new(&self.bytes)
+    }
+}
+
+/// The store's events, read in place under its read lock (see
+/// [`EventStore::read`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EventLog<'a> {
+    chunks: &'a [Chunk],
+    len: usize,
+}
+
+impl<'a> EventLog<'a> {
+    /// Number of events.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// True when no events have been logged.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The chunks, in log order: what a parallel fold splits.
+    pub fn chunks(self) -> &'a [Chunk] {
+        self.chunks
+    }
+
+    /// Every event in log order, decoded as it is visited.
+    pub fn iter(self) -> impl Iterator<Item = EventRef<'a>> {
+        self.chunks.iter().flat_map(Chunk::events)
+    }
 }
 
 /// Append-only event store shared by all honeypots in a deployment.
@@ -666,25 +772,58 @@ impl fmt::Debug for FaultHook {
 
 #[derive(Debug, Default)]
 struct Inner {
-    events: Vec<Event>,
+    /// The log: every event encoded, in append order.
+    chunks: Vec<Chunk>,
+    /// Events logged.
+    len: usize,
+    /// Every `(honeypot, session, source)` logged.
+    sessions: SessionSet<IpAddr>,
+    /// The encoding of the event being appended.
+    scratch: Vec<u8>,
     /// Journal sink, when spooling is enabled. Living inside `Inner`
-    /// means each event is encoded into the journal under the same write
+    /// means each event is framed into the journal under the same write
     /// lock as the append, so the journal sees events in exactly the
     /// store's order.
-    sink: Option<crate::journal::JournalSink>,
+    sink: Option<JournalSink>,
 }
 
 impl Inner {
-    /// Append one event under the held write lock, encoding it into the
+    /// Append one event under the held write lock: encode it into the
+    /// current chunk (starting a new one when it does not fit, the only
+    /// allocation here), note its session, and hand its bytes to the
     /// journal sink when spooling. The single place events enter the log —
     /// the fault hook has already run by the time an event gets here, so a
     /// dropped append is dropped from the journal too.
     // decoy-hot-path: fn -- runs under the store write lock, once per logged event
-    fn append_locked(&mut self, event: Event) {
-        if let Some(sink) = &self.sink {
-            sink.send(&event);
+    fn append_locked(&mut self, event: &Event) {
+        self.sessions
+            .insert(event.honeypot, event.session, event.src);
+        self.scratch.clear();
+        encode::put_event(&mut self.scratch, event.view());
+        let need = self.scratch.len().saturating_add(MAX_PREFIX);
+        let fits = |chunk: &Chunk| chunk.bytes.capacity() - chunk.bytes.len() >= need;
+        if !self.chunks.last().is_some_and(fits) {
+            self.chunks.push(Chunk {
+                start: self.len as u64,
+                // decoy-lint: allow(alloc-vec) -- one chunk per 64 KiB of encoded events
+                bytes: Vec::with_capacity(CHUNK_BYTES.max(need)),
+            });
         }
-        self.events.push(event);
+        if let Some(chunk) = self.chunks.last_mut() {
+            encode::put_varint(&mut chunk.bytes, self.scratch.len() as u64);
+            chunk.bytes.extend_from_slice(&self.scratch);
+        }
+        if let Some(sink) = &self.sink {
+            sink.send(&self.scratch);
+        }
+        self.len += 1;
+    }
+
+    fn log(&self) -> EventLog<'_> {
+        EventLog {
+            chunks: &self.chunks,
+            len: self.len,
+        }
     }
 }
 
@@ -701,7 +840,7 @@ impl EventStore {
         if self.hook_drops(&event) {
             return;
         }
-        self.inner.write().append_locked(event);
+        self.inner.write().append_locked(&event);
     }
 
     /// Install a fault hook consulted before every append; events for which
@@ -734,12 +873,12 @@ impl EventStore {
     }
 
     /// Attach a durable journal: every event that survives the fault hook
-    /// is encoded into `writer`'s pending records from inside
-    /// `append_locked`, under the same write lock as the in-memory append,
-    /// so the on-disk order is exactly the store order. The store takes
-    /// ownership of the writer; call [`EventStore::close_journal`] (or drop
-    /// the store) to flush and fsync, and [`EventStore::journal_sync`] for
-    /// an explicit barrier.
+    /// is framed into `writer`'s pending records from inside
+    /// `append_locked`, from the bytes the store keeps and under the same
+    /// write lock as the in-memory append, so the on-disk order is exactly
+    /// the store order. The store takes ownership of the writer; call
+    /// [`EventStore::close_journal`] (or drop the store) to flush and
+    /// fsync, and [`EventStore::journal_sync`] for an explicit barrier.
     pub fn with_journal(&self, writer: crate::journal::JournalWriter) {
         self.inner.write().sink = writer.sink();
         *self.journal.write() = Some(writer);
@@ -778,13 +917,13 @@ impl EventStore {
                     continue;
                 }
             }
-            inner.append_locked(event);
+            inner.append_locked(&event);
         }
     }
 
     /// Total number of events.
     pub fn len(&self) -> usize {
-        self.inner.read().events.len()
+        self.inner.read().len
     }
 
     /// True when no events have been logged.
@@ -792,14 +931,24 @@ impl EventStore {
         self.len() == 0
     }
 
-    /// Snapshot of all events in log order.
-    pub fn all(&self) -> Vec<Event> {
-        self.inner.read().events.clone()
+    /// Read access in place: run `f` over the log under the read lock. The
+    /// log's records are decoded as they are visited, borrowing the store's
+    /// chunks, so a walk allocates nothing per event.
+    ///
+    /// `f` must not call back into this store (the lock is held).
+    pub fn read<T>(&self, f: impl FnOnce(EventLog<'_>) -> T) -> T {
+        let inner = self.inner.read();
+        f(inner.log())
     }
 
-    /// Distinct source IPs observed, ascending (scans the log).
+    /// Snapshot of all events in log order.
+    pub fn all(&self) -> Vec<Event> {
+        self.read(|log| log.iter().map(EventRef::to_event).collect())
+    }
+
+    /// Distinct source IPs observed, ascending (walks the log).
     pub fn sources(&self) -> Vec<IpAddr> {
-        let mut sources: Vec<IpAddr> = self.read(|events| events.iter().map(|e| e.src).collect());
+        let mut sources: Vec<IpAddr> = self.read(|log| log.iter().map(|e| e.src).collect());
         sources.sort_unstable();
         sources.dedup();
         sources
@@ -807,27 +956,16 @@ impl EventStore {
 
     /// Events matching an arbitrary predicate (the "any query" escape hatch).
     pub fn filter(&self, pred: impl Fn(&Event) -> bool) -> Vec<Event> {
-        self.inner
-            .read()
-            .events
-            .iter()
-            .filter(|e| pred(e))
-            .cloned()
-            .collect()
+        self.read(|log| {
+            log.iter()
+                .map(EventRef::to_event)
+                .filter(|e| pred(e))
+                .collect()
+        })
     }
 
-    /// Zero-clone read access: run `f` against the full event slice under
-    /// the read lock. This is the visitor counterpart of [`EventStore::all`]
-    /// for hot paths that must not pay the full-vector clone.
-    ///
-    /// `f` must not call back into this store (the lock is held).
-    pub fn read<T>(&self, f: impl FnOnce(&[Event]) -> T) -> T {
-        let inner = self.inner.read();
-        f(&inner.events)
-    }
-
-    /// True when both stores hold identical event sequences — iterator
-    /// equality without cloning either side.
+    /// True when both stores hold identical event sequences, compared
+    /// record by record as they are decoded.
     ///
     /// Two locks of the same kind are taken, so the acquisition order is
     /// fixed by address: concurrent `a.events_eq(b)` / `b.events_eq(a)`
@@ -845,38 +983,50 @@ impl EventStore {
         // decoy-lint: allow(lock-order) -- address-ordered acquisition above fixes a global order
         let a = first.inner.read();
         let b = second.inner.read();
-        a.events == b.events
+        a.len == b.len && a.log().iter().eq(b.log().iter())
     }
 
-    /// Number of distinct `(honeypot, session)` groups observed (scans the log).
+    /// Number of distinct `(honeypot, session)` groups observed (counted at
+    /// append).
     pub fn session_count(&self) -> usize {
-        self.read(|events| count_sessions(events.iter().map(Event::session_id)))
+        self.inner.read().sessions.len()
     }
 
-    /// All `(honeypot, session key)` pairs observed, sorted (scans the log).
+    /// All `(honeypot, session key)` pairs observed, sorted (from the
+    /// session list kept at append).
     pub fn session_keys(&self) -> Vec<(HoneypotId, SessionKey)> {
-        let mut keys: Vec<_> = self.read(|events| events.iter().map(Event::session_id).collect());
+        let inner = self.inner.read();
+        let mut keys: Vec<_> = inner
+            .sessions
+            .iter()
+            .map(|(honeypot, session, src)| (honeypot, SessionKey { src, session }))
+            .collect();
         keys.sort_unstable();
-        keys.dedup();
         keys
     }
 
-    /// Events of one session, in log order (scans the log).
+    /// Events of one session, in log order (walks the log).
     pub fn by_session(&self, honeypot: HoneypotId, key: SessionKey) -> Vec<Event> {
-        self.filter(|e| e.session_id() == (honeypot, key))
+        self.read(|log| {
+            log.iter()
+                .filter(|e| (e.honeypot, e.src, e.session) == (honeypot, key.src, key.session))
+                .map(EventRef::to_event)
+                .collect()
+        })
     }
 
     /// Export as JSON lines (the dataset format of Appendix B): one event
     /// per line, in serde's layout.
     pub fn to_json_lines(&self) -> String {
-        let inner = self.inner.read();
-        let mut out = String::new();
-        for event in &inner.events {
-            // writing into a String cannot fail
-            let _ = event.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        self.read(|log| {
+            let mut out = String::new();
+            for event in log.iter() {
+                // writing into a String cannot fail
+                let _ = event.write_json(&mut out);
+                out.push('\n');
+            }
+            out
+        })
     }
 
     /// Import JSON lines previously produced by [`EventStore::to_json_lines`].
@@ -1267,9 +1417,9 @@ mod tests {
         let store = EventStore::new();
         store.log(ev(ip(1), Dbms::Redis, EventKind::Connect));
         store.log(ev(ip(2), Dbms::Redis, EventKind::Disconnect));
-        let (n, first_src) = store.read(|events| (events.len(), events[0].src));
+        let (n, first_src) = store.read(|log| (log.len(), log.iter().next().map(|e| e.src)));
         assert_eq!(n, 2);
-        assert_eq!(first_src, ip(1));
+        assert_eq!(first_src, Some(ip(1)));
     }
 
     #[test]
@@ -1326,30 +1476,53 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
     }
 
+    /// The number of distinct triples among `keys`, through a
+    /// [`SessionSet`] keyed by address and through one keyed by dense id
+    /// (ids numbered in ascending address order, as a sealed frame's are).
+    fn count_both(keys: &[(HoneypotId, u64, IpAddr)]) -> usize {
+        let mut by_addr = SessionSet::new();
+        for &(honeypot, session, src) in keys {
+            by_addr.insert(honeypot, session, src);
+        }
+        let mut addrs: Vec<IpAddr> = keys.iter().map(|&(_, _, src)| src).collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let mut by_id = SessionSet::new();
+        for &(honeypot, session, src) in keys {
+            let id = u32::try_from(addrs.binary_search(&src).unwrap()).unwrap();
+            by_id.insert(honeypot, session, id);
+        }
+        assert_eq!(by_addr.len(), by_id.len(), "{keys:?}");
+        let ids: Vec<_> = by_id
+            .iter()
+            .map(|(h, session, id)| (h, session, addrs[id as usize]))
+            .collect();
+        assert!(by_addr.iter().eq(ids), "both list the same triples");
+        by_addr.len()
+    }
+
     #[test]
     fn distinct_sessions_is_exact() {
         let count = |keys: &[(Dbms, &str, u64)]| {
-            count_sessions(keys.iter().map(|&(dbms, src, session)| {
-                let src = src.parse().unwrap();
-                (hp(dbms), SessionKey { src, session })
-            }))
+            let keys: Vec<_> = keys
+                .iter()
+                .map(|&(dbms, src, session)| (hp(dbms), session, src.parse().unwrap()))
+                .collect();
+            count_both(&keys)
         };
         let r = Dbms::Redis;
         let (a, b) = ((r, "198.51.100.1", 1), (r, "198.51.100.2", 1));
         assert_eq!(count(&[]), 0);
         assert_eq!(count(&[a, b, a]), 2, "interleaved sessions");
+        assert_eq!(count(&[b, a, b, a]), 2, "a session first seen out of order");
         assert_eq!(count(&[a, (Dbms::Mssql, a.1, 1), a]), 2, "two honeypots");
         assert_eq!(count(&[a, b]), 2, "one (honeypot, session), two sources");
         assert_eq!(count(&[(r, "0.0.0.1", 7), (r, "::1", 7)]), 2);
         assert_eq!(count(&[(r, "1.2.3.4", 7), (r, "::ffff:1.2.3.4", 7)]), 2);
-        // every honeypot field and the session number tell pairs apart
+        // every honeypot field and the session number tell triples apart
         let (low, multi) = (InteractionLevel::Low, ConfigVariant::MultiService);
         let on = |level, config, instance, session| {
-            let key = SessionKey {
-                src: ip(1),
-                session,
-            };
-            (HoneypotId::new(r, level, config, instance), key)
+            (HoneypotId::new(r, level, config, instance), session, ip(1))
         };
         let keys = [
             on(low, multi, 0, 1),
@@ -1359,6 +1532,137 @@ mod tests {
             on(low, multi, 0, 2),
             on(low, multi, 0, 1),
         ];
-        assert_eq!(count_sessions(keys), 5);
+        assert_eq!(count_both(&keys), 5);
+        // sessions in any order, repeated: the exact count of distinct ones
+        let mut rng = decoy_base::Rng::seed_from_u64(0x5E55);
+        let keys: Vec<_> = (0..2_000)
+            .map(|_| {
+                let n = rng.next_u64();
+                let honeypot = HoneypotId::new(r, low, multi, (n % 3) as u16);
+                (honeypot, (n >> 8) % 40, ip(((n >> 16) % 5) as u8))
+            })
+            .collect();
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(count_both(&keys), distinct.len());
+    }
+
+    /// Every kind of event, an IPv6 source, empty strings and an event
+    /// larger than a chunk read back as logged, through `all()` and through
+    /// the visitor, which sees each chunk's events in log order.
+    #[test]
+    fn every_event_reads_back_as_logged() {
+        let (mut events, _) = every_kind();
+        events.push(ev(
+            "2001:db8::1".parse().unwrap(),
+            Dbms::Redis,
+            EventKind::LoginAttempt {
+                username: String::new(),
+                password: String::new(),
+                success: true,
+            },
+        ));
+        events.push(ev(
+            ip(3),
+            Dbms::Elastic,
+            EventKind::Command {
+                action: "PUT".into(),
+                raw: "x".repeat(3 * CHUNK_BYTES / 2),
+            },
+        ));
+        let store = EventStore::new();
+        for event in events.iter().chain(&events) {
+            store.log(event.clone());
+        }
+        let twice: Vec<Event> = events.iter().chain(&events).cloned().collect();
+        assert_eq!(store.all(), twice);
+        store.read(|log| {
+            assert_eq!(log.len(), twice.len());
+            assert!(log.iter().eq(twice.iter().map(Event::view)));
+            assert!(
+                log.chunks().len() >= 3,
+                "the large event gets chunks of its own"
+            );
+            let mut start = 0;
+            for chunk in log.chunks() {
+                assert_eq!(chunk.start(), start);
+                start += chunk.events().count() as u64;
+            }
+            assert_eq!(start, twice.len() as u64);
+        });
+    }
+
+    #[test]
+    fn events_eq_tells_one_changed_byte_apart() {
+        let login = |password: &str| {
+            ev(
+                ip(4),
+                Dbms::Mssql,
+                EventKind::LoginAttempt {
+                    username: "sa".into(),
+                    password: password.into(),
+                    success: false,
+                },
+            )
+        };
+        let (a, b) = (EventStore::new(), EventStore::new());
+        for store in [&a, &b] {
+            store.log(ev(ip(4), Dbms::Mssql, EventKind::Connect));
+        }
+        a.log(login("hunter2"));
+        b.log(login("hunter3"));
+        assert_eq!(a.len(), b.len());
+        assert!(!a.events_eq(&b) && !b.events_eq(&a));
+        let c = EventStore::new();
+        c.log_many(a.all());
+        assert!(a.events_eq(&c));
+    }
+
+    /// 300,000 events in three-event sessions cost at most 48 bytes each,
+    /// counting the capacity of the chunks and of the session list; an
+    /// owned `Event` alone is larger than that.
+    #[test]
+    fn the_store_keeps_at_most_48_bytes_per_event() {
+        const EVENTS: usize = 300_000;
+        assert!(std::mem::size_of::<Event>() > 48);
+        let store = EventStore::new();
+        store.log_many((0..EVENTS as u64 / 3).flat_map(|session| {
+            let src = IpAddr::from([203, 0, 113, (session % 251) as u8]);
+            let at = |ms, kind| Event {
+                ts: EXPERIMENT_START.add_millis(session * 1_000 + ms),
+                honeypot: hp(Dbms::Mssql),
+                src,
+                session,
+                kind,
+            };
+            let login = EventKind::LoginAttempt {
+                username: "sa".into(),
+                password: format!("pw{}", session % 1_000),
+                success: false,
+            };
+            [
+                at(0, EventKind::Connect),
+                at(5, login),
+                at(9, EventKind::Disconnect),
+            ]
+        }));
+        assert_eq!(store.len(), EVENTS);
+        assert_eq!(store.session_count(), EVENTS / 3);
+        let inner = store.inner.read();
+        let chunks: usize = inner
+            .chunks
+            .iter()
+            .map(|c| c.bytes.capacity())
+            .sum::<usize>()
+            + inner.chunks.capacity() * std::mem::size_of::<Chunk>();
+        let sessions: usize = inner
+            .sessions
+            .per_honeypot
+            .iter()
+            .map(|(_, pairs)| pairs.capacity() * std::mem::size_of::<(u64, IpAddr)>())
+            .sum();
+        let per_event = (chunks + sessions) as f64 / EVENTS as f64;
+        assert!(per_event <= 48.0, "{per_event:.1} bytes per event");
     }
 }

@@ -531,6 +531,40 @@ fn read_str<'a>(cur: &mut Cur<'a>, what: &'static str) -> Result<&'a str, Journa
     std::str::from_utf8(bytes).map_err(|_| JournalErrorKind::BadUtf8 { what })
 }
 
+/// Two adjacent strings, as [`read_str`] reads them one after the other,
+/// with one UTF-8 check for both when the second's length is a one-byte
+/// varint. That byte is ASCII, so the span from the first string's start
+/// to the second's end is UTF-8 exactly when both strings are, and both
+/// are `str` slices of it. Anything else re-reads the two strings one at a
+/// time, so every error is the one that reading reports.
+fn read_str_pair<'a>(
+    cur: &mut Cur<'a>,
+    first: &'static str,
+    second: &'static str,
+) -> Result<(&'a str, &'a str), JournalErrorKind> {
+    let start = cur.pos;
+    if let Some(pair) = str_pair(cur) {
+        return Ok(pair);
+    }
+    cur.pos = start;
+    Ok((read_str(cur, first)?, read_str(cur, second)?))
+}
+
+/// The one-check case of [`read_str_pair`]; `None` when it does not apply
+/// or a check fails.
+fn str_pair<'a>(cur: &mut Cur<'a>) -> Option<(&'a str, &'a str)> {
+    let first_len = usize::try_from(cur.varint().ok()?).ok()?;
+    let from = cur.pos;
+    cur.take(first_len)?;
+    let second_len = cur.u8().filter(|&len| len < 0x80)?;
+    cur.take(usize::from(second_len))?;
+    let span = std::str::from_utf8(cur.buf.get(from..cur.pos)?).ok()?;
+    Some((
+        span.get(..first_len)?,
+        span.get(first_len.checked_add(1)?..)?,
+    ))
+}
+
 fn read_varint(cur: &mut Cur<'_>) -> Result<u64, JournalErrorKind> {
     cur.varint().map_err(|_| JournalErrorKind::BadVarint)
 }
@@ -611,15 +645,18 @@ fn decode_event<'a>(cur: &mut Cur<'a>) -> Result<EventRef<'a>, JournalErrorKind>
     let kind = match read_tag(cur, "kind")? {
         0 => EventKindRef::Connect,
         1 => EventKindRef::Disconnect,
-        2 => EventKindRef::LoginAttempt {
-            username: read_str(cur, "username")?,
-            password: read_str(cur, "password")?,
-            success: read_bool(cur, "success")?,
-        },
-        3 => EventKindRef::Command {
-            action: read_str(cur, "action")?,
-            raw: read_str(cur, "raw")?,
-        },
+        2 => {
+            let (username, password) = read_str_pair(cur, "username", "password")?;
+            EventKindRef::LoginAttempt {
+                username,
+                password,
+                success: read_bool(cur, "success")?,
+            }
+        }
+        3 => {
+            let (action, raw) = read_str_pair(cur, "action", "raw")?;
+            EventKindRef::Command { action, raw }
+        }
         4 => {
             let len = match usize::try_from(read_varint(cur)?) {
                 Ok(v) => v,
@@ -684,6 +721,46 @@ fn decode_event<'a>(cur: &mut Cur<'a>) -> Result<EventRef<'a>, JournalErrorKind>
         session,
         kind,
     })
+}
+
+// ---------------------------------------------------------------------------
+// The event store's chunks
+// ---------------------------------------------------------------------------
+
+/// The events of one event-store chunk, a run of `varint(len) | payload`
+/// records, each decoded by [`decode_event`] into a record borrowing the
+/// chunk. The store encoded every byte itself, so nothing is checksummed;
+/// a record that does not decode to exactly its length ends the walk.
+pub(crate) struct Payloads<'a> {
+    cur: Cur<'a>,
+}
+
+impl<'a> Payloads<'a> {
+    /// The records of `chunk`, in order.
+    pub(crate) fn new(chunk: &'a [u8]) -> Self {
+        Payloads {
+            cur: Cur::new(chunk, 0),
+        }
+    }
+
+    fn decode_next(&mut self) -> Option<EventRef<'a>> {
+        let len = usize::try_from(self.cur.varint().ok()?).ok()?;
+        let mut payload = Cur::new(self.cur.take(len)?, 0);
+        let event = decode_event(&mut payload).ok()?;
+        (payload.remaining() == 0).then_some(event)
+    }
+}
+
+impl<'a> Iterator for Payloads<'a> {
+    type Item = EventRef<'a>;
+
+    fn next(&mut self) -> Option<EventRef<'a>> {
+        let event = self.decode_next();
+        if event.is_none() {
+            self.cur.pos = self.cur.buf.len();
+        }
+        event
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,48 +1090,58 @@ pub(crate) mod tests {
         }
     }
 
+    /// Invalid UTF-8 in either string of a login or a command, in a
+    /// CRC-valid record, is reported against that string.
     #[test]
     fn invalid_utf8_in_a_crc_valid_record_ends_the_segment() {
-        let login = at(
-            "198.51.100.9",
-            9,
-            EventKind::LoginAttempt {
-                username: "UU".into(),
-                password: "pw".into(),
-                success: false,
-            },
-        );
-        let events = [at("198.51.100.9", 8, EventKind::Connect), login.clone()];
-        let mut buf = encode_segment(0, &events[..1]);
-        let bad_at = buf.len();
-        let mut frame = Vec::new();
-        put_record(&mut frame, 1, &login);
-        // a one-byte length prefix, then the body, then its CRC
-        let body_len = usize::from(frame[0]);
-        let (body, crc) = frame[1..].split_at_mut(body_len);
-        let name = body
-            .windows(2)
-            .position(|w| w == b"UU")
-            .expect("username bytes");
-        body[name..name + 2].copy_from_slice(&[0xC3, 0x28]);
-        crc.copy_from_slice(&crc32(body).to_le_bytes());
-        buf.extend_from_slice(&frame);
-        put_record(&mut buf, 2, &events[0]);
+        let login = EventKind::LoginAttempt {
+            username: "UU".into(),
+            password: "PP".into(),
+            success: false,
+        };
+        let command = EventKind::Command {
+            action: "AA".into(),
+            raw: "RR".into(),
+        };
+        for (kind, marker, what) in [
+            (&login, b"UU", "username"),
+            (&login, b"PP", "password"),
+            (&command, b"AA", "action"),
+            (&command, b"RR", "raw"),
+        ] {
+            let bad = at("198.51.100.9", 9, kind.clone());
+            let events = [at("198.51.100.9", 8, EventKind::Connect), bad.clone()];
+            let mut buf = encode_segment(0, &events[..1]);
+            let bad_at = buf.len();
+            let mut frame = Vec::new();
+            put_record(&mut frame, 1, &bad);
+            // a one-byte length prefix, then the body, then its CRC
+            let body_len = usize::from(frame[0]);
+            let (body, crc) = frame[1..].split_at_mut(body_len);
+            let at_marker = body
+                .windows(2)
+                .position(|w| w == marker)
+                .expect("marker bytes");
+            body[at_marker..at_marker + 2].copy_from_slice(&[0xC3, 0x28]);
+            crc.copy_from_slice(&crc32(body).to_le_bytes());
+            buf.extend_from_slice(&frame);
+            put_record(&mut buf, 2, &events[0]);
 
-        let mut seen = Vec::new();
-        let verdict = decode_segment(&buf, 0, |_, event| seen.push(event.to_event()));
-        assert_eq!(seen, events[..1].to_vec());
-        assert_eq!(
-            verdict.error,
-            Some(JournalError {
-                segment: 0,
-                offset: bad_at,
-                kind: JournalErrorKind::BadUtf8 { what: "username" },
-            })
-        );
-        assert_eq!(
-            verdict.records_dropped, 2,
-            "the bad record and the one after"
-        );
+            let mut seen = Vec::new();
+            let verdict = decode_segment(&buf, 0, |_, event| seen.push(event.to_event()));
+            assert_eq!(seen, events[..1].to_vec());
+            assert_eq!(
+                verdict.error,
+                Some(JournalError {
+                    segment: 0,
+                    offset: bad_at,
+                    kind: JournalErrorKind::BadUtf8 { what },
+                })
+            );
+            assert_eq!(
+                verdict.records_dropped, 2,
+                "the bad record and the one after"
+            );
+        }
     }
 }

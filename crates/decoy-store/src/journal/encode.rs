@@ -10,6 +10,11 @@
 //! payload := the Event encoding below
 //! ```
 //!
+//! The in-memory event store keeps every event as `varint(len) | payload`
+//! in its chunks (`put_event`); its journal sink frames a copy of those
+//! payload bytes (`put_frame`), so a spooled record's bytes are the ones
+//! [`put_record`] writes for the same event.
+//!
 //! `seq` is the global record sequence number, starting at 0 for the first
 //! record of the journal and increasing by exactly one per record across
 //! segment boundaries; `first_seq` in the header repeats the sequence number
@@ -43,7 +48,7 @@
 //! bytes and must be total.
 
 use super::decode::crc32;
-use crate::events::{ConfigVariant, Dbms, Event, EventKind, InteractionLevel};
+use crate::events::{ConfigVariant, Dbms, Event, EventKindRef, EventRef, InteractionLevel};
 use decoy_base::HealthState;
 use std::net::IpAddr;
 
@@ -138,7 +143,9 @@ pub fn health_tag(state: HealthState) -> u8 {
     }
 }
 
-fn put_event(out: &mut Vec<u8>, event: &Event) {
+/// Append the payload encoding of `event`: the bytes a record frame holds
+/// after its sequence number, and the bytes the event store keeps.
+pub(crate) fn put_event(out: &mut Vec<u8>, event: EventRef<'_>) {
     put_varint(out, event.ts.as_millis());
     out.push(dbms_tag(event.honeypot.dbms));
     out.push(level_tag(event.honeypot.level));
@@ -155,10 +162,10 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
         }
     }
     put_varint(out, event.session);
-    match &event.kind {
-        EventKind::Connect => out.push(0),
-        EventKind::Disconnect => out.push(1),
-        EventKind::LoginAttempt {
+    match event.kind {
+        EventKindRef::Connect => out.push(0),
+        EventKindRef::Disconnect => out.push(1),
+        EventKindRef::LoginAttempt {
             username,
             password,
             success,
@@ -166,20 +173,20 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
             out.push(2);
             put_str(out, username);
             put_str(out, password);
-            out.push(u8::from(*success));
+            out.push(u8::from(success));
         }
-        EventKind::Command { action, raw } => {
+        EventKindRef::Command { action, raw } => {
             out.push(3);
             put_str(out, action);
             put_str(out, raw);
         }
-        EventKind::Payload {
+        EventKindRef::Payload {
             len,
             recognized,
             preview,
         } => {
             out.push(4);
-            put_varint(out, *len as u64);
+            put_varint(out, len as u64);
             match recognized {
                 Some(label) => {
                     out.push(1);
@@ -189,18 +196,18 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
             }
             put_str(out, preview);
         }
-        EventKind::Malformed { detail } => {
+        EventKindRef::Malformed { detail } => {
             out.push(5);
             put_str(out, detail);
         }
-        EventKind::Health {
+        EventKindRef::Health {
             state,
             restarts,
             detail,
         } => {
             out.push(6);
-            out.push(health_tag(*state));
-            put_varint(out, u64::from(*restarts));
+            out.push(health_tag(state));
+            put_varint(out, u64::from(restarts));
             put_str(out, detail);
         }
     }
@@ -215,16 +222,32 @@ pub fn put_header(out: &mut Vec<u8>, first_seq: u64) {
 }
 
 /// Append one complete record frame for `event` at sequence `seq`.
-///
-/// The body is encoded in place behind a one-byte length placeholder. A
-/// body of 128 bytes or more needs a longer length prefix, so it moves
-/// right to make room for it.
-// decoy-hot-path: fn -- encodes every spooled event, under the store write lock
-pub fn put_record(out: &mut Vec<u8>, seq: u64, event: &Event) {
+// decoy-hot-path: fn -- encodes every event a `JournalWriter` appends
+pub fn put_record<'a>(out: &mut Vec<u8>, seq: u64, event: impl Into<EventRef<'a>>) {
     let start = out.len();
     out.push(0);
     put_varint(out, seq);
-    put_event(out, event);
+    put_event(out, event.into());
+    finish_frame(out, start);
+}
+
+/// Append one complete record frame at sequence `seq` around `payload`, an
+/// event already encoded by [`put_event`]: the frame [`put_record`] writes
+/// for that event.
+// decoy-hot-path: fn -- frames every spooled event, under the store write lock
+pub(crate) fn put_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    let start = out.len();
+    out.push(0);
+    put_varint(out, seq);
+    out.extend_from_slice(payload);
+    finish_frame(out, start);
+}
+
+/// Finish the frame whose body was written after a one-byte length
+/// placeholder at `start`: fill in the length and append the body's CRC. A
+/// body of 128 bytes or more needs a longer length prefix, so it moves
+/// right to make room for it.
+fn finish_frame(out: &mut Vec<u8>, start: usize) {
     let end = out.len();
     let body_len = end - start - 1;
     let body_start = if body_len < 0x80 {
@@ -258,6 +281,7 @@ pub fn encode_segment(first_seq: u64, events: &[Event]) -> Vec<u8> {
 mod tests {
     use super::super::decode::tests::{at, every_kind};
     use super::*;
+    use crate::events::EventKind;
 
     /// The two-pass encoder the in-place one replaced, kept as its oracle:
     /// the body into a buffer of its own, then its length, the body and
@@ -265,7 +289,7 @@ mod tests {
     fn put_record_two_pass(out: &mut Vec<u8>, seq: u64, event: &Event) -> usize {
         let mut body = Vec::new();
         put_varint(&mut body, seq);
-        put_event(&mut body, event);
+        put_event(&mut body, event.view());
         put_varint(out, body.len() as u64);
         out.extend_from_slice(&body);
         out.extend_from_slice(&crc32(&body).to_le_bytes());

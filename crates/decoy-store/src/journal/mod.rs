@@ -3,18 +3,20 @@
 //! The paper's pipeline starts at "raw logs → standardized queryable store";
 //! this module is the durable half of that arrow. [`JournalWriter`] appends
 //! length-prefixed, CRC-protected [`Event`] frames to size-rotated segment
-//! files. The appending thread encodes each record once, with its sequence
-//! number, into a buffer it shares with a background writer thread
-//! (`JournalSink::send`, which the event store calls under its write
-//! lock); the writer takes that buffer whole when woken and does all the
-//! I/O with group commit: a batch is pushed to the OS every `flush_every`
-//! records or `flush_interval_ms` of [`Clock`] time, and `fsync`ed on
-//! rotation, [`JournalWriter::sync`], and close. No [`Event`] is cloned on
-//! the way. [`JournalReader`] streams the segments back without
-//! materializing the dataset, and recovery is *total*: a crash mid-write
-//! leaves a torn tail that is truncated, and any other corruption ends the
-//! replay with a structured [`JournalError`] plus [`RecoveryStats`] instead
-//! of a panic. One decoder, [`decode_segment`], reads every closed segment:
+//! files. The appending thread frames each record once, with its sequence
+//! number, into a buffer it shares with a background writer thread: the
+//! event store has already encoded the event into its own chunk, and
+//! `JournalSink::send`, which the store calls under its write lock, frames
+//! a copy of those payload bytes ([`JournalWriter::append`] encodes an
+//! event straight into the buffer). The writer takes that buffer whole
+//! when woken and does all the I/O with group commit: a batch is pushed to
+//! the OS every `flush_every` records or `flush_interval_ms` of [`Clock`]
+//! time, and `fsync`ed on rotation, [`JournalWriter::sync`], and close. No
+//! [`Event`] is cloned on the way. [`JournalReader`] streams the segments
+//! back without materializing the dataset, and recovery is *total*: a crash
+//! mid-write leaves a torn tail that is truncated, and any other corruption
+//! ends the replay with a structured [`JournalError`] plus [`RecoveryStats`]
+//! instead of a panic. One decoder, [`decode_segment`], reads every closed segment:
 //! strict replay ([`JournalReader::replay`], [`recover_events`],
 //! [`recover_full_store`]) folds its verdicts, and reopening a journal
 //! takes the truncation point from one. The decoder hands its visitors
@@ -132,8 +134,8 @@ struct Pending {
     next_seq: u64,
 }
 
-/// A cheap handle that encodes events into the journal; held by
-/// [`EventStore`] so `append_locked` stays the single choke point.
+/// A cheap handle that frames records onto the journal's pending bytes;
+/// held by [`EventStore`] so `append_locked` stays the single choke point.
 #[derive(Debug, Clone)]
 pub struct JournalSink {
     pending: Arc<Mutex<Pending>>,
@@ -143,17 +145,23 @@ pub struct JournalSink {
 }
 
 impl JournalSink {
-    /// Encode one event, with the next sequence number, onto the frames
-    /// pending for the writer thread, and wake the writer once per
-    /// `flush_every` records. Never blocks on I/O; if the writer thread is
-    /// gone the event is not journaled: the in-memory store remains
-    /// authoritative.
+    /// Frame a copy of `payload`, an event the store has just encoded, with
+    /// the next sequence number and its CRC onto the frames pending for the
+    /// writer thread. Never blocks on I/O; if the writer thread is gone the
+    /// event is not journaled: the in-memory store remains authoritative.
     // decoy-hot-path: fn -- runs under the store write lock, once per spooled event
-    pub(crate) fn send(&self, event: &Event) {
+    pub(crate) fn send(&self, payload: &[u8]) {
+        self.push(|frames, seq| encode::put_frame(frames, seq, payload));
+    }
+
+    /// Append one frame with `put`, which gets the pending frames and the
+    /// next sequence number, and wake the writer once per `flush_every`
+    /// records.
+    fn push(&self, put: impl FnOnce(&mut Vec<u8>, u64)) {
         let wake = {
             let mut pending = self.pending.lock();
             let seq = pending.next_seq;
-            encode::put_record(&mut pending.frames, seq, event);
+            put(&mut pending.frames, seq);
             pending.next_seq = seq + 1;
             pending.records += 1;
             pending.records % self.wake_every == 0
@@ -168,7 +176,7 @@ impl JournalSink {
 
 /// Durable append-only writer over a segment directory.
 ///
-/// [`JournalWriter::append`] and `JournalSink::send` encode each record
+/// [`JournalWriter::append`] and `JournalSink::send` frame each record
 /// once, into a buffer shared with a background thread that does all the
 /// I/O: it takes the whole buffer when woken (once per `flush_every`
 /// records, every 20 ms, on [`JournalWriter::sync`] and on close) and
@@ -239,10 +247,12 @@ impl JournalWriter {
         self.sink.clone()
     }
 
-    /// Encode one event onto the journal's pending records.
-    pub fn append(&self, event: &Event) {
+    /// Encode one event onto the journal's pending records: an `&Event`,
+    /// or a borrowed record such as one read from an [`EventStore`].
+    pub fn append<'a>(&self, event: impl Into<EventRef<'a>>) {
         if let Some(sink) = &self.sink {
-            sink.send(event);
+            let event = event.into();
+            sink.push(|frames, seq| encode::put_record(frames, seq, event));
         }
     }
 
@@ -746,9 +756,7 @@ mod tests {
         assert!(recovered.bytes_truncated > 0);
         assert_eq!(store.len() as u64, recovered.records_kept);
         assert_eq!(recovered.records_kept, 9, "exactly the torn record lost");
-        store.read(|events| {
-            assert_eq!(events, &(0..9).map(ev).collect::<Vec<_>>()[..]);
-        });
+        assert_eq!(store.all(), (0..9).map(ev).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -793,7 +801,7 @@ mod tests {
         let (store, recovered) = recover_full_store(&dir).expect("recover");
         assert!(recovered.is_clean(), "{}", recovered.summary());
         assert_eq!(store.len(), 12);
-        store.read(|events| assert_eq!(events, &(0..12).map(ev).collect::<Vec<_>>()[..]));
+        assert_eq!(store.all(), (0..12).map(ev).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -817,7 +825,7 @@ mod tests {
         let (store, recovered) = recover_full_store(&dir).expect("recover");
         assert!(recovered.is_clean(), "repair must leave a clean journal");
         assert_eq!(store.len(), 14);
-        store.read(|events| assert_eq!(events, &(0..14).map(ev).collect::<Vec<_>>()[..]));
+        assert_eq!(store.all(), (0..14).map(ev).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&dir);
     }
 

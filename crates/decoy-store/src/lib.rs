@@ -26,8 +26,8 @@ pub mod kv;
 pub mod mask;
 
 pub use events::{
-    ConfigVariant, Dbms, Event, EventKind, EventKindRef, EventRef, EventStore, HoneypotId,
-    InteractionLevel, SessionKey,
+    Chunk, ConfigVariant, Dbms, Event, EventKind, EventKindRef, EventLog, EventRef, EventStore,
+    HoneypotId, InteractionLevel, SessionKey, SessionSet,
 };
 pub use journal::{
     decode_segment, recover_events, recover_full_store, JournalConfig, JournalError,

@@ -23,7 +23,7 @@
 use decoy_core::report::{LiveReport, Report};
 use decoy_core::runner::{run_direct, ExperimentConfig, ExperimentResult};
 use decoy_store::{
-    recover_full_store, EventKind, EventStore, JournalConfig, JournalError, JournalErrorKind,
+    recover_full_store, EventKindRef, EventStore, JournalConfig, JournalError, JournalErrorKind,
     JournalReader, JournalWriter, RecoveryStats,
 };
 use std::collections::BTreeMap;
@@ -59,11 +59,7 @@ fn spool_store(store: &EventStore, dir: &Path) -> Vec<PathBuf> {
         ..JournalConfig::spool(dir)
     })
     .unwrap();
-    store.read(|events| {
-        for event in events {
-            journal.append(event);
-        }
-    });
+    store.read(|log| log.iter().for_each(|event| journal.append(event)));
     journal.close().unwrap();
     let mut segs: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
@@ -462,23 +458,19 @@ fn spooled_golden_run_writes_the_pinned_journal() {
 }
 
 /// The text fields of an event kind.
-fn strings(kind: &EventKind) -> Vec<&str> {
+fn strings(kind: EventKindRef<'_>) -> Vec<&str> {
     match kind {
-        EventKind::LoginAttempt {
+        EventKindRef::LoginAttempt {
             username, password, ..
         } => vec![username, password],
-        EventKind::Command { action, raw } => vec![action, raw],
-        EventKind::Payload {
+        EventKindRef::Command { action, raw } => vec![action, raw],
+        EventKindRef::Payload {
             recognized,
             preview,
             ..
-        } => recognized
-            .iter()
-            .chain([preview])
-            .map(String::as_str)
-            .collect(),
-        EventKind::Malformed { detail } | EventKind::Health { detail, .. } => vec![detail],
-        EventKind::Connect | EventKind::Disconnect => Vec::new(),
+        } => recognized.into_iter().chain([preview]).collect(),
+        EventKindRef::Malformed { detail } | EventKindRef::Health { detail, .. } => vec![detail],
+        EventKindRef::Connect | EventKindRef::Disconnect => Vec::new(),
     }
 }
 
@@ -494,8 +486,8 @@ fn json_lines_export_round_trips_the_golden_run() {
 
     // strings with a control character, a `"`, a `\`
     let mut escaped = (0, 0, 0);
-    store.read(|events| {
-        for s in events.iter().flat_map(|event| strings(&event.kind)) {
+    store.read(|log| {
+        for s in log.iter().flat_map(|event| strings(event.kind)) {
             escaped.0 += usize::from(s.chars().any(|c| c < ' '));
             escaped.1 += usize::from(s.contains('"'));
             escaped.2 += usize::from(s.contains('\\'));
