@@ -153,7 +153,8 @@ impl Sources {
 /// per closed journal segment), combine across segments or shards with
 /// [`PartialFrame::merge`], and finish with [`PartialFrame::seal`]. The
 /// fold is the *only* frame-construction code path:
-/// [`AnalysisFrame::build`] itself folds one partial and seals it.
+/// [`AnalysisFrame::build`] itself folds blocks of the store's chunks into
+/// partials on scoped workers, merges them in order and seals the result.
 ///
 /// Two partials are equal when their runs cover the same sequence ranges
 /// with the same number of rows each and they seal to equal frames: row

@@ -1,17 +1,14 @@
 //! Term-frequency vector and vocabulary types (§6.1), dependency-free.
 //!
-//! This module is deliberately std-only (no store/frame imports) so the
-//! clustering core can be compiled and tested standalone — the same
-//! shadow-build trick `decoy-xtask` and `decoy-fuzz` use in offline
-//! containers. The public surface is re-exported through [`crate::tf`].
+//! This module is deliberately std-only (no store/frame imports), so the
+//! clustering core compiles and tests on its own. The public surface is
+//! re-exported through [`crate::tf`].
 //!
 //! Real attacker documents touch a handful of the vocabulary's terms, so
 //! [`TfVector`] stores sorted `(term_index, tf)` pairs and computes squared
 //! Euclidean distances with a two-pointer merge walk — O(nnz) instead of
-//! O(|vocab|). A dense representation is kept for callers that build
-//! vectors from raw coordinate arrays (tests, benches, ablations); mixed
-//! comparisons and the implicit zero-extension semantics of the old dense
-//! type are preserved exactly.
+//! O(|vocab|). Vectors built from raw coordinate arrays (tests, benches,
+//! ablations) keep their nonzero coordinates the same way.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -69,22 +66,16 @@ impl Vocabulary {
 
 /// A TF vector over a [`Vocabulary`].
 ///
-/// Missing dimensions are implicitly zero: a vector built before the
-/// vocabulary grew compares correctly against one built after (the old
-/// dense type's zero-extension contract).
-#[derive(Debug, Clone)]
+/// Missing dimensions are implicitly zero, so a vector built before the
+/// vocabulary grew compares correctly against one built after. Two vectors
+/// are equal when their documents have the same length and they have the
+/// same nonzero coordinates.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TfVector {
-    repr: Repr,
+    /// Nonzero coordinates as `(term_index, tf)`, strictly sorted by index.
+    entries: Vec<(usize, f64)>,
     /// Total number of terms in the underlying document.
     pub total_terms: usize,
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Coordinates indexed by position; trailing dimensions implicit zero.
-    Dense(Vec<f64>),
-    /// Nonzero coordinates as `(term_index, tf)`, strictly sorted by index.
-    Sparse(Vec<(usize, f64)>),
 }
 
 impl TfVector {
@@ -100,149 +91,77 @@ impl TfVector {
         let total = terms.len().max(1) as f64;
         let entries = counts.into_iter().map(|(i, c)| (i, c / total)).collect();
         TfVector {
-            repr: Repr::Sparse(entries),
+            entries,
             total_terms: terms.len(),
         }
     }
 
-    /// Build from raw dense coordinates (tests, benches, ablations).
+    /// Build from raw dense coordinates (tests, benches, ablations),
+    /// keeping the nonzero ones.
     pub fn from_dense(values: Vec<f64>, total_terms: usize) -> Self {
         TfVector {
-            repr: Repr::Dense(values),
+            entries: values
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, v)| v != 0.0)
+                .collect(),
             total_terms,
         }
     }
 
     /// The coordinate at `index` (zero when absent).
     pub fn value(&self, index: usize) -> f64 {
-        match &self.repr {
-            Repr::Dense(values) => values.get(index).copied().unwrap_or(0.0),
-            Repr::Sparse(entries) => entries
-                .binary_search_by_key(&index, |&(i, _)| i)
-                .map(|pos| entries[pos].1)
-                .unwrap_or(0.0),
-        }
+        self.entries
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .map(|pos| self.entries[pos].1)
+            .unwrap_or(0.0)
     }
 
     /// Number of stored nonzero coordinates.
     pub fn nnz(&self) -> usize {
-        match &self.repr {
-            Repr::Dense(values) => values.iter().filter(|&&v| v != 0.0).count(),
-            Repr::Sparse(entries) => entries.len(),
-        }
+        self.entries.len()
     }
 
     /// Nonzero coordinates as `(index, value)`, in ascending index order.
     pub fn nonzero(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (sparse, dense) = match &self.repr {
-            Repr::Sparse(entries) => (Some(entries.iter().copied()), None),
-            Repr::Dense(values) => (None, Some(values.iter().copied())),
-        };
-        sparse.into_iter().flatten().chain(
-            dense
-                .into_iter()
-                .flatten()
-                .enumerate()
-                .filter(|&(_, v)| v != 0.0),
-        )
+        self.entries.iter().copied()
     }
 
-    /// Squared Euclidean distance, treating missing dimensions as zero.
-    ///
-    /// Sparse × sparse (the clustering hot path) is a two-pointer merge
-    /// walk over the nonzero entries — O(nnz(a) + nnz(b)).
+    /// Squared Euclidean distance, treating missing dimensions as zero: a
+    /// two-pointer merge walk over the nonzero entries, O(nnz(a) + nnz(b)).
     pub fn distance_sq(&self, other: &TfVector) -> f64 {
-        match (&self.repr, &other.repr) {
-            (Repr::Sparse(a), Repr::Sparse(b)) => sparse_sparse(a, b),
-            (Repr::Dense(a), Repr::Dense(b)) => dense_dense(a, b),
-            (Repr::Sparse(a), Repr::Dense(b)) | (Repr::Dense(b), Repr::Sparse(a)) => {
-                sparse_dense(a, b)
+        let (a, b) = (&self.entries, &other.entries);
+        let (mut i, mut j) = (0, 0);
+        let mut sum = 0.0;
+        while i < a.len() && j < b.len() {
+            let (ia, va) = a[i];
+            let (ib, vb) = b[j];
+            match ia.cmp(&ib) {
+                std::cmp::Ordering::Less => {
+                    sum += va * va;
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    sum += vb * vb;
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let d = va - vb;
+                    sum += d * d;
+                    i += 1;
+                    j += 1;
+                }
             }
         }
+        sum += a[i..].iter().map(|&(_, v)| v * v).sum::<f64>();
+        sum += b[j..].iter().map(|&(_, v)| v * v).sum::<f64>();
+        sum
     }
 
     /// Euclidean distance.
     pub fn distance(&self, other: &TfVector) -> f64 {
         self.distance_sq(other).sqrt()
     }
-}
-
-/// Semantic equality: same document length and the same nonzero
-/// coordinates, regardless of representation or trailing explicit zeros.
-impl PartialEq for TfVector {
-    fn eq(&self, other: &Self) -> bool {
-        self.total_terms == other.total_terms && self.nonzero().eq(other.nonzero())
-    }
-}
-
-/// Two-pointer merge walk over sorted nonzero entries.
-fn sparse_sparse(a: &[(usize, f64)], b: &[(usize, f64)]) -> f64 {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut sum = 0.0;
-    while i < a.len() && j < b.len() {
-        let (ia, va) = a[i];
-        let (ib, vb) = b[j];
-        match ia.cmp(&ib) {
-            std::cmp::Ordering::Less => {
-                sum += va * va;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                sum += vb * vb;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let d = va - vb;
-                sum += d * d;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    sum += a[i..].iter().map(|&(_, v)| v * v).sum::<f64>();
-    sum += b[j..].iter().map(|&(_, v)| v * v).sum::<f64>();
-    sum
-}
-
-/// Dense fallback: zip over the common prefix plus an explicit tail sum
-/// (the zero-extension semantics without per-element bounds branching).
-fn dense_dense(a: &[f64], b: &[f64]) -> f64 {
-    let common = a.len().min(b.len());
-    let head: f64 = a[..common]
-        .iter()
-        .zip(&b[..common])
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum();
-    let tail: f64 = if a.len() > common {
-        &a[common..]
-    } else {
-        &b[common..]
-    }
-    .iter()
-    .map(|v| v * v)
-    .sum();
-    head + tail
-}
-
-/// Mixed comparison: walk the dense coordinates once with a cursor into
-/// the sorted sparse entries, then account for sparse entries past the
-/// dense length.
-fn sparse_dense(sparse: &[(usize, f64)], dense: &[f64]) -> f64 {
-    let mut cursor = 0usize;
-    let mut sum = 0.0;
-    for (i, &dv) in dense.iter().enumerate() {
-        let sv = match sparse.get(cursor) {
-            Some(&(idx, v)) if idx == i => {
-                cursor += 1;
-                v
-            }
-            _ => 0.0,
-        };
-        let d = dv - sv;
-        sum += d * d;
-    }
-    sum += sparse[cursor..].iter().map(|&(_, v)| v * v).sum::<f64>();
-    sum
 }
 
 #[cfg(test)]
@@ -337,27 +256,44 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_distances_agree() {
-        // dense [0.5, 0, 0.25, 0, 0.25] vs sparse-built equivalent
+        // the merge walk over vectors built from dense coordinates equals
+        // the dense formula: the common prefix, then the longer tail
+        let gen = |rng: &mut Rng| -> [Vec<f64>; 2] {
+            std::array::from_fn(|_| {
+                (0..rng.gen_range(0..12))
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => 0.0,
+                        _ => rng.gen_range(-1.0..1.0),
+                    })
+                    .collect()
+            })
+        };
+        for_all(0x7f1, 256, gen, |[a, b]| {
+            let common = a.len().min(b.len());
+            let dense = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>()
+                + a[common..]
+                    .iter()
+                    .chain(&b[common..])
+                    .map(|v| v * v)
+                    .sum::<f64>();
+            let (x, y) = (
+                TfVector::from_dense(a.clone(), 1),
+                TfVector::from_dense(b.clone(), 1),
+            );
+            assert!((x.distance_sq(&y) - dense).abs() < 1e-12);
+            assert!((y.distance_sq(&x) - dense).abs() < 1e-12);
+        });
+
+        // a document's terms and its dense coordinates build one vector
         let dense = TfVector::from_dense(vec![0.5, 0.0, 0.25, 0.0, 0.25], 4);
         let mut vocab = Vocabulary::new();
-        // interning order A B C D E gives indices 0..5; doc hits 0, 2, 4
         for t in ["A", "B", "C", "D", "E"] {
             vocab.intern(t);
         }
         let sparse = TfVector::from_terms(&terms(&["A", "A", "C", "E"]), &mut vocab);
         assert_eq!(dense, sparse);
+        assert_eq!(dense.nnz(), 3);
         assert_eq!(dense.distance_sq(&sparse), 0.0);
-
-        let other_dense = TfVector::from_dense(vec![0.0, 1.0], 1);
-        let other_sparse = TfVector::from_terms(&terms(&["B"]), &mut vocab);
-        // all four representation pairings give the same distance
-        let expect = 0.25 + 1.0 + 0.0625 + 0.0625;
-        for x in [&dense, &sparse] {
-            for y in [&other_dense, &other_sparse] {
-                assert!((x.distance_sq(y) - expect).abs() < 1e-12);
-                assert!((y.distance_sq(x) - expect).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! dissimilarity matrix, plus the naive global-scan implementation kept as a
 //! test oracle.
 //!
-//! Like [`tfvec`](super::tfvec), this module is std-only so it can be
-//! compiled and tested standalone in offline containers (the shadow-build
-//! trick of `decoy-xtask`/`decoy-fuzz`). Paths into the rest of the crate
-//! go through `super` only. The public surface is re-exported through
+//! Like [`tfvec`](super::tfvec), this module is std-only, so it compiles
+//! and tests on its own. Paths into the rest of the crate go through
+//! `super` only. The public surface is re-exported through
 //! [`crate::cluster`].
 //!
 //! ## Why the chain algorithm gives the same answer

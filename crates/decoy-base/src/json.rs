@@ -623,7 +623,7 @@ impl From<Vec<Value>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::rng::{for_all, mutate, Rng};
 
     fn quoted(s: &str) -> String {
         let mut out = String::new();
@@ -810,8 +810,8 @@ mod tests {
     }
 
     /// Documents that exercise every kind and every edge the codec pins.
-    fn corpus(rng: &mut Rng, generated: usize) -> Vec<Value> {
-        let mut values = vec![
+    fn edges() -> Vec<Value> {
+        vec![
             Value::from(u64::MAX),
             Value::from(i64::MIN),
             Value::from((0..0x20u8).map(char::from).collect::<String>()),
@@ -820,15 +820,14 @@ mod tests {
                 ("", Value::Null),
                 ("x", Value::from(vec![f64::MAX.into(), 5e-324.into()])),
             ]),
-        ];
-        values.extend((0..generated).map(|_| gen_value(rng, 0)));
-        values
+        ]
     }
 
     #[test]
     fn generated_values_round_trip() {
         let mut rng = Rng::seed_from_u64(0x15_0a);
-        for v in corpus(&mut rng, 2000) {
+        let generated: Vec<Value> = (0..2000).map(|_| gen_value(&mut rng, 0)).collect();
+        for v in edges().into_iter().chain(generated) {
             assert_eq!(parse(v.to_string().as_bytes()).as_ref(), Ok(&v), "{v}");
             assert_eq!(parse(format!("{v:#}").as_bytes()).as_ref(), Ok(&v), "{v:#}");
         }
@@ -846,54 +845,77 @@ mod tests {
         }
     }
 
+    const INVALID_UTF8: [&[u8]; 5] = [
+        b"\xff",
+        b"\xc3",
+        b"\xc0\x80",
+        b"\xed\xa0\x80",
+        b"\xf4\x90\x80\x80",
+    ];
+
+    /// One case of the mutant campaign: a document and the mutants drawn
+    /// for it at random.
+    #[derive(Debug)]
+    struct Case {
+        value: Value,
+        /// [`mutate`]'s variants of its compact and pretty renderings
+        mutated: Vec<Vec<u8>>,
+        /// the compact rendering with invalid UTF-8 inserted
+        invalid: Vec<u8>,
+        /// the compact rendering with a lone leading surrogate escape inserted
+        lone: Vec<u8>,
+    }
+
+    fn draw_case(rng: &mut Rng, value: Value) -> Case {
+        let compact = value.to_string().into_bytes();
+        let renderings = [compact.clone(), format!("{value:#}").into_bytes()];
+        let bad = INVALID_UTF8[rng.gen_range(0..INVALID_UTF8.len())];
+        let mut insert = |bytes: &[u8]| {
+            let mut doc = compact.clone();
+            let at = rng.gen_range(0..=doc.len());
+            doc.splice(at..at, bytes.iter().copied());
+            doc
+        };
+        let invalid = insert(bad);
+        let lone = insert(br"\uD800");
+        Case {
+            mutated: (0..8).map(|_| mutate(rng, &renderings)).collect(),
+            value,
+            invalid,
+            lone,
+        }
+    }
+
     #[test]
     fn mutant_campaign_never_panics() {
-        const INVALID_UTF8: [&[u8]; 5] = [
-            b"\xff",
-            b"\xc3",
-            b"\xc0\x80",
-            b"\xed\xa0\x80",
-            b"\xf4\x90\x80\x80",
-        ];
-        let mut rng = Rng::seed_from_u64(0x000d_ec04);
+        let mut edges = edges().into_iter();
+        let gen = |rng: &mut Rng| {
+            let value = edges.next().unwrap_or_else(|| gen_value(rng, 0));
+            draw_case(rng, value)
+        };
         let mut mutants = 0;
-        for v in corpus(&mut rng, 300) {
-            let compact = v.to_string().into_bytes();
-            let pretty = format!("{v:#}").into_bytes();
+        for_all(0x000d_ec04, 305, gen, |case| {
+            let v = &case.value;
             // every truncation
-            for doc in [&compact, &pretty] {
+            for doc in [v.to_string(), format!("{v:#}")] {
                 for end in 0..doc.len() {
-                    survives(&doc[..end]);
-                    mutants += 1;
+                    survives(&doc.as_bytes()[..end]);
                 }
+                mutants += doc.len();
             }
-            let at = |rng: &mut Rng| rng.gen_range(0..=compact.len());
-            // byte flips
-            for _ in 0..8 {
-                let mut flipped = compact.clone();
-                let pos = rng.gen_range(0..flipped.len());
-                flipped[pos] ^= rng.gen_range(1..=u8::MAX);
-                survives(&flipped);
-                mutants += 1;
+            for mutant in &case.mutated {
+                survives(mutant);
             }
             // invalid UTF-8 is refused wherever it lands
-            let mut invalid = compact.clone();
-            let bytes = INVALID_UTF8[rng.gen_range(0..INVALID_UTF8.len())];
-            let pos = at(&mut rng);
-            invalid.splice(pos..pos, bytes.iter().copied());
-            assert!(!survives(&invalid), "{invalid:?}");
-            // a lone leading surrogate escape
-            let mut lone = compact.clone();
-            let pos = at(&mut rng);
-            lone.splice(pos..pos, br"\uD800".iter().copied());
-            survives(&lone);
+            assert!(!survives(&case.invalid));
+            survives(&case.lone);
             // one level past the nesting limit, and the level below it
-            let levels = DEPTH_LIMIT - depth(&v);
+            let levels = DEPTH_LIMIT - depth(v);
             let wrap = |levels: usize| format!("{}{v}{}", "[".repeat(levels), "]".repeat(levels));
             assert!(survives(wrap(levels - 1).as_bytes()));
             assert!(!survives(wrap(levels).as_bytes()));
-            mutants += 4;
-        }
+            mutants += case.mutated.len() + 4;
+        });
         assert!(mutants >= 10_000, "{mutants} mutants");
     }
 }

@@ -24,3 +24,49 @@ pub mod time;
 
 pub use health::HealthState;
 pub use rng::{splitmix64, Rng};
+
+#[cfg(test)]
+mod tests {
+    use crate::rng::{mutate, mutate_journal, Rng};
+    use std::collections::HashSet;
+
+    #[test]
+    fn mutator_produces_varied_inputs() {
+        let mut rng = Rng::seed_from_u64(99);
+        let seeds = vec![vec![0xaa; 32]];
+        let mutants: HashSet<Vec<u8>> = (0..50).map(|_| mutate(&mut rng, &seeds)).collect();
+        assert!(
+            mutants.len() > 10,
+            "{} distinct mutants of 50",
+            mutants.len()
+        );
+    }
+
+    #[test]
+    fn empty_seed_list_yields_empty_input() {
+        let mut rng = Rng::seed_from_u64(5);
+        assert!(mutate(&mut rng, &[]).is_empty());
+        assert!(mutate_journal(&mut rng, &[]).is_empty());
+    }
+
+    #[test]
+    fn journal_mutations_are_deterministic_and_varied() {
+        let segments = vec![vec![0x11; 40], vec![0x22; 40], vec![0x33; 40]];
+        let (mut a, mut b) = (Rng::seed_from_u64(77), Rng::seed_from_u64(77));
+        for _ in 0..100 {
+            assert_eq!(
+                mutate_journal(&mut a, &segments),
+                mutate_journal(&mut b, &segments)
+            );
+        }
+
+        let mut rng = Rng::seed_from_u64(78);
+        let journals: Vec<Vec<Vec<u8>>> = (0..100)
+            .map(|_| mutate_journal(&mut rng, &segments))
+            .collect();
+        let distinct = journals.iter().collect::<HashSet<_>>().len();
+        assert!(distinct > 20, "{distinct} distinct journals of 100");
+        // a whole-segment fault changes the segment count
+        assert!(journals.iter().any(|j| j.len() != segments.len()));
+    }
+}

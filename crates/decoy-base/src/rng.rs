@@ -5,7 +5,10 @@
 //! bait data and sampled source addresses all draw from [`Rng`], and so do
 //! the randomized tests and benches. The committed golden report was drawn
 //! from this stream, and the tests below pin it. [`for_all`] runs the
-//! workspace's property tests over it.
+//! workspace's property tests over it, and [`mutate`] and
+//! [`mutate_journal`] draw from it the hostile inputs of the mutation
+//! campaigns: the wire decoders, journal recovery, the JSON codec and the
+//! JSON-lines import.
 
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
@@ -179,6 +182,98 @@ pub fn for_all<T: Debug>(
     }
 }
 
+/// Boundary values for length-field tampering: the ones a bounds check is
+/// most likely to get wrong.
+const BOUNDARY_LENGTHS: [u32; 8] = [0, 1, 7, 0xffff, 0x1_0000, 0xff_ffff, 0x7fff_ffff, u32::MAX];
+
+/// A hostile variant of one of `seeds`: a seed picked at random, then one
+/// to four byte-level mutations of it. Empty when `seeds` is.
+///
+/// The six mutations are equally likely: a bit flip, a byte set, a
+/// truncation, an extension by 1-32 random bytes, a splice (a prefix of
+/// the input, then a suffix of another seed), and a length tamper (a 2- or
+/// 4-byte window overwritten with one of eight boundary lengths, in either
+/// byte order).
+pub fn mutate(rng: &mut Rng, seeds: &[Vec<u8>]) -> Vec<u8> {
+    let Some(seed) = pick(rng, seeds) else {
+        return Vec::new();
+    };
+    let mut input = seed.clone();
+    for _ in 0..rng.gen_range(1..=4) {
+        mutate_bytes(rng, &mut input, seeds);
+    }
+    input
+}
+
+/// A corrupted variant of an encoded journal, its segments in replay
+/// order: one to three faults, each a dropped, a duplicated or a swapped
+/// segment (one in ten each), or else one of [`mutate`]'s byte-level
+/// mutations inside one segment. These are the shapes a sick filesystem
+/// or a botched copy produces.
+pub fn mutate_journal(rng: &mut Rng, segments: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut out = segments.to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        if out.is_empty() {
+            break;
+        }
+        let (i, j) = (rng.gen_range(0..out.len()), rng.gen_range(0..out.len()));
+        match rng.gen_range(0..10) {
+            0 => {
+                out.remove(i);
+            }
+            1 => out.insert(i, out[i].clone()),
+            2 => out.swap(i, j),
+            _ => mutate_bytes(rng, &mut out[i], segments),
+        }
+    }
+    out
+}
+
+/// One of `seeds`, or `None` when there is none.
+fn pick<'a>(rng: &mut Rng, seeds: &'a [Vec<u8>]) -> Option<&'a Vec<u8>> {
+    (!seeds.is_empty()).then(|| &seeds[rng.gen_range(0..seeds.len())])
+}
+
+/// One of [`mutate`]'s six byte-level mutations of `input`, in place;
+/// `seeds` feed the splice. A mutation that needs a byte to work on
+/// leaves an empty input as it is.
+fn mutate_bytes(rng: &mut Rng, input: &mut Vec<u8>, seeds: &[Vec<u8>]) {
+    let len = input.len();
+    match rng.gen_range(0..6) {
+        0 if len > 0 => input[rng.gen_range(0..len)] ^= 1 << rng.gen_range(0..8),
+        1 if len > 0 => input[rng.gen_range(0..len)] = rng.gen_range(0..=u8::MAX),
+        2 => input.truncate(rng.gen_range(0..=len)),
+        3 => {
+            for _ in 0..rng.gen_range(1..=32) {
+                input.push(rng.gen_range(0..=u8::MAX));
+            }
+        }
+        4 => {
+            if let Some(other) = pick(rng, seeds) {
+                input.truncate(rng.gen_range(0..=len));
+                input.extend_from_slice(&other[rng.gen_range(0..=other.len())..]);
+            }
+        }
+        5 if len > 0 => {
+            let value = BOUNDARY_LENGTHS[rng.gen_range(0..BOUNDARY_LENGTHS.len())];
+            let width = if rng.gen_bool(0.5) { 4 } else { 2 };
+            // the low `width` bytes of the value, in either byte order
+            let (le, be) = (value.to_le_bytes(), value.to_be_bytes());
+            let window = if rng.gen_bool(0.5) {
+                &le[..width]
+            } else {
+                &be[4 - width..]
+            };
+            // overwrite from `at`, growing the input past its end
+            let at = rng.gen_range(0..len);
+            let end = len.min(at + width);
+            input[at..end].copy_from_slice(&window[..end - at]);
+            input.extend_from_slice(&window[end - at..]);
+        }
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +338,31 @@ mod tests {
             eat(&[u8::from(rng.gen_bool(0.3))]);
         }
         assert_eq!(h, 0x0e35_6914_fcbc_cd9e);
+    }
+
+    #[test]
+    fn the_mutants_are_pinned() {
+        // FNV-1a over byte-level and journal mutants drawn from one seed,
+        // each buffer behind its length and each journal ended by an empty
+        // one; the journal campaign's digest depends on this stream
+        let mut rng = Rng::seed_from_u64(0xf022);
+        let seeds = vec![b"hello world".to_vec(), vec![0; 16]];
+        let segments = vec![vec![0x11; 40], vec![0x22; 40], vec![0x33; 40]];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for _ in 0..200 {
+            eat(&mutate(&mut rng, &seeds));
+        }
+        for _ in 0..100 {
+            for segment in mutate_journal(&mut rng, &segments) {
+                eat(&segment);
+            }
+            eat(&[]);
+        }
+        assert_eq!(h, 0x00ce_7e65_0eb9_e27d);
     }
 }

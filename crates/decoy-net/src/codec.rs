@@ -8,7 +8,7 @@
 //! The async side lives in [`crate::framed`].
 //!
 //! Codecs here parse attacker-controlled bytes, so this module is covered by
-//! the `decoy-xtask lint` panic-freedom wall: no `unwrap`/`expect`/`panic!`,
+//! the `decoy-xtask analyze` panic-freedom wall: no `unwrap`/`expect`/`panic!`,
 //! no slice indexing, no `as` truncation.
 
 // decoy-hot-path: file -- per-connection framing loop; every inbound byte passes through

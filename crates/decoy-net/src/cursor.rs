@@ -3,7 +3,7 @@
 //! Every `decoy-wire` decoder parses attacker-controlled input. [`ByteCursor`]
 //! centralises the only bounds checks those decoders need: every read is
 //! fallible, every failure carries the byte offset it happened at, and no
-//! code path indexes a slice directly. The `decoy-xtask lint` analyzer
+//! code path indexes a slice directly. The `decoy-xtask analyze` lint pass
 //! forbids raw indexing in the decoders precisely so that all conversions
 //! funnel through this audited module.
 

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 // Attacker bytes flow through this crate; the byte path must be total.
-// `decoy-xtask lint` enforces the same wall with file:line diagnostics.
+// `decoy-xtask analyze` enforces the same wall with file:line diagnostics.
 #![cfg_attr(
     not(test),
     deny(

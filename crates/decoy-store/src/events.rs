@@ -1052,6 +1052,7 @@ impl EventStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decoy_base::rng::{for_all, mutate, Rng};
     use decoy_base::time::EXPERIMENT_START;
 
     fn ip(n: u8) -> IpAddr {
@@ -1393,6 +1394,31 @@ mod tests {
             let message = error(&bad);
             assert!(message.starts_with("line 3: field `"), "{bad}: {message}");
         }
+    }
+
+    /// Dataset files come from outside the program: every mutant of the
+    /// every-kind export imports or fails, and what imports exports to
+    /// lines that import back to an equal store.
+    #[test]
+    fn json_lines_import_is_total() {
+        let (_, lines) = every_kind();
+        let mut seeds = vec![lines.as_bytes().to_vec()];
+        seeds.extend(lines.lines().map(|line| line.as_bytes().to_vec()));
+        let gen = |rng: &mut Rng| String::from_utf8_lossy(&mutate(rng, &seeds)).into_owned();
+        let (mut imported, mut refused) = (0, 0);
+        for_all(0x150_11e5, 2_000, gen, |text| {
+            let Ok(store) = EventStore::from_json_lines(text) else {
+                refused += 1;
+                return;
+            };
+            let again = EventStore::from_json_lines(&store.to_json_lines());
+            assert_eq!(again.map(|s| s.all()), Ok(store.all()));
+            imported += 1;
+        });
+        assert!(
+            imported > 0 && refused > 0,
+            "{imported} imported, {refused} refused"
+        );
     }
 
     #[test]

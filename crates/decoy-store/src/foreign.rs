@@ -8,7 +8,7 @@
 //! recognizers tell the classifier what the actor was actually scanning for.
 
 // `recognize` reads attacker bytes, so this module keeps the byte path's
-// panic-freedom wall, as `decoy-xtask lint` does for it.
+// panic-freedom wall, as `decoy-xtask analyze` does for it.
 #![cfg_attr(
     not(test),
     deny(

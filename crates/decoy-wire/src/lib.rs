@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 // Every byte entering this crate is attacker-controlled. Parsing must be
-// total: Ok or Err, never a panic. `decoy-xtask lint` enforces the same
+// total: Ok or Err, never a panic. `decoy-xtask analyze` enforces the same
 // wall (plus slice-indexing and `as`-truncation bans) with file:line
 // diagnostics; see DESIGN.md "Threat model of the byte path".
 #![cfg_attr(
@@ -34,7 +34,7 @@
 //! All codecs implement [`decoy_net::Codec`]: incremental, bounded, and
 //! tolerant of adversarial bytes. Decoding is *total* — every input yields
 //! `Ok` or a structured [`decoy_net::WireError`]; panics are forbidden by
-//! the `decoy-xtask lint` wall and exercised by the mutation harness in
+//! the `decoy-xtask analyze` wall and exercised by the mutation harness in
 //! `tests/wire_total.rs`.
 
 pub mod http;

@@ -2,18 +2,19 @@
 //!
 //! Every `decoy-wire` decoder must return `Ok` or `Err` — never panic — on
 //! arbitrary bytes. This is the fuzz half of the panic-freedom audit
-//! (`decoy-xtask lint` is the static half): a deterministic, seeded mutator
-//! from `decoy-fuzz` produces 10 000 hostile variants per protocol from two
-//! seed pools, the malformed-frame corpus in `tests/corpus/<protocol>/`
-//! (truncated header, zero length, maximal declared length, wrong magic,
-//! mid-frame EOF) and golden frames produced by each codec's own encoder.
+//! (`decoy-xtask analyze`'s lint pass is the static half): for each codec
+//! side, `decoy_base::rng::for_all` runs 10,000 hostile variants drawn by
+//! `decoy_base::rng::mutate` from two seed pools, the malformed-frame
+//! corpus in `tests/corpus/<protocol>/` (truncated header, zero length,
+//! maximal declared length, wrong magic, mid-frame EOF) and golden frames
+//! produced by each codec's own encoder.
 //!
-//! Failures are reproducible: the mutator seed is fixed per protocol, so a
-//! failing iteration number plus this file pins the exact input. CI smoke
-//! runs set `DECOY_FUZZ_ITERS` to a reduced count.
+//! Failures are reproducible: each codec side has a fixed seed, and
+//! `for_all` prints a failing variant with its case seed, which draws it
+//! again exactly.
 
 use bytes::BytesMut;
-use decoy_fuzz::{iterations, load_corpus, Mutator};
+use decoy_base::rng::{for_all, mutate, Rng};
 use decoy_net::codec::Codec;
 use decoy_wire::http::{HttpClientCodec, HttpRequest, HttpResponse, HttpServerCodec};
 use decoy_wire::mongo::bson::Document;
@@ -22,8 +23,19 @@ use decoy_wire::mysql::{MySqlCodec, MySqlPacket};
 use decoy_wire::pgwire::{BackendMessage, FrontendMessage, PgClientCodec, PgServerCodec};
 use decoy_wire::resp::{RespCodec, RespValue};
 use decoy_wire::tds::{TdsCodec, TdsPacket};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+
+/// Load every `*.bin` file under `dir`, sorted by name for determinism.
+fn load_corpus(dir: &Path) -> std::io::Result<Vec<Vec<u8>>> {
+    let mut paths: Vec<_> = std::fs::read_dir(dir)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
+        .collect();
+    paths.sort();
+    paths.iter().map(std::fs::read).collect()
+}
 
 /// Load the malformed-frame corpus for `proto`, asserting the five
 /// canonical shapes are present.
@@ -40,8 +52,8 @@ fn corpus(proto: &str) -> Vec<Vec<u8>> {
     seeds
 }
 
-/// Encode golden frames through a codec's own encoder; these seed the
-/// mutator with byte sequences that are *almost* valid.
+/// Encode golden frames through a codec's own encoder; these seed
+/// `mutate` with byte sequences that are *almost* valid.
 fn encoded<C: Codec>(codec: &mut C, frames: &[C::Out]) -> Vec<Vec<u8>> {
     frames
         .iter()
@@ -53,34 +65,26 @@ fn encoded<C: Codec>(codec: &mut C, frames: &[C::Out]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Feed `iterations(10_000)` mutated inputs to fresh codecs built by `mk`,
-/// draining each input until the codec stops producing frames. Any panic
-/// fails the test with the iteration number and the exact input bytes.
-fn assert_decoder_total<C, F>(proto: &str, seed: u64, seeds: &[Vec<u8>], mk: F)
+/// Feed 10,000 mutants of `seeds` to fresh codecs built by `mk`, draining
+/// each input until the codec stops producing frames.
+fn assert_decoder_total<C, F>(seed: u64, seeds: &[Vec<u8>], mk: F)
 where
     C: Codec,
     F: Fn() -> C,
 {
-    let iters = iterations(10_000);
-    let mut mutator = Mutator::new(seed);
-    for i in 0..iters {
-        let input = mutator.mutate(seeds);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut codec = mk();
-            let mut buf = BytesMut::from(&input[..]);
-            // bounded drain: stop on Err, on Ok(None), or after 64 frames
-            for _ in 0..64 {
-                match codec.decode(&mut buf) {
-                    Ok(Some(_)) if !buf.is_empty() => continue,
-                    _ => break,
-                }
-            }
-        }));
-        assert!(
-            outcome.is_ok(),
-            "{proto}: decoder panicked on iteration {i} (seed {seed:#x}); input: {}",
-            input.iter().map(|b| format!("{b:02x}")).collect::<String>()
-        );
+    let gen = |rng: &mut Rng| mutate(rng, seeds);
+    for_all(seed, 10_000, gen, |input| decode_all(&mut mk(), input));
+}
+
+/// Decode `input` with `codec`: stop on `Err`, on `Ok(None)`, or after 64
+/// frames.
+fn decode_all<C: Codec>(codec: &mut C, input: &[u8]) {
+    let mut buf = BytesMut::from(input);
+    for _ in 0..64 {
+        match codec.decode(&mut buf) {
+            Ok(Some(_)) if !buf.is_empty() => continue,
+            _ => break,
+        }
     }
 }
 
@@ -103,7 +107,7 @@ fn pgwire_decoders_are_total() {
     );
     let mut seeds = corpus("pgwire");
     seeds.extend(golden);
-    assert_decoder_total("pgwire/server", 0xD0C0_0001, &seeds, PgServerCodec::new);
+    assert_decoder_total(0xD0C0_0001, &seeds, PgServerCodec::new);
     // the client side parses honeypot replies; same wall applies
     let backend = encoded(
         &mut PgServerCodec::new(),
@@ -114,7 +118,7 @@ fn pgwire_decoders_are_total() {
     );
     let mut seeds = corpus("pgwire");
     seeds.extend(backend);
-    assert_decoder_total("pgwire/client", 0xD0C0_0002, &seeds, PgClientCodec::new);
+    assert_decoder_total(0xD0C0_0002, &seeds, PgClientCodec::new);
 }
 
 #[test]
@@ -134,7 +138,7 @@ fn mysql_decoder_is_total() {
     );
     let mut seeds = corpus("mysql");
     seeds.extend(golden);
-    assert_decoder_total("mysql", 0xD0C0_0003, &seeds, || MySqlCodec);
+    assert_decoder_total(0xD0C0_0003, &seeds, || MySqlCodec);
 }
 
 #[test]
@@ -155,8 +159,8 @@ fn resp_decoders_are_total() {
     );
     let mut seeds = corpus("resp");
     seeds.extend(golden);
-    assert_decoder_total("resp/server", 0xD0C0_0004, &seeds, RespCodec::server);
-    assert_decoder_total("resp/client", 0xD0C0_0005, &seeds, RespCodec::client);
+    assert_decoder_total(0xD0C0_0004, &seeds, RespCodec::server);
+    assert_decoder_total(0xD0C0_0005, &seeds, RespCodec::client);
 }
 
 #[test]
@@ -170,7 +174,7 @@ fn tds_decoder_is_total() {
     );
     let mut seeds = corpus("tds");
     seeds.extend(golden);
-    assert_decoder_total("tds", 0xD0C0_0006, &seeds, || TdsCodec);
+    assert_decoder_total(0xD0C0_0006, &seeds, || TdsCodec);
 }
 
 #[test]
@@ -187,7 +191,7 @@ fn mongo_decoder_is_total() {
     );
     let mut seeds = corpus("mongo");
     seeds.extend(golden);
-    assert_decoder_total("mongo", 0xD0C0_0007, &seeds, || MongoCodec);
+    assert_decoder_total(0xD0C0_0007, &seeds, || MongoCodec);
 }
 
 #[test]
@@ -204,46 +208,36 @@ fn http_decoders_are_total() {
     );
     let mut seeds = corpus("http");
     seeds.extend(golden);
-    assert_decoder_total("http/server", 0xD0C0_0008, &seeds, || HttpServerCodec);
+    assert_decoder_total(0xD0C0_0008, &seeds, || HttpServerCodec);
     let responses = encoded(
         &mut HttpServerCodec,
         &[HttpResponse::json(200, r#"{"ok":true}"#)],
     );
     let mut seeds = corpus("http");
     seeds.extend(responses);
-    assert_decoder_total("http/client", 0xD0C0_0009, &seeds, || HttpClientCodec);
+    assert_decoder_total(0xD0C0_0009, &seeds, || HttpClientCodec);
 }
 
 /// The corpus itself must already be handled without mutation: every file
 /// decodes to `Ok` or `Err` directly.
 #[test]
 fn raw_corpus_never_panics() {
-    for proto in ["pgwire", "mysql", "resp", "tds", "mongo", "http"] {
-        for input in corpus(proto) {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut buf = BytesMut::from(&input[..]);
-                match proto {
-                    "pgwire" => {
-                        let _ = PgServerCodec::new().decode(&mut buf);
-                    }
-                    "mysql" => {
-                        let _ = MySqlCodec.decode(&mut buf);
-                    }
-                    "resp" => {
-                        let _ = RespCodec::server().decode(&mut buf);
-                    }
-                    "tds" => {
-                        let _ = TdsCodec.decode(&mut buf);
-                    }
-                    "mongo" => {
-                        let _ = MongoCodec.decode(&mut buf);
-                    }
-                    _ => {
-                        let _ = HttpServerCodec.decode(&mut buf);
-                    }
-                }
-            }));
-            assert!(outcome.is_ok(), "{proto}: corpus file decode panicked");
-        }
+    for input in corpus("pgwire") {
+        decode_all(&mut PgServerCodec::new(), &input);
+    }
+    for input in corpus("mysql") {
+        decode_all(&mut MySqlCodec, &input);
+    }
+    for input in corpus("resp") {
+        decode_all(&mut RespCodec::server(), &input);
+    }
+    for input in corpus("tds") {
+        decode_all(&mut TdsCodec, &input);
+    }
+    for input in corpus("mongo") {
+        decode_all(&mut MongoCodec, &input);
+    }
+    for input in corpus("http") {
+        decode_all(&mut HttpServerCodec, &input);
     }
 }

@@ -4,6 +4,8 @@
 
 use std::collections::HashMap;
 
+use decoy_base::json::{self, object, Value};
+
 use crate::tok::{self, Tok};
 
 /// Rules that can be named in a `decoy-lint: allow(..)` comment. The first
@@ -182,44 +184,35 @@ impl SourceFile {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render findings (and baseline bookkeeping) as the unified JSON report.
 pub fn report_json(findings: &[Finding], suppressed: usize, stale_baseline: usize) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"pass\":\"{}\",\"rule\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&f.file),
-            f.line,
-            f.col,
-            f.pass,
-            f.rule,
-            json_escape(&f.message)
-        ));
-    }
-    out.push_str(&format!(
-        "],\"count\":{},\"suppressed_by_baseline\":{},\"stale_baseline_entries\":{}}}",
-        findings.len(),
-        suppressed,
-        stale_baseline
-    ));
+    let listed: Vec<Value> = findings
+        .iter()
+        .map(|f| {
+            object([
+                ("file", f.file.as_str().into()),
+                ("line", f.line.into()),
+                ("col", f.col.into()),
+                ("pass", f.pass.into()),
+                ("rule", f.rule.into()),
+                ("message", f.message.as_str().into()),
+            ])
+        })
+        .collect();
+    object([
+        ("findings", listed.into()),
+        ("count", findings.len().into()),
+        ("suppressed_by_baseline", suppressed.into()),
+        ("stale_baseline_entries", stale_baseline.into()),
+    ])
+    .to_string()
+}
+
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    // writing into a String cannot fail
+    let _ = json::quote(&mut out, s);
     out
 }
 
@@ -238,53 +231,27 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Parse the baseline file format. The format is deliberately rigid:
-    /// one entry object per line, as written by [`Baseline::render`].
+    /// Parse the baseline file: the `entries` array of a JSON document, as
+    /// [`Baseline::render`] writes it. An empty file is an empty baseline.
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let mut entries = HashMap::new();
-        for (idx, line) in text.lines().enumerate() {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with('{') || !line.contains("\"file\"") {
-                continue;
-            }
-            let field = |name: &str| -> Option<String> {
-                let tag = format!("\"{name}\":\"");
-                let start = line.find(&tag)? + tag.len();
-                let rest = line.get(start..)?;
-                // scan to the closing unescaped quote
-                let mut out = String::new();
-                let mut chars = rest.chars();
-                while let Some(c) = chars.next() {
-                    match c {
-                        '\\' => match chars.next() {
-                            Some('n') => out.push('\n'),
-                            Some('t') => out.push('\t'),
-                            Some(other) => out.push(other),
-                            None => return None,
-                        },
-                        '"' => return Some(out),
-                        c => out.push(c),
-                    }
-                }
-                None
-            };
-            let count = (|| {
-                let tag = "\"count\":";
-                let start = line.find(tag)? + tag.len();
-                line.get(start..)?
-                    .trim_start()
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect::<String>()
-                    .parse::<usize>()
-                    .ok()
-            })()
-            .unwrap_or(1);
+        if text.trim().is_empty() {
+            return Ok(Baseline { entries });
+        }
+        let doc = json::parse(text.as_bytes()).map_err(|e| e.to_string())?;
+        let listed = doc.get("entries").and_then(Value::as_array);
+        for (idx, entry) in listed.unwrap_or_default().iter().enumerate() {
+            let field = |name: &str| entry.get(name).and_then(Value::as_str).map(str::to_string);
+            let count = entry
+                .get("count")
+                .and_then(Value::as_u64)
+                .and_then(|n| usize::try_from(n).ok())
+                .unwrap_or(1);
             match (field("file"), field("rule"), field("key")) {
                 (Some(f), Some(r), Some(k)) => {
                     *entries.entry((f, r, k)).or_insert(0) += count;
                 }
-                _ => return Err(format!("malformed baseline entry on line {}", idx + 1)),
+                _ => return Err(format!("malformed baseline entry {}", idx + 1)),
             }
         }
         Ok(Baseline { entries })
@@ -316,10 +283,10 @@ impl Baseline {
         ));
         for (i, ((file, rule, key), count)) in sorted.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"file\":\"{}\",\"rule\":\"{}\",\"key\":\"{}\",\"count\":{}}}{}\n",
-                json_escape(file),
-                json_escape(rule),
-                json_escape(key),
+                "    {{\"file\":{},\"rule\":{},\"key\":{},\"count\":{}}}{}\n",
+                quoted(file),
+                quoted(rule),
+                quoted(key),
                 count,
                 if i + 1 < sorted.len() { "," } else { "" }
             ));
@@ -396,16 +363,20 @@ mod tests {
             pass: "lint",
             message: "bad\nthing".into(),
         };
-        let j = report_json(&[f], 2, 1);
-        assert!(j.contains("\"file\":\"a \\\"b\\\".rs\""));
-        assert!(j.contains("\"line\":3"));
-        assert!(j.contains("\"pass\":\"lint\""));
-        assert!(j.contains("\\nthing"));
-        assert!(j.contains("\"suppressed_by_baseline\":2"));
-        assert!(j.ends_with("\"stale_baseline_entries\":1}"));
+        let report = json::parse(report_json(&[f], 2, 1).as_bytes()).unwrap();
+        let finding = &report["findings"].as_array().unwrap()[0];
+        assert_eq!(finding["file"].as_str(), Some("a \"b\".rs"));
+        assert_eq!(finding["line"].as_u64(), Some(3));
+        assert_eq!(finding["col"].as_u64(), Some(9));
+        assert_eq!(finding["pass"].as_str(), Some("lint"));
+        assert_eq!(finding["rule"].as_str(), Some("unwrap"));
+        assert_eq!(finding["message"].as_str(), Some("bad\nthing"));
+        assert_eq!(report["count"].as_u64(), Some(1));
+        assert_eq!(report["suppressed_by_baseline"].as_u64(), Some(2));
+        assert_eq!(report["stale_baseline_entries"].as_u64(), Some(1));
         assert_eq!(
             report_json(&[], 0, 0),
-            "{\"findings\":[],\"count\":0,\"suppressed_by_baseline\":0,\"stale_baseline_entries\":0}"
+            "{\"count\":0,\"findings\":[],\"stale_baseline_entries\":0,\"suppressed_by_baseline\":0}"
         );
     }
 
@@ -437,6 +408,12 @@ mod tests {
         let rendered = b.render();
         let parsed = Baseline::parse(&rendered).unwrap();
         assert_eq!(parsed, b);
+        // keys escape and read back exactly
+        let odd = Baseline::from_findings([(&f1, "let s = \"\\\t\r\u{1}é\";")]);
+        assert_eq!(Baseline::parse(&odd.render()), Ok(odd));
+        // the committed baseline is what `render` writes
+        let committed = include_str!("../../../ANALYSIS_BASELINE.json");
+        assert_eq!(Baseline::parse(committed).unwrap().render(), committed);
         assert_eq!(
             parsed
                 .entries

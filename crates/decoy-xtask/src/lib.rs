@@ -1,8 +1,8 @@
 #![forbid(unsafe_code)]
 //! # decoy-xtask
 //!
-//! Dependency-free workspace automation and static analysis, run as
-//! `cargo run -p decoy-xtask -- <command>`.
+//! Registry-free static analysis of the workspace, run as
+//! `cargo run -p decoy-xtask -- analyze`.
 //!
 //! The crate is a library plus a thin CLI (`main.rs`) so the analysis
 //! passes are unit- and integration-testable without spawning the binary:

@@ -1,10 +1,7 @@
 #![forbid(unsafe_code)]
-//! Thin CLI over the `decoy_xtask` library.
-//!
-//! * `lint` — the panic-freedom audit of the attacker-facing byte path
-//!   (kept for muscle memory; `analyze` is a superset).
-//! * `analyze` — all static-analysis passes (lint, lock-discipline,
-//!   hot-path allocation, bench freshness) with the suppression baseline.
+//! Thin CLI over the `decoy_xtask` library: `analyze` runs every
+//! static-analysis pass (panic-freedom lint, lock discipline, hot-path
+//! allocation, bench freshness) with the suppression baseline.
 //!
 //! Exit codes are the contract CI relies on:
 //!
@@ -15,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use decoy_xtask::{analyze, diag};
+use decoy_xtask::analyze;
 
 /// Workspace root: `--root` wins, then the manifest dir's grandparent
 /// (`crates/decoy-xtask` → repo root), then the current directory.
@@ -37,7 +34,6 @@ fn workspace_root(explicit: Option<&str>) -> PathBuf {
 const USAGE: &str = "usage: decoy-xtask <command> [options]\n\
 \n\
 commands:\n\
-  lint      panic-freedom audit of the byte path (subset of analyze)\n\
   analyze   all passes: lint, lock-discipline, hot-path alloc, bench freshness\n\
 \n\
 options:\n\
@@ -46,23 +42,9 @@ options:\n\
   --no-baseline      analyze: ignore ANALYSIS_BASELINE.json (raw view)\n\
   --write-baseline   analyze: regenerate ANALYSIS_BASELINE.json from findings";
 
-/// The old standalone `lint` walk: enforced byte-path files only.
-fn run_lint(root: &Path) -> Result<Vec<diag::Finding>, String> {
-    let outcome = analyze::run(&analyze::Options {
-        root: root.to_path_buf(),
-        use_baseline: false,
-        write_baseline: false,
-    })?;
-    Ok(outcome
-        .findings
-        .into_iter()
-        .filter(|f| f.pass == "lint")
-        .collect())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd: Option<&str> = None;
+    let mut analyze_cmd = false;
     let mut json = false;
     let mut root_arg: Option<String> = None;
     let mut use_baseline = true;
@@ -80,95 +62,65 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "lint" if cmd.is_none() => cmd = Some("lint"),
-            "analyze" if cmd.is_none() => cmd = Some("analyze"),
+            "analyze" if !analyze_cmd => analyze_cmd = true,
             other => {
                 eprintln!("unknown argument {other:?}\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
     }
-    let root = workspace_root(root_arg.as_deref());
-    match cmd {
-        Some("lint") => match run_lint(&root) {
-            Err(msg) => {
-                eprintln!("decoy-xtask lint: {msg}");
-                ExitCode::from(2)
-            }
-            Ok(findings) => {
-                if json {
-                    println!("{}", diag::report_json(&findings, 0, 0));
-                } else if findings.is_empty() {
-                    println!("decoy-xtask lint: clean (byte path is panic-free by construction)");
-                } else {
-                    for f in &findings {
-                        println!("{}", f.render());
-                    }
-                    println!("decoy-xtask lint: {} finding(s)", findings.len());
-                }
-                if findings.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                }
-            }
-        },
-        Some("analyze") => {
-            let opts = analyze::Options {
-                root,
-                use_baseline,
-                write_baseline,
-            };
-            match analyze::run(&opts) {
-                Err(msg) => {
-                    eprintln!("decoy-xtask analyze: {msg}");
-                    ExitCode::from(2)
-                }
-                Ok(outcome) => {
-                    if let Some(path) = &outcome.wrote_baseline {
-                        eprintln!(
-                            "decoy-xtask analyze: wrote {} ({} entr{}) — review the diff",
-                            path.display(),
-                            outcome.suppressed,
-                            if outcome.suppressed == 1 { "y" } else { "ies" }
-                        );
-                        return ExitCode::SUCCESS;
-                    }
-                    if json {
-                        println!("{}", outcome.json);
-                    } else {
-                        for f in &outcome.findings {
-                            println!("{}", f.render());
-                        }
-                        println!(
-                            "decoy-xtask analyze: {} finding(s), {} suppressed by baseline",
-                            outcome.findings.len(),
-                            outcome.suppressed
-                        );
-                    }
-                    if outcome.stale_baseline > 0 {
-                        eprintln!(
-                            "decoy-xtask analyze: warning: {} stale baseline entr{} \
-                             (fixed code still excused) — regenerate with --write-baseline",
-                            outcome.stale_baseline,
-                            if outcome.stale_baseline == 1 {
-                                "y"
-                            } else {
-                                "ies"
-                            }
-                        );
-                    }
-                    if outcome.findings.is_empty() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::from(1)
-                    }
-                }
-            }
+    if !analyze_cmd {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
+    let opts = analyze::Options {
+        root: workspace_root(root_arg.as_deref()),
+        use_baseline,
+        write_baseline,
+    };
+    let outcome = match analyze::run(&opts) {
+        Ok(outcome) => outcome,
+        Err(msg) => {
+            eprintln!("decoy-xtask analyze: {msg}");
+            return ExitCode::from(2);
         }
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
+    };
+    if let Some(path) = &outcome.wrote_baseline {
+        eprintln!(
+            "decoy-xtask analyze: wrote {} ({} entr{}) — review the diff",
+            path.display(),
+            outcome.suppressed,
+            if outcome.suppressed == 1 { "y" } else { "ies" }
+        );
+        return ExitCode::SUCCESS;
+    }
+    if json {
+        println!("{}", outcome.json);
+    } else {
+        for f in &outcome.findings {
+            println!("{}", f.render());
         }
+        println!(
+            "decoy-xtask analyze: {} finding(s), {} suppressed by baseline",
+            outcome.findings.len(),
+            outcome.suppressed
+        );
+    }
+    if outcome.stale_baseline > 0 {
+        eprintln!(
+            "decoy-xtask analyze: warning: {} stale baseline entr{} \
+             (fixed code still excused) — regenerate with --write-baseline",
+            outcome.stale_baseline,
+            if outcome.stale_baseline == 1 {
+                "y"
+            } else {
+                "ies"
+            }
+        );
+    }
+    if outcome.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

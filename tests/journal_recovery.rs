@@ -6,14 +6,13 @@
 //! invent, reorder, or duplicate records. This harness attacks that
 //! contract three ways:
 //!
-//! 1. A seeded mutation campaign (`decoy_fuzz::Mutator::mutate_journal`):
-//!    byte-level damage inside segments plus whole-segment drops,
-//!    duplicates, and reorders. Deterministic — a failure reproduces from
-//!    the iteration number alone. At the default 10,000 iterations the
-//!    FNV-1a digest of every mutant's recovered length and stats must
-//!    equal its pin, so strict replay recovers exactly what it did when the
-//!    pin was taken; `DECOY_FUZZ_ITERS` reduces the count for CI smoke
-//!    runs, which skip the digest. Each mutant segment also goes through
+//! 1. A seeded mutation campaign: `for_all` runs 10,000 mutants drawn by
+//!    `decoy_base::rng::mutate_journal` (byte-level damage inside
+//!    segments plus whole-segment drops, duplicates and reorders). A
+//!    failing mutant is printed with its case seed, which reproduces it
+//!    exactly. The FNV-1a digest of every mutant's recovered length and
+//!    stats must equal its pin, so strict replay recovers exactly what it
+//!    did when the pin was taken. Each mutant segment also goes through
 //!    the segment decoder (`decode_segment`), which must not panic and may
 //!    only yield original records at their own sequence numbers, and
 //!    through its collecting wrapper (`SegmentBatch::decode`), which must
@@ -26,25 +25,24 @@
 //!    replay into a byte-identical report.
 //!
 //! The tests are plain `#[test]`s over std-only crates (`decoy-core`,
-//! `decoy-store`, `decoy-base` and `decoy-fuzz`), so `cargo test` at the
-//! root runs them with no registry.
+//! `decoy-store` and `decoy-base`), so `cargo test` at the root runs them
+//! with no registry.
 
+use decoy_base::rng::{for_all, mutate_journal, Rng};
 use decoy_base::time::Timestamp;
 use decoy_core::report::Report;
 use decoy_core::runner::{run_direct, ExperimentConfig};
-use decoy_fuzz::{iterations, Mutator};
 use decoy_store::journal::encode;
 use decoy_store::{
     decode_segment, recover_events, ConfigVariant, Dbms, Event, EventKind, HoneypotId,
     InteractionLevel, SegmentBatch,
 };
 use std::net::{IpAddr, Ipv4Addr};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The campaign's FNV-1a digest of every mutant's recovered length and
-/// stats at the default iteration count. A change to strict replay that
-/// moves any recovered count, stat or error moves the digest.
-const CAMPAIGN_DIGEST: u64 = 0x81ae_d698_00be_65f3;
+/// stats. A change to strict replay that moves any recovered count, stat
+/// or error moves the digest.
+const CAMPAIGN_DIGEST: u64 = 0xafea_8a61_d279_aa56;
 
 /// Fold `bytes` into a 64-bit FNV-1a hash.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -110,60 +108,45 @@ fn build_journal(n: u64, per_seg: usize) -> (Vec<Event>, Vec<Vec<u8>>) {
 #[test]
 fn mutated_journals_recover_a_prefix_without_panicking() {
     let (original, segments) = build_journal(200, 50);
-    let mut mutator = Mutator::new(0x000D_ECAF_5EED);
-    let iters = iterations(10_000);
     let mut digest = 0xcbf2_9ce4_8422_2325; // the FNV-1a offset basis
-    for iter in 0..iters {
-        let mutant = mutator.mutate_journal(&segments);
-        for (index, segment) in (0u32..).zip(&mutant) {
-            check_segment_decoder(&original, segment, index, iter);
+    let gen = |rng: &mut Rng| mutate_journal(rng, &segments);
+    for_all(0x000D_ECAF_5EED, 10_000, gen, |mutant| {
+        for (index, segment) in (0u32..).zip(mutant) {
+            check_segment_decoder(&original, segment, index);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| recover_events(mutant)));
-        let (recovered, stats) = match outcome {
-            Ok(r) => r,
-            Err(_) => panic!("iteration {iter}: recovery panicked"),
-        };
+        let (recovered, stats) = recover_events(mutant.clone());
         assert!(
             original.starts_with(&recovered),
-            "iteration {iter}: recovered {} events that are not a prefix of the original",
+            "recovered {} events that are not a prefix of the original",
             recovered.len()
         );
         assert_eq!(
             stats.records_kept as usize,
             recovered.len(),
-            "iteration {iter}: stats disagree with the replayed stream"
+            "stats disagree with the replayed stream"
         );
         digest = fnv1a(digest, format!("{:?}", (recovered.len(), stats)).as_bytes());
-    }
-    // a smaller DECOY_FUZZ_ITERS smoke run covers fewer mutants
-    if iters == 10_000 {
-        assert_eq!(
-            digest, CAMPAIGN_DIGEST,
-            "strict replay recovered differently"
-        );
-    }
+    });
+    assert_eq!(
+        digest, CAMPAIGN_DIGEST,
+        "strict replay recovered differently"
+    );
 }
 
 /// Decode one mutant segment on its own, as the shard join does: no panic,
 /// every record yielded is the original record at its sequence number
 /// (`original[first_seq..][..n]`), and the collecting path agrees.
-fn check_segment_decoder(original: &[Event], segment: &[u8], index: u32, iter: usize) {
-    let decoded = catch_unwind(AssertUnwindSafe(|| {
-        let mut seen = Vec::new();
-        let verdict = decode_segment(segment, index, |seq, event| {
-            seen.push((seq, event.to_event()));
-        });
-        (verdict, seen)
-    }));
-    let Ok((verdict, seen)) = decoded else {
-        panic!("iteration {iter}: segment {index}: the segment decoder panicked");
-    };
+fn check_segment_decoder(original: &[Event], segment: &[u8], index: u32) {
+    let mut seen = Vec::new();
+    let verdict = decode_segment(segment, index, |seq, event| {
+        seen.push((seq, event.to_event()));
+    });
     let (seqs, records): (Vec<u64>, Vec<Event>) = seen.into_iter().unzip();
     for (k, seq) in (0u64..).zip(&seqs) {
         assert_eq!(
             *seq,
             verdict.first_seq + k,
-            "iteration {iter}: segment {index}: records out of sequence"
+            "segment {index}: records out of sequence"
         );
     }
     if !records.is_empty() {
@@ -174,13 +157,13 @@ fn check_segment_decoder(original: &[Event], segment: &[u8], index: u32, iter: u
         assert_eq!(
             at_their_seqs,
             Some(records.as_slice()),
-            "iteration {iter}: segment {index}: records differ from the original at their sequence numbers"
+            "segment {index}: records differ from the original at their sequence numbers"
         );
     }
     assert_eq!(
         SegmentBatch::decode(segment, index).events,
         records,
-        "iteration {iter}: segment {index}: the collecting path disagrees with the visitor"
+        "segment {index}: the collecting path disagrees with the visitor"
     );
 }
 
