@@ -8,7 +8,26 @@
 //! exact), floats render as ryu does (`1.0`, `1e16`, `1.5e-7`) and
 //! non-finite floats as `null`, and nesting deeper than 127 arrays or
 //! objects is refused. The parser reads attacker bytes (CouchDB `PUT`
-//! bodies), so it returns an [`Error`] on any input and never panics.
+//! bodies), so it returns an [`Error`] on any input and never panics, and
+//! clippy holds this module to the byte-path wall (DESIGN.md "Threat model
+//! of the byte path").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_macros,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::fmt;

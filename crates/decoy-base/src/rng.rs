@@ -175,7 +175,7 @@ pub fn for_all<T: Debug>(
         if let Err(panic) = catch_unwind(AssertUnwindSafe(|| prop(&input))) {
             eprintln!(
                 "for_all: case {case} of {cases} failed (seed {seed:#x}, case seed \
-                 {case_seed:#x}), input:\n{input:#?}"
+                 {case_seed:#x}), input:\n{input:?}"
             );
             resume_unwind(panic);
         }

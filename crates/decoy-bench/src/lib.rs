@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # decoy-bench
 //!
 //! Criterion micro- and ablation benches (wire codecs, substrate, journal

@@ -24,7 +24,7 @@ pub const TIMING_SAMPLES: usize = 24;
 fn shaped_timing(session: u64) -> Vec<u64> {
     let shaper = LatencyShaper::new(11, LatencyProfile::lan());
     (0..TIMING_SAMPLES as u64)
-        .map(|op| shaper.delay_for(session, op).as_micros() as u64)
+        .map(|op| crate::engine::micros(shaper.delay_for(session, op)))
         .collect()
 }
 
@@ -130,7 +130,7 @@ pub fn hardened() -> Vec<Surface> {
     elastic.error_unknown =
         render(|out| catalog::elastic_index_not_found(out, "fingerprint_probe"));
     let mut couchdb = base_couchdb();
-    couchdb.error_unknown = render(|out| catalog::couch_not_found(out));
+    couchdb.error_unknown = render(catalog::couch_not_found);
     let mut surfaces = vec![mysql, postgres, mongodb, redis, elastic, couchdb];
     for (i, s) in surfaces.iter_mut().enumerate() {
         s.timing_us = shaped_timing(i as u64);
@@ -157,7 +157,7 @@ pub fn legacy() -> Vec<Surface> {
         "{\"error\":{\"root_cause\":[{\"type\":\"index_not_found_exception\",\"reason\":\"no such index\"}]},\"status\":404}".to_string();
     let mut couchdb = base_couchdb();
     // CouchDB's not_found body was already canonical pre-hardening.
-    couchdb.error_unknown = render(|out| catalog::couch_not_found(out));
+    couchdb.error_unknown = render(catalog::couch_not_found);
     let mut surfaces = vec![mysql, postgres, mongodb, redis, elastic, couchdb];
     for s in surfaces.iter_mut() {
         s.timing_us = vec![45; TIMING_SAMPLES];

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use decoy_base::json::{self, Value};
 use decoy_net::framed::Framed;
@@ -26,6 +26,11 @@ use tokio::net::TcpStream;
 use crate::probes::Surface;
 
 type Fail = Box<dyn std::error::Error + Send + Sync>;
+
+/// `d` in whole microseconds, saturating: a timing sample.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
 
 /// How the engine deploys and probes the fleet.
 #[derive(Debug, Clone)]
@@ -200,7 +205,7 @@ async fn capture_mysql(addr: SocketAddr, samples: usize) -> Result<Surface, Fail
         })
         .await?;
         f.read_frame().await?.ok_or("no ping reply")?;
-        s.timing_us.push(t0.elapsed().as_micros() as u64);
+        s.timing_us.push(micros(t0.elapsed()));
     }
     Ok(s)
 }
@@ -274,7 +279,7 @@ async fn capture_postgres(addr: SocketAddr, samples: usize) -> Result<Surface, F
                 _ => continue,
             }
         }
-        s.timing_us.push(t0.elapsed().as_micros() as u64);
+        s.timing_us.push(micros(t0.elapsed()));
     }
     f.write_frame(&pgwire::FrontendMessage::Terminate).await?;
     Ok(s)
@@ -309,6 +314,10 @@ async fn capture_mongodb(addr: SocketAddr, samples: usize) -> Result<Surface, Fa
     let hello = reply.command_doc().ok_or("isMaster reply had no body")?;
     if let Some(wire) = hello.get_f64("maxWireVersion") {
         let mut text = String::new();
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "`as` saturates; the fact is the integer part a scanner reads"
+        )]
         let _ = write!(text, "{}", wire as i64);
         s.push_fact("maxWireVersion", text);
     }
@@ -326,7 +335,7 @@ async fn capture_mongodb(addr: SocketAddr, samples: usize) -> Result<Surface, Fa
         f.write_frame(&command(doc! { "ping" => 1i32, "$db" => "admin" }))
             .await?;
         f.read_frame().await?.ok_or("no ping reply")?;
-        s.timing_us.push(t0.elapsed().as_micros() as u64);
+        s.timing_us.push(micros(t0.elapsed()));
     }
     Ok(s)
 }
@@ -382,7 +391,7 @@ async fn capture_redis(addr: SocketAddr, samples: usize) -> Result<Surface, Fail
         let t0 = Instant::now();
         f.write_frame(&resp::RespValue::command(&["PING"])).await?;
         f.read_frame().await?.ok_or("no PING reply")?;
-        s.timing_us.push(t0.elapsed().as_micros() as u64);
+        s.timing_us.push(micros(t0.elapsed()));
     }
     Ok(s)
 }
@@ -410,7 +419,7 @@ async fn capture_http(
         let t0 = Instant::now();
         f.write_frame(&http::HttpRequest::new("GET", "/")).await?;
         f.read_frame().await?.ok_or("no timing reply")?;
-        s.timing_us.push(t0.elapsed().as_micros() as u64);
+        s.timing_us.push(micros(t0.elapsed()));
     }
     Ok(s)
 }

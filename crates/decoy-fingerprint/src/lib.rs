@@ -19,11 +19,26 @@
 //! from the hardening layer (`decoy_honeypots::catalog`, the seeded
 //! latency shaper in `decoy-net`) stays measurable and regression-proof.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::expect_used))]
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-#![cfg_attr(not(test), deny(clippy::panic))]
-#![forbid(unsafe_code)]
+// The probes parse live honeypot responses, attacker-shaped bytes; clippy
+// holds them to the byte-path wall (DESIGN.md "Threat model of the byte
+// path").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_macros,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod corpus;

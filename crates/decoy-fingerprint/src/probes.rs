@@ -293,80 +293,29 @@ pub fn probe_capability(surface: &Surface) -> Vec<ProbeFinding> {
 
 /// Stage 3: error-catalog fidelity for malformed and unknown requests.
 pub fn probe_errors(surface: &Surface) -> Vec<ProbeFinding> {
-    let mut out = Vec::new();
-    match surface.family.as_str() {
-        "redis" => {
-            if !surface.error_unknown.starts_with("ERR unknown command `") {
-                out.push(finding(
-                    surface,
-                    "error",
-                    3,
-                    "unknown-command error does not use the backtick format real servers ship"
-                        .to_string(),
-                ));
-            }
+    let (unknown, syntax) = (&surface.error_unknown, &surface.error_syntax);
+    let flaw = match surface.family.as_str() {
+        "redis" if !unknown.starts_with("ERR unknown command `") => {
+            "unknown-command error does not use the backtick format real servers ship"
         }
-        "mysql" => {
-            if !surface.error_syntax.contains("check the manual")
-                || !surface.error_syntax.ends_with("at line 1")
-            {
-                out.push(finding(
-                    surface,
-                    "error",
-                    3,
-                    "ER_PARSE_ERROR text is missing the manual clause real servers ship"
-                        .to_string(),
-                ));
-            }
+        "mysql" if !syntax.contains("check the manual") || !syntax.ends_with("at line 1") => {
+            "ER_PARSE_ERROR text is missing the manual clause real servers ship"
         }
-        "postgres" => {
-            if !surface.error_syntax.starts_with("syntax error at or near") {
-                out.push(finding(
-                    surface,
-                    "error",
-                    3,
-                    "parse error is not the stock 'syntax error at or near' message".to_string(),
-                ));
-            }
+        "postgres" if !syntax.starts_with("syntax error at or near") => {
+            "parse error is not the stock 'syntax error at or near' message"
         }
-        "mongodb" => {
-            if !surface.error_unknown.contains("codeName") {
-                out.push(finding(
-                    surface,
-                    "error",
-                    3,
-                    "command error omits the codeName field every real 3.4+ server returns"
-                        .to_string(),
-                ));
-            }
+        "mongodb" if !unknown.contains("codeName") => {
+            "command error omits the codeName field every real 3.4+ server returns"
         }
-        "elastic" => {
-            if !surface.error_unknown.contains("resource.type")
-                || !surface.error_unknown.contains("index_uuid")
-            {
-                out.push(finding(
-                    surface,
-                    "error",
-                    3,
-                    "index_not_found_exception omits the resource.* / index_uuid fields"
-                        .to_string(),
-                ));
-            }
+        "elastic" if !unknown.contains("resource.type") || !unknown.contains("index_uuid") => {
+            "index_not_found_exception omits the resource.* / index_uuid fields"
         }
-        "couchdb" => {
-            if surface.error_unknown != "{\"error\":\"not_found\",\"reason\":\"missing\"}" {
-                out.push(finding(
-                    surface,
-                    "error",
-                    3,
-                    "missing-database body differs from the canonical not_found document"
-                        .to_string(),
-                ));
-            }
+        "couchdb" if unknown != "{\"error\":\"not_found\",\"reason\":\"missing\"}" => {
+            "missing-database body differs from the canonical not_found document"
         }
-        _ => {}
-    }
-    out
+        _ => return Vec::new(),
+    };
+    vec![finding(surface, "error", 3, flaw.to_string())]
 }
 
 /// Minimum latency samples before the timing stage will judge a surface.

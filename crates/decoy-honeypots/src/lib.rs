@@ -1,16 +1,22 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Honeypot read paths handle attacker-controlled bytes end to end. Like
-// decoy-wire, they must be total: Ok or Err, never a panic. `decoy-xtask
-// lint` enforces the same wall with file:line diagnostics; see DESIGN.md
-// "Threat model of the byte path".
+// decoy-wire, they must be total: Ok or Err, never a panic. Clippy holds
+// that wall; see DESIGN.md "Threat model of the byte path".
 #![cfg_attr(
     not(test),
     deny(
         clippy::unwrap_used,
         clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::indexing_slicing,
-        clippy::panic
+        clippy::string_slice,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_macros,
+        clippy::allow_attributes_without_reason
     )
 )]
 

@@ -11,7 +11,7 @@ use crate::docdb::DocDb;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
 use decoy_fakedata::FakeDataGenerator;
-use decoy_net::cursor::sat_i32;
+use decoy_net::cursor::{sat_i32, sat_i64};
 use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
@@ -154,9 +154,12 @@ impl MongoHoneypot {
                 let coll = cmd.get_str(&name).unwrap_or("unknown").to_string();
                 log.command(&format!("find {db_name}.{coll}"));
                 let filter = cmd.get_doc("filter").cloned().unwrap_or_default();
-                // clamped to [0, 1e6] so the f64 → u64 conversion is exact
-                let limit = cmd.get_f64("limit").unwrap_or(0.0).clamp(0.0, 1e6) as u64;
-                let limit = usize::try_from(limit).unwrap_or(1_000_000);
+                let limit = cmd.get_f64("limit").unwrap_or(0.0).clamp(0.0, 1e6);
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "clamped to [0, 1e6], so the cast drops only the fraction"
+                )]
+                let limit = usize::try_from(limit as u64).unwrap_or(1_000_000);
                 let docs = self.db.find(&db_name, &coll, &filter, limit);
                 cursor_reply(&db_name, &coll, docs)
             }
@@ -164,7 +167,8 @@ impl MongoHoneypot {
                 let coll = cmd.get_str(&name).unwrap_or("unknown").to_string();
                 log.command(&format!("count {db_name}.{coll}"));
                 let filter = cmd.get_doc("query").cloned().unwrap_or_default();
-                doc! { "n" => self.db.count(&db_name, &coll, &filter) as i64, "ok" => 1.0f64 }
+                let n = sat_i64(self.db.count(&db_name, &coll, &filter));
+                doc! { "n" => n, "ok" => 1.0f64 }
             }
             "insert" => {
                 let coll = cmd.get_str(&name).unwrap_or("unknown").to_string();

@@ -13,6 +13,7 @@
 use crate::catalog;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
+use decoy_net::cursor::sat_i64;
 use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
@@ -110,7 +111,7 @@ impl RedisHoneypot {
                     .filter_map(|i| cmd.arg_text(i))
                     .collect();
                 let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-                RespValue::Integer(self.kv.del(&refs) as i64)
+                RespValue::Integer(sat_i64(self.kv.del(&refs)))
             }
             "EXISTS" => {
                 let Some(key) = cmd.arg_text(0) else {
@@ -134,7 +135,7 @@ impl RedisHoneypot {
                 };
                 RespValue::Simple(self.kv.type_of(&key).into())
             }
-            "DBSIZE" => RespValue::Integer(self.kv.len() as i64),
+            "DBSIZE" => RespValue::Integer(sat_i64(self.kv.len())),
             "FLUSHDB" | "FLUSHALL" => {
                 self.kv.flush();
                 RespValue::Simple("OK".into())
@@ -185,7 +186,7 @@ impl RedisHoneypot {
                     .iter()
                     .map(|b| b.to_vec())
                     .collect();
-                RespValue::Integer(self.kv.rpush(&key, tail) as i64)
+                RespValue::Integer(sat_i64(self.kv.rpush(&key, tail)))
             }
             "LRANGE" => {
                 let (Some(key), Some(start), Some(stop)) =
@@ -208,7 +209,7 @@ impl RedisHoneypot {
                 let Some(key) = cmd.arg_text(0) else {
                     return wrong_args("llen");
                 };
-                RespValue::Integer(self.kv.llen(&key) as i64)
+                RespValue::Integer(sat_i64(self.kv.llen(&key)))
             }
             "INFO" => RespValue::Bulk(self.info_text(cmd.arg_text(0)).into_bytes().into()),
             "CONFIG" => match cmd.arg_text(0).map(|s| s.to_uppercase()).as_deref() {

@@ -3,9 +3,9 @@
 //! Every `decoy-wire` decoder parses attacker-controlled input. [`ByteCursor`]
 //! centralises the only bounds checks those decoders need: every read is
 //! fallible, every failure carries the byte offset it happened at, and no
-//! code path indexes a slice directly. The `decoy-xtask analyze` lint pass
-//! forbids raw indexing in the decoders precisely so that all conversions
-//! funnel through this audited module.
+//! code path indexes a slice directly. Clippy's panic wall forbids raw
+//! indexing in the decoders precisely so that all conversions funnel
+//! through this audited module.
 
 use crate::error::{WireError, WireErrorKind, WireProtocol};
 
@@ -209,6 +209,11 @@ pub fn sat_u32(n: usize) -> u32 {
 /// Saturating `usize` → `i32` for BSON/Mongo length prefixes.
 pub fn sat_i32(n: usize) -> i32 {
     i32::try_from(n).unwrap_or(i32::MAX)
+}
+
+/// Saturating `usize` → `i64` for RESP integer replies and BSON counts.
+pub fn sat_i64(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
 }
 
 /// Saturating `usize` → `u16` for TDS packet lengths.

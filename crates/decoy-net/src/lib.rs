@@ -1,14 +1,21 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Attacker bytes flow through this crate; the byte path must be total.
-// `decoy-xtask analyze` enforces the same wall with file:line diagnostics.
+// Clippy holds that wall (DESIGN.md "Threat model of the byte path").
 #![cfg_attr(
     not(test),
     deny(
         clippy::unwrap_used,
         clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::indexing_slicing,
-        clippy::panic
+        clippy::string_slice,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_macros,
+        clippy::allow_attributes_without_reason
     )
 )]
 

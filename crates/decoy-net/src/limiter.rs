@@ -33,13 +33,15 @@ struct Bucket {
 impl RateLimiter {
     /// A limiter allowing `rate_per_sec` sustained and `burst` instantaneous
     /// admissions per source IP.
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "deploy-time config invariant, not on the byte path"
+    )]
     pub fn new(rate_per_sec: f64, burst: u32) -> Self {
         // Constructor misconfiguration is operator error at deploy time, not
         // attacker input; failing fast here can never be reached by peer
         // bytes. Locks below are decoy_base::sync and cannot poison.
-        // decoy-lint: allow(panic) -- deploy-time config invariant, not on the byte path
         assert!(rate_per_sec > 0.0, "rate must be positive");
-        // decoy-lint: allow(panic) -- deploy-time config invariant, not on the byte path
         assert!(burst >= 1, "burst must admit at least one");
         RateLimiter {
             rate_per_sec,
@@ -106,8 +108,11 @@ pub struct ConnectionPermit {
 
 impl ConnectionGate {
     /// A gate admitting at most `limit` concurrent sessions.
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "deploy-time config invariant, not on the byte path"
+    )]
     pub fn new(limit: usize) -> Self {
-        // decoy-lint: allow(panic) -- deploy-time config invariant, not on the byte path
         assert!(limit >= 1, "gate must admit at least one session");
         ConnectionGate {
             inner: Arc::new(GateInner {

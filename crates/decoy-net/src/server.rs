@@ -349,7 +349,9 @@ impl AsyncWrite for SessionStream {
                 match shape.clock.sim() {
                     // Simulated time: the experiment clock advances by the
                     // drawn delay and the write proceeds immediately.
-                    Some(sim) => sim.advance_millis(delay.as_millis() as u64),
+                    Some(sim) => {
+                        sim.advance_millis(u64::try_from(delay.as_millis()).unwrap_or(u64::MAX))
+                    }
                     None => shape.pending = Some(Box::pin(tokio::time::sleep(delay))),
                 }
             }

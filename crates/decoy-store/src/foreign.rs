@@ -7,17 +7,7 @@
 //! side — when a Redis or PostgreSQL honeypot logs an undecodable blob, the
 //! recognizers tell the classifier what the actor was actually scanning for.
 
-// `recognize` reads attacker bytes, so this module keeps the byte path's
-// panic-freedom wall, as `decoy-xtask analyze` does for it.
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::indexing_slicing,
-        clippy::panic
-    )
-)]
+// `recognize` reads attacker bytes; the crate root's panic wall covers it.
 
 /// What a foreign payload turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

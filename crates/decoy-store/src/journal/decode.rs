@@ -1,9 +1,9 @@
 //! Total decoding and crash recovery for journal segments.
 //!
 //! Everything in this file parses potentially corrupt on-disk bytes, so it
-//! is registered in the `decoy-xtask` panic-freedom lint (`ENFORCED_FILES`)
-//! and obeys the byte-path rules: every read is bounds-checked, every
-//! conversion is fallible, and no input can panic the process. Recovery is
+//! obeys the byte-path rules that clippy holds decoy-store to: every read
+//! is bounds-checked, every conversion is fallible, and no input can panic
+//! the process. Recovery is
 //! *total*. [`decode_segment`], the one decoder of closed segments, maps
 //! any byte sequence to the segment's valid records and a
 //! [`SegmentVerdict`]. Strict replay folds the verdicts of a whole journal,
@@ -222,12 +222,15 @@ impl fmt::Display for RecoveryStats {
 /// zero bytes, so one step folds eight input bytes with eight lookups.
 const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+#[allow(
+    clippy::indexing_slicing,
+    reason = "a checked index is not const; k < 8 and n < 256"
+)]
 const fn crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
-    let mut n = 0;
+    let mut n: u32 = 0;
     while n < 256 {
-        // decoy-lint: allow(cast) -- n < 256 fits a u32
-        let mut crc = n as u32;
+        let mut crc = n;
         let mut k = 0;
         while k < 8 {
             let mut bit = 0;
@@ -235,8 +238,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
                 crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
                 bit += 1;
             }
-            // decoy-lint: allow(index) -- compile-time loop, k < 8 and n < 256
-            tables[k][n] = crc;
+            tables[k][n as usize] = crc;
             k += 1;
         }
         n += 1;

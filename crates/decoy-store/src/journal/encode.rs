@@ -27,8 +27,8 @@
 //! sequence number or payload fails the check, and a tampered length prefix
 //! shifts which bytes are read as `body`/`crc` so it fails too. Encoder and
 //! decoder share one implementation, [`crc32`], which lives in
-//! [`super::decode`] under the panic-freedom lint and folds eight bytes per
-//! step through compile-time tables.
+//! [`super::decode`] and folds eight bytes per step through compile-time
+//! tables.
 //!
 //! Event payload encoding (all integers varint unless noted):
 //!
@@ -43,9 +43,14 @@
 //! u8, `[recognized]`, preview), `5` Malformed (detail), `6` Health (state u8,
 //! restarts, detail).
 //!
-//! The decoding side lives in [`super::decode`], which is registered in the
-//! `decoy-xtask` panic-freedom lint: it parses potentially corrupt on-disk
-//! bytes and must be total.
+//! The decoding side lives in [`super::decode`]: it parses potentially
+//! corrupt on-disk bytes and must be total.
+#![allow(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "the encoder indexes and narrows only into buffers it sized itself, on every \
+              append; it never reads bytes from outside"
+)]
 
 use super::decode::crc32;
 use crate::events::{ConfigVariant, Dbms, Event, EventKindRef, EventRef, InteractionLevel};

@@ -12,8 +12,7 @@
 //! The live report uses a [`JournalTail`], which reads the newest segment
 //! from an offset and picks up new records as a live writer flushes them.
 //! Everything here parses potentially corrupt on-disk bytes, so this file
-//! is registered in the `decoy-xtask` panic-freedom lint (`ENFORCED_FILES`)
-//! and obeys the byte-path rules.
+//! obeys the byte-path rules that clippy holds decoy-store to.
 //!
 //! Rotation protocol the tail leans on: the writer flushes and fsyncs a
 //! segment *before* creating its successor, so once a successor file

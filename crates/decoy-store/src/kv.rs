@@ -316,19 +316,24 @@ impl KvStore {
         let Some(KvValue::List(list)) = inner.data.get(key) else {
             return Vec::new();
         };
-        let len = list.len() as i64;
-        let idx = |i: i64| -> i64 {
+        // Redis's rules: a negative index counts back from the end, a start
+        // before the head clamps to it, and a stop before the head selects
+        // nothing
+        let resolve = |i: i64| -> Option<usize> {
+            let magnitude = usize::try_from(i.unsigned_abs()).unwrap_or(usize::MAX);
             if i < 0 {
-                (len + i).max(0)
+                list.len().checked_sub(magnitude)
             } else {
-                i.min(len)
+                Some(magnitude)
             }
         };
-        let (a, b) = (idx(start), idx(stop).min(len - 1));
-        if len == 0 || a > b {
+        let (start, Some(stop)) = (resolve(start).unwrap_or(0), resolve(stop)) else {
             return Vec::new();
-        }
-        list[a as usize..=(b as usize)].to_vec()
+        };
+        let end = stop.saturating_add(1).min(list.len());
+        list.get(start..end)
+            .map(<[Vec<u8>]>::to_vec)
+            .unwrap_or_default()
     }
 
     /// `LLEN key`.
@@ -601,7 +606,17 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            (values, rng.gen_range(-15i64..15), rng.gen_range(-15i64..15))
+            // the extremes and ±len beside the small indices
+            let len = values.len() as i64;
+            let index = |rng: &mut Rng| match rng.gen_range(0..8) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => len,
+                3 => -len,
+                _ => rng.gen_range(-15i64..15),
+            };
+            let (start, stop) = (index(rng), index(rng));
+            (values, start, stop)
         };
         for_all(0x17a6e, 256, gen, |(values, start, stop)| {
             let kv = KvStore::new();
@@ -609,15 +624,16 @@ mod tests {
                 kv.rpush("l", values.clone());
             }
             let got = kv.lrange("l", *start, *stop);
-            // oracle: Redis semantics on a plain Vec
-            let len = values.len() as i64;
-            let norm = |i: i64| if i < 0 { (len + i).max(0) } else { i.min(len) };
-            let (a, b) = (norm(*start), norm(*stop).min(len - 1));
-            let expected: Vec<Vec<u8>> = if len == 0 || a > b {
-                Vec::new()
-            } else {
-                values[a as usize..=(b as usize)].to_vec()
-            };
+            // oracle: Redis semantics, element by element in i128 (a
+            // negative index counts from the end, both bounds inclusive)
+            let len = values.len() as i128;
+            let norm = |i: i64| i128::from(i) + if i < 0 { len } else { 0 };
+            let (lo, hi) = (norm(*start), norm(*stop));
+            let expected: Vec<Vec<u8>> = (0..)
+                .zip(values)
+                .filter(|(j, _)| (lo..=hi).contains(j))
+                .map(|(_, v)| v.clone())
+                .collect();
             assert_eq!(got, expected);
         });
     }

@@ -1,5 +1,25 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// The journal's recovery path parses possibly corrupt bytes from disk, and
+// `foreign` and `kv` take attacker bytes from the honeypots; clippy holds
+// the crate to the byte-path wall (DESIGN.md "Threat model of the byte
+// path").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_macros,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 //! # decoy-store
 //!

@@ -45,10 +45,10 @@ fn mask_token(token: &str) -> String {
     }
     if let Some(ip_end) = ipv4_prefix_len(token) {
         // fold ":port" into the mask when present
-        let rest = &token[ip_end..];
+        let rest = token.get(ip_end..).unwrap_or_default();
         if let Some(port_rest) = rest.strip_prefix(':') {
-            let digits = port_rest.chars().take_while(|c| c.is_ascii_digit()).count();
-            return format!("<IP>{}", &port_rest[digits..]);
+            let after_port = port_rest.trim_start_matches(|c: char| c.is_ascii_digit());
+            return format!("<IP>{after_port}");
         }
         return format!("<IP>{rest}");
     }
@@ -62,10 +62,8 @@ fn mask_token(token: &str) -> String {
 }
 
 fn mask_host_path(rest: &str) -> String {
-    let (host, path) = match rest.find('/') {
-        Some(i) => (&rest[..i], &rest[i..]),
-        None => (rest, ""),
-    };
+    let path_start = rest.find('/').unwrap_or(rest.len());
+    let (host, path) = rest.split_at_checked(path_start).unwrap_or((rest, ""));
     let host_masked = if ipv4_prefix_len(host.split(':').next().unwrap_or(host))
         == Some(host.split(':').next().unwrap_or(host).len())
     {
@@ -148,24 +146,29 @@ fn ipv4_prefix_len(token: &str) -> Option<usize> {
     let bytes = token.as_bytes();
     let mut idx = 0;
     for octet in 0..4 {
-        let start = idx;
-        let mut value: u32 = 0;
-        while idx < bytes.len() && bytes[idx].is_ascii_digit() && idx - start < 3 {
-            value = value * 10 + (bytes[idx] - b'0') as u32;
-            idx += 1;
+        let digits = bytes.get(idx..).unwrap_or_default();
+        let digits = digits.iter().take(3).take_while(|b| b.is_ascii_digit());
+        let (mut value, mut width) = (0u32, 0);
+        for digit in digits {
+            value = value * 10 + u32::from(digit - b'0');
+            width += 1;
         }
-        if idx == start || value > 255 {
+        if width == 0 || value > 255 {
             return None;
         }
+        idx += width;
         if octet < 3 {
-            if idx >= bytes.len() || bytes[idx] != b'.' {
+            if bytes.get(idx) != Some(&b'.') {
                 return None;
             }
             idx += 1;
         }
     }
     // a trailing '.' or digit means this was not a 4-octet address
-    if idx < bytes.len() && (bytes[idx] == b'.' || bytes[idx].is_ascii_digit()) {
+    if bytes
+        .get(idx)
+        .is_some_and(|b| *b == b'.' || b.is_ascii_digit())
+    {
         return None;
     }
     Some(idx)
@@ -283,11 +286,24 @@ mod tests {
 
     #[test]
     fn masking_is_idempotent() {
+        // printable ASCII, with multi-byte UTF-8 drawn next to IPv4
+        // literals and `:port` suffixes, where the masker cuts the token
         let gen = |rng: &mut Rng| -> String {
             let len = rng.gen_range(0..=80);
-            (0..len)
-                .map(|_| char::from(rng.gen_range(b' '..=b'~')))
-                .collect()
+            let mut s = String::new();
+            for _ in 0..len {
+                match rng.gen_range(0..10) {
+                    0 => {
+                        let mut octet = || rng.gen_range(0..=300u32);
+                        let ip = format!("{}.{}.{}.{}", octet(), octet(), octet(), octet());
+                        s.push_str(&ip);
+                    }
+                    1 => s.push_str(&format!(":{}", rng.gen_range(0..=70_000u32))),
+                    2 => s.push(['é', '中', '😀', '\u{80}'][rng.gen_range(0..4usize)]),
+                    _ => s.push(char::from(rng.gen_range(b' '..=b'~'))),
+                }
+            }
+            s
         };
         for_all(0x3a5c, 256, gen, |input| {
             let once = normalize_action(input);

@@ -1,16 +1,23 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Every byte entering this crate is attacker-controlled. Parsing must be
-// total: Ok or Err, never a panic. `decoy-xtask analyze` enforces the same
-// wall (plus slice-indexing and `as`-truncation bans) with file:line
-// diagnostics; see DESIGN.md "Threat model of the byte path".
+// total: Ok or Err, never a panic. Clippy holds that wall; an escape is
+// `#[allow(clippy::…, reason = "…")]`. See DESIGN.md "Threat model of the
+// byte path".
 #![cfg_attr(
     not(test),
     deny(
         clippy::unwrap_used,
         clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::indexing_slicing,
-        clippy::panic
+        clippy::string_slice,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_macros,
+        clippy::allow_attributes_without_reason
     )
 )]
 

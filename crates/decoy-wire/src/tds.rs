@@ -257,6 +257,11 @@ const LOGIN7_FIXED: usize = 94;
 
 impl Login7 {
     /// Serialize into a LOGIN7 payload.
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "a debug-build check of the client encoder's own fixed layout; no peer byte \
+                  reaches it"
+    )]
     pub fn build(&self) -> Bytes {
         let fields = [
             ucs2_encode(&self.hostname),

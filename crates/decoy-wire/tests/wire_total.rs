@@ -2,7 +2,7 @@
 //!
 //! Every `decoy-wire` decoder must return `Ok` or `Err` — never panic — on
 //! arbitrary bytes. This is the fuzz half of the panic-freedom audit
-//! (`decoy-xtask analyze`'s lint pass is the static half): for each codec
+//! (clippy's panic wall is the static half): for each codec
 //! side, `decoy_base::rng::for_all` runs 10,000 hostile variants drawn by
 //! `decoy_base::rng::mutate` from two seed pools, the malformed-frame
 //! corpus in `tests/corpus/<protocol>/` (truncated header, zero length,

@@ -4,9 +4,6 @@
 //!
 //! Pass scopes:
 //!
-//! * **lint** (panic-freedom) — the enforced byte-path set
-//!   ([`ENFORCED_PREFIXES`] / [`ENFORCED_FILES`]), plus the crate-root
-//!   `#![forbid(unsafe_code)]` wall for every crate.
 //! * **locks** — everything under `decoy-net`, `decoy-store`,
 //!   `decoy-core`, `decoy-geo` and `decoy-honeypots` (`src/` trees),
 //!   analyzed together as one program so inter-file call chains contribute
@@ -26,37 +23,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::diag::{report_json, Baseline, Finding, SourceFile};
-use crate::{alloc, bench, lint, locks};
-
-/// Modules where the full panic-freedom rule set applies. Everything under
-/// these paths parses or serves attacker-controlled bytes.
-pub const ENFORCED_PREFIXES: [&str; 2] = ["crates/decoy-wire/src/", "crates/decoy-honeypots/src/"];
-
-/// Individually enforced files outside the blanket prefixes.
-pub const ENFORCED_FILES: [&str; 16] = [
-    "crates/decoy-net/src/codec.rs",
-    "crates/decoy-net/src/cursor.rs",
-    "crates/decoy-net/src/framed.rs",
-    "crates/decoy-net/src/error.rs",
-    "crates/decoy-net/src/server.rs",
-    "crates/decoy-net/src/proxy.rs",
-    "crates/decoy-net/src/limiter.rs",
-    "crates/decoy-net/src/supervisor.rs",
-    "crates/decoy-net/src/chaos.rs",
-    // the latency shaper sits on every accept/response path
-    "crates/decoy-net/src/latency.rs",
-    "crates/decoy-store/src/events.rs",
-    // the honeypots and the direct emitter run `recognize` on attacker bytes
-    "crates/decoy-store/src/foreign.rs",
-    // the journal's recovery path parses potentially corrupt on-disk bytes
-    "crates/decoy-store/src/journal/decode.rs",
-    // the segment/tail streaming layer parses the same untrusted bytes
-    "crates/decoy-store/src/journal/stream.rs",
-    // the probe engine parses live honeypot responses (attacker-shaped bytes)
-    "crates/decoy-fingerprint/src/probes.rs",
-    // the JSON codec parses CouchDB `PUT` bodies (attacker bytes)
-    "crates/decoy-base/src/json.rs",
-];
+use crate::{alloc, bench, locks};
 
 /// Crate `src/` trees the lock-discipline pass analyzes as one program.
 pub const LOCK_SCOPE: [&str; 6] = [
@@ -93,12 +60,6 @@ pub const HOT_PATH_EXPECTED: [&str; 14] = [
     // every JSON body escapes through it, each unknown-index 404 included
     "crates/decoy-base/src/json.rs",
 ];
-
-/// True when the panic-freedom rule set applies to `rel`
-/// (workspace-relative, `/`-separated).
-pub fn is_enforced(rel: &str) -> bool {
-    ENFORCED_PREFIXES.iter().any(|p| rel.starts_with(p)) || ENFORCED_FILES.contains(&rel)
-}
 
 /// What `analyze` produces: fresh findings (post-baseline) plus the
 /// bookkeeping the report and exit code are built from.
@@ -187,16 +148,6 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
             continue;
         }
         rust_files(&src_dir, &mut files).map_err(|e| format!("walk {}: {e}", src_dir.display()))?;
-        // crate-root unsafe wall applies to every crate, enforced or not
-        for rootfile in ["lib.rs", "main.rs"] {
-            let candidate = src_dir.join(rootfile);
-            if candidate.is_file() {
-                let rel = rel_of(root, &candidate);
-                let src =
-                    std::fs::read_to_string(&candidate).map_err(|e| format!("read {rel}: {e}"))?;
-                findings.extend(lint::check_forbid_unsafe(&rel, &src));
-            }
-        }
     }
     files.sort();
     files.dedup();
@@ -206,8 +157,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         // the analyzer does not scan itself: its source is saturated with
         // rule-pattern literals (docs, test fixtures, directive strings)
         // that would self-match; its correctness is covered by its own
-        // unit/integration suite instead (the crate-root unsafe wall above
-        // still applies)
+        // unit/integration suite instead
         if rel.starts_with("crates/decoy-xtask/src/") {
             continue;
         }
@@ -218,9 +168,6 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     // ---- per-file passes
     for sf in &sources {
         findings.extend(sf.bad_allows.iter().cloned());
-        if is_enforced(&sf.rel) {
-            findings.extend(lint::check(sf));
-        }
         findings.extend(alloc::check(sf));
     }
     // hot-path tag registry
@@ -348,29 +295,51 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
 mod tests {
     use super::*;
 
+    /// The panic wall is clippy's, but clippy cannot notice an attribute
+    /// that is gone: every byte-path root still denies all twelve lints.
     #[test]
     fn enforced_set_covers_the_byte_path() {
-        assert!(is_enforced("crates/decoy-wire/src/pgwire.rs"));
-        assert!(is_enforced("crates/decoy-wire/src/mongo/bson.rs"));
-        assert!(is_enforced("crates/decoy-honeypots/src/low.rs"));
-        // the document engine the Mongo and CouchDB honeypots serve from
-        assert!(is_enforced("crates/decoy-honeypots/src/docdb.rs"));
-        assert!(is_enforced("crates/decoy-net/src/codec.rs"));
-        assert!(is_enforced("crates/decoy-net/src/supervisor.rs"));
-        assert!(is_enforced("crates/decoy-net/src/chaos.rs"));
-        assert!(is_enforced("crates/decoy-store/src/events.rs"));
-        assert!(is_enforced("crates/decoy-store/src/foreign.rs"));
-        assert!(is_enforced("crates/decoy-store/src/journal/decode.rs"));
-        assert!(is_enforced("crates/decoy-store/src/journal/stream.rs"));
-        assert!(is_enforced("crates/decoy-net/src/latency.rs"));
-        assert!(is_enforced("crates/decoy-fingerprint/src/probes.rs"));
-        assert!(is_enforced("crates/decoy-base/src/json.rs"));
-        // the journal write path never parses untrusted bytes
-        assert!(!is_enforced("crates/decoy-store/src/journal/encode.rs"));
-        // analysis/reporting code is out of scope
-        assert!(!is_enforced("crates/decoy-analysis/src/lib.rs"));
-        assert!(!is_enforced("crates/decoy-base/src/time.rs"));
-        assert!(!is_enforced("src/main.rs"));
+        let walled = [
+            ("store", include_str!("../../decoy-store/src/lib.rs")),
+            ("wire", include_str!("../../decoy-wire/src/lib.rs")),
+            ("net", include_str!("../../decoy-net/src/lib.rs")),
+            (
+                "honeypots",
+                include_str!("../../decoy-honeypots/src/lib.rs"),
+            ),
+            (
+                "fingerprint",
+                include_str!("../../decoy-fingerprint/src/lib.rs"),
+            ),
+            ("json.rs", include_str!("../../decoy-base/src/json.rs")),
+        ];
+        for (name, src) in walled {
+            let wall = src
+                .split_once("#![cfg_attr(\n    not(test),\n    deny(")
+                .and_then(|(_, rest)| rest.split_once(")\n)]"))
+                .map(|(lints, _)| lints)
+                .unwrap_or_default();
+            for lint in [
+                "unwrap_used",
+                "expect_used",
+                "panic",
+                "unreachable",
+                "todo",
+                "unimplemented",
+                "indexing_slicing",
+                "string_slice",
+                "cast_possible_truncation",
+                "cast_possible_wrap",
+                "disallowed_macros",
+                "allow_attributes_without_reason",
+            ] {
+                assert!(
+                    wall.contains(&format!("clippy::{lint},"))
+                        || wall.contains(&format!("clippy::{lint}\n")),
+                    "{name} does not deny clippy::{lint}"
+                );
+            }
+        }
     }
 
     #[test]

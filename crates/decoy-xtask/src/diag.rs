@@ -8,18 +8,13 @@ use decoy_base::json::{self, object, Value};
 
 use crate::tok::{self, Tok};
 
-/// Rules that can be named in a `decoy-lint: allow(..)` comment. The first
-/// five are the PR 2 panic-freedom rules; `lock-*` belong to the
-/// lock-discipline pass and `alloc-*` to the hot-path allocation pass
-/// (bench-freshness findings live in JSON files, which have no comments —
-/// they are suppressed through the baseline instead).
-pub const RULE_NAMES: [&str; 13] = [
-    "unwrap",
-    "expect",
-    "panic",
-    "index",
-    "cast",
-    "lock-await",
+/// Rules that can be named in a `decoy-lint: allow(..)` comment:
+/// `lock-order` belongs to the lock-discipline pass and `alloc-*` to the
+/// hot-path allocation pass (bench-freshness findings live in JSON files,
+/// which have no comments — they are suppressed through the baseline
+/// instead). The panic-freedom wall is clippy's, and its escape is
+/// `#[allow(clippy::…, reason = "…")]`.
+pub const RULE_NAMES: [&str; 7] = [
     "lock-order",
     "alloc-vec",
     "alloc-to-vec",
@@ -39,9 +34,10 @@ pub struct Finding {
     /// 1-based column (byte offset within the line).
     pub col: usize,
     /// Rule name (one of [`RULE_NAMES`], or an infrastructure rule such as
-    /// `bad-allow`, `forbid-unsafe`, `hot-path-tag`, `bench-stale`).
+    /// `bad-allow`, `hot-path-tag-missing`, `bench-stale`).
     pub rule: &'static str,
-    /// Which pass produced it (`lint`, `locks`, `alloc`, `bench`).
+    /// Which pass produced it (`locks`, `alloc`, `bench`, or `diag` for a
+    /// malformed allow directive).
     pub pass: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -58,7 +54,7 @@ impl Finding {
 }
 
 /// Parsed allow-comments: line number (1-based) → allowed rules. Malformed
-/// allows are returned as findings (rule `bad-allow`, pass `lint`).
+/// allows are returned as findings (rule `bad-allow`, pass `diag`).
 pub fn parse_allows(file: &str, src: &str) -> (HashMap<usize, Vec<String>>, Vec<Finding>) {
     let mut map: HashMap<usize, Vec<String>> = HashMap::new();
     let mut bad = Vec::new();
@@ -97,7 +93,7 @@ pub fn parse_allows(file: &str, src: &str) -> (HashMap<usize, Vec<String>>, Vec<
                 line: lineno,
                 col: pos + 1,
                 rule: "bad-allow",
-                pass: "lint",
+                pass: "diag",
                 message: "malformed decoy-lint directive: expected \
                           `decoy-lint: allow(<rule>[, <rule>]) -- <reason>`"
                     .to_string(),
@@ -359,17 +355,18 @@ mod tests {
             file: "a \"b\".rs".into(),
             line: 3,
             col: 9,
-            rule: "unwrap",
-            pass: "lint",
+            rule: "lock-order",
+            pass: "locks",
             message: "bad\nthing".into(),
         };
+        assert_eq!(f.render(), "a \"b\".rs:3:9: [locks/lock-order] bad\nthing");
         let report = json::parse(report_json(&[f], 2, 1).as_bytes()).unwrap();
         let finding = &report["findings"].as_array().unwrap()[0];
         assert_eq!(finding["file"].as_str(), Some("a \"b\".rs"));
         assert_eq!(finding["line"].as_u64(), Some(3));
         assert_eq!(finding["col"].as_u64(), Some(9));
-        assert_eq!(finding["pass"].as_str(), Some("lint"));
-        assert_eq!(finding["rule"].as_str(), Some("unwrap"));
+        assert_eq!(finding["pass"].as_str(), Some("locks"));
+        assert_eq!(finding["rule"].as_str(), Some("lock-order"));
         assert_eq!(finding["message"].as_str(), Some("bad\nthing"));
         assert_eq!(report["count"].as_u64(), Some(1));
         assert_eq!(report["suppressed_by_baseline"].as_u64(), Some(2));
@@ -390,13 +387,28 @@ mod tests {
         let (map, bad) = parse_allows("t.rs", src);
         assert!(bad.is_empty());
         assert!(map.contains_key(&1));
+        // several rules in one directive
+        let src = "z(); // decoy-lint: allow(alloc-vec, alloc-clone) -- setup, runs once";
+        let (map, bad) = parse_allows("t.rs", src);
+        assert!(bad.is_empty());
+        assert_eq!(map.get(&1).map(Vec::len), Some(2));
+    }
+
+    #[test]
+    fn allow_does_not_leak_to_later_lines() {
+        let sf = SourceFile::new(
+            "t.rs",
+            "// decoy-lint: allow(alloc-clone) -- only the next line\nx.clone();\ny.clone();",
+        );
+        assert!(sf.allowed(2, "alloc-clone"));
+        assert!(!sf.allowed(3, "alloc-clone"));
     }
 
     #[test]
     fn allows_reject_unknown_rules_and_missing_reasons() {
         let (_, bad) = parse_allows("t.rs", "// decoy-lint: allow(everything) -- because");
         assert_eq!(bad.len(), 1);
-        let (_, bad) = parse_allows("t.rs", "// decoy-lint: allow(unwrap)");
+        let (_, bad) = parse_allows("t.rs", "// decoy-lint: allow(alloc-clone)");
         assert_eq!(bad.len(), 1);
     }
 
@@ -433,7 +445,7 @@ mod tests {
     fn alloc_budget_counts_only_alloc_rules() {
         let f1 = finding("a.rs", "alloc-clone", 5);
         let f2 = finding("a.rs", "alloc-vec", 6);
-        let f3 = finding("b.rs", "unwrap", 7);
+        let f3 = finding("b.rs", "lock-order", 7);
         let b = Baseline::from_findings([(&f1, "k1"), (&f2, "k2"), (&f3, "k3")]);
         assert_eq!(b.alloc_budget(), 2);
         // the rendered field is informational; parse recomputes from entries
@@ -453,10 +465,10 @@ mod tests {
     fn source_file_context() {
         let sf = SourceFile::new(
             "t.rs",
-            "fn f() { x.unwrap(); } // decoy-lint: allow(unwrap) -- invariant\n#[cfg(test)]\nmod t { fn g() {} }\n",
+            "fn f() { x.clone(); } // decoy-lint: allow(alloc-clone) -- invariant\n#[cfg(test)]\nmod t { fn g() {} }\n",
         );
-        assert!(sf.allowed(1, "unwrap"));
-        assert!(!sf.allowed(1, "panic"));
+        assert!(sf.allowed(1, "alloc-clone"));
+        assert!(!sf.allowed(1, "alloc-vec"));
         assert!(sf.line_key(1).starts_with("fn f()"));
         assert_eq!(sf.fns.len(), 2);
         assert!(!sf.in_test[0]);

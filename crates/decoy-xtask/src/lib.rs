@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # decoy-xtask
 //!
 //! Registry-free static analysis of the workspace, run as
@@ -13,10 +12,8 @@
 //! * [`diag`] — unified findings, `decoy-lint: allow` escape hatches, the
 //!   per-file [`diag::SourceFile`] context, JSON reports, and the
 //!   checked-in suppression baseline.
-//! * [`lint`] — the PR 2 panic-freedom pass (unwrap/expect/panic/index/
-//!   narrowing-cast) over the attacker-facing byte path.
-//! * [`locks`] — lock-discipline: guards held across `.await` and
-//!   inter-function lock-order cycles across the serving crates.
+//! * [`locks`] — lock discipline: inter-function lock-order cycles across
+//!   the serving crates.
 //! * [`alloc`] — hot-path allocation bans in `decoy-hot-path`-tagged
 //!   modules.
 //! * [`bench`](mod@bench) — freshness of committed `BENCH_*.json` placeholders.
@@ -27,6 +24,5 @@ pub mod alloc;
 pub mod analyze;
 pub mod bench;
 pub mod diag;
-pub mod lint;
 pub mod locks;
 pub mod tok;

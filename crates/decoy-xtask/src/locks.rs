@@ -1,8 +1,8 @@
-//! Lock-discipline pass: guards held across `.await` and inter-function
-//! lock-order cycles (deadlock candidates).
+//! Lock-discipline pass: inter-function lock-order cycles (deadlock
+//! candidates).
 //!
 //! Works on the shared token model, so it is an approximation with known
-//! blind spots (macro-hidden awaits, trait dispatch), but the workspace's
+//! blind spots (trait dispatch, calls it cannot resolve), but the workspace's
 //! one lock type — `decoy_base::sync`, whose `lock()`/`read()`/`write()`
 //! hand out the guard directly — is directly visible to it:
 //!
@@ -14,7 +14,6 @@
 //!   `drop(g)`; anything else is a temporary living to the end of its
 //!   statement (brace-aware, so `match x.lock() { .. }` scrutinees cover
 //!   the whole match).
-//! * **`lock-await`**: a `.await` inside a guard's extent.
 //! * **`lock-order`**: within a function, guard A alive when B is acquired
 //!   adds the edge A→B; a call to a known function while A is alive adds
 //!   A→L for every lock L that function may (transitively) acquire — but
@@ -30,8 +29,12 @@
 //! exactly what catches caller-determined acquisition order on two
 //! instances of the same structure.
 //!
-//! Escape hatch: `// decoy-lint: allow(lock-await|lock-order) -- <reason>`
-//! on (or above) the acquisition line.
+//! A guard held across `.await` is clippy's `await_holding_lock`, which is
+//! on by default and sees the std guards `decoy_base::sync` returns, so
+//! this pass does not look for it.
+//!
+//! Escape hatch: `// decoy-lint: allow(lock-order) -- <reason>` on (or
+//! above) the acquisition line.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -49,8 +52,6 @@ struct Acq {
     recv: String,
     /// Canonical node: `<file stem>:<last receiver ident>`.
     node: String,
-    /// Method name, for messages.
-    method: String,
     /// Guard liveness as a token-index range `(start, end)`, exclusive end.
     extent: (usize, usize),
 }
@@ -336,7 +337,6 @@ fn file_facts(sf: &SourceFile) -> FileFacts {
             col: t.col,
             recv,
             node: format!("{fstem}:{base}"),
-            method: t.text(&sf.stripped).to_string(),
             extent,
         });
     }
@@ -379,15 +379,6 @@ fn file_facts(sf: &SourceFile) -> FileFacts {
         by_fn,
         fn_summaries,
     }
-}
-
-/// True when token `k` starts a `.await` (`.` then `await`).
-fn is_await(sf: &SourceFile, k: usize) -> bool {
-    sf.toks.get(k).map(|t| t.kind) == Some(TokKind::Punct(b'.'))
-        && sf
-            .toks
-            .get(k + 1)
-            .is_some_and(|t| t.is_ident(&sf.stripped, "await"))
 }
 
 /// Run the lock-discipline pass over `files` as one program.
@@ -437,35 +428,6 @@ pub fn check(files: &[&SourceFile]) -> Vec<Finding> {
     // ---- per-acquisition checks + edge collection
     let mut edges: Vec<Edge> = Vec::new();
     for (sf, ff) in files.iter().zip(&facts) {
-        for a in &ff.acqs {
-            // guard across .await
-            let mut k = a.extent.0;
-            while k < a.extent.1 {
-                if is_await(sf, k) {
-                    if !sf.allowed(a.line, "lock-await") {
-                        let awline = sf.toks.get(k).map(|t| t.line).unwrap_or(a.line);
-                        let fname = enclosing_fn(&sf.fns, a.tok)
-                            .and_then(|fi| sf.fns.get(fi))
-                            .map(|f| f.name.clone())
-                            .unwrap_or_else(|| "?".to_string());
-                        findings.push(Finding {
-                            file: sf.rel.clone(),
-                            line: a.line,
-                            col: a.col,
-                            rule: "lock-await",
-                            pass: "locks",
-                            message: format!(
-                                "guard from `{}.{}()` (fn {fname}) is held across the \
-                                 .await on line {awline}; drop it before awaiting",
-                                a.recv, a.method
-                            ),
-                        });
-                    }
-                    break;
-                }
-                k += 1;
-            }
-        }
         // intra-function nesting edges
         for ais in ff.by_fn.values() {
             for &ai in ais {
@@ -619,47 +581,39 @@ mod tests {
         run(files).into_iter().map(|f| f.rule).collect()
     }
 
-    #[test]
-    fn guard_across_await_is_flagged() {
-        let src = "async fn f(&self) {\n    let g = self.state.lock();\n    self.io.send().await;\n    g.touch();\n}\n";
-        let f = run(&[("a.rs", src)]);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "lock-await");
-        assert_eq!(f[0].line, 2);
-        assert!(f[0].message.contains("self.state.lock()"));
-        assert!(f[0].message.contains("fn f"));
-    }
-
-    #[test]
-    fn statement_temporary_across_await_is_flagged() {
-        // the guard temporary lives to the end of the full statement,
-        // including a trailing `.await`
-        let src = "async fn f(&self) {\n    self.state.lock().handle().await;\n}\n";
-        assert_eq!(rules(&[("a.rs", src)]), vec!["lock-await"]);
+    /// `ab` followed by a function that takes `beta` then `alpha`, so any
+    /// alpha→beta edge `ab` makes closes a cycle.
+    fn against_ba(ab: &str) -> String {
+        format!("{ab}fn ba(&self) {{\n    let b = self.beta.lock();\n    let a = self.alpha.lock();\n}}\n")
     }
 
     #[test]
     fn dropped_or_scoped_guards_are_fine() {
         let scoped =
-            "async fn f(&self) {\n    { let g = self.state.lock(); g.touch(); }\n    io().await;\n}\n";
-        assert!(rules(&[("a.rs", scoped)]).is_empty());
-        let dropped = "async fn f(&self) {\n    let g = self.state.lock();\n    g.touch();\n    drop(g);\n    io().await;\n}\n";
-        assert!(rules(&[("a.rs", dropped)]).is_empty());
+            "fn ab(&self) {\n    { let a = self.alpha.lock(); a.touch(); }\n    let b = self.beta.lock();\n}\n";
+        assert!(rules(&[("a.rs", &against_ba(scoped))]).is_empty());
+        let dropped = "fn ab(&self) {\n    let a = self.alpha.lock();\n    a.touch();\n    drop(a);\n    let b = self.beta.lock();\n}\n";
+        assert!(rules(&[("a.rs", &against_ba(dropped))]).is_empty());
         let stmt =
-            "async fn f(&self) {\n    let n = self.state.lock().len();\n    io().await;\n}\n";
-        assert!(rules(&[("a.rs", stmt)]).is_empty());
+            "fn ab(&self) {\n    let n = self.alpha.lock().len();\n    let b = self.beta.lock();\n}\n";
+        assert!(rules(&[("a.rs", &against_ba(stmt))]).is_empty());
+        // the same guard kept to the end of the block closes the cycle
+        let held =
+            "fn ab(&self) {\n    let a = self.alpha.lock();\n    let b = self.beta.lock();\n}\n";
+        assert_eq!(rules(&[("a.rs", &against_ba(held))]), vec!["lock-order"]);
     }
 
     #[test]
     fn io_read_write_with_args_are_not_locks() {
-        let src = "async fn f(&self) {\n    let n = sock.read(buf);\n    file.write(data);\n    io().await;\n}\n";
+        // as locks, the second read and write would re-acquire the first
+        let src = "fn f(&self) {\n    let n = sock.read(buf);\n    let m = sock.read(buf);\n    let w = file.write(data);\n    file.write(data);\n}\n";
         assert!(rules(&[("a.rs", src)]).is_empty());
     }
 
     #[test]
     fn std_mutex_unwrap_binding_is_a_guard() {
-        let src = "async fn f(&self) {\n    let g = self.m.lock().unwrap();\n    io().await;\n    g.touch();\n}\n";
-        assert_eq!(rules(&[("a.rs", src)]), vec!["lock-await"]);
+        let src = "fn ab(&self) {\n    let a = self.alpha.lock().unwrap();\n    let b = self.beta.lock().unwrap();\n}\n";
+        assert_eq!(rules(&[("a.rs", &against_ba(src))]), vec!["lock-order"]);
     }
 
     #[test]
@@ -668,23 +622,15 @@ mod tests {
         // `.unwrap()` does, so its extent runs to the end of the block
         let src = "fn ab(&self) {\n    let a = self.alpha.lock().unwrap_or_else(PoisonError::into_inner);\n    let b = self.beta.lock().unwrap_or_else(|p| p.into_inner());\n}\nfn ba(&self) {\n    let b = self.beta.lock().unwrap_or_else(PoisonError::into_inner);\n    let a = self.alpha.lock().unwrap_or_else(PoisonError::into_inner);\n}\n";
         assert_eq!(rules(&[("a.rs", src)]), vec!["lock-order"]);
-        let held = "async fn f(&self) {\n    let g = self.m.lock().unwrap_or_else(PoisonError::into_inner);\n    io().await;\n    g.touch();\n}\n";
-        assert_eq!(rules(&[("a.rs", held)]), vec!["lock-await"]);
     }
 
     #[test]
     fn match_scrutinee_guard_covers_the_arms() {
-        let src = "async fn f(&self) {\n    match self.m.lock() {\n        Ok(g) => io().await,\n        Err(_) => {}\n    }\n}\n";
-        assert_eq!(rules(&[("a.rs", src)]), vec!["lock-await"]);
+        let src = "fn ab(&self) {\n    match self.alpha.lock() {\n        Ok(g) => self.beta.lock().touch(),\n        Err(_) => {}\n    }\n}\n";
+        assert_eq!(rules(&[("a.rs", &against_ba(src))]), vec!["lock-order"]);
         // ...but a statement after the match is outside the extent
-        let src = "async fn f(&self) {\n    match self.m.lock() {\n        Ok(g) => g.touch(),\n        Err(_) => {}\n    }\n    io().await;\n}\n";
-        assert!(rules(&[("a.rs", src)]).is_empty());
-    }
-
-    #[test]
-    fn allow_comment_suppresses_lock_await() {
-        let src = "async fn f(&self) {\n    // decoy-lint: allow(lock-await) -- single-threaded runtime\n    let g = self.state.lock();\n    io().await;\n}\n";
-        assert!(rules(&[("a.rs", src)]).is_empty());
+        let src = "fn ab(&self) {\n    match self.alpha.lock() {\n        Ok(g) => g.touch(),\n        Err(_) => {}\n    }\n    let b = self.beta.lock();\n}\n";
+        assert!(rules(&[("a.rs", &against_ba(src))]).is_empty());
     }
 
     #[test]
@@ -739,14 +685,17 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    async fn f(&self) {\n        let g = m.lock();\n        io().await;\n    }\n}\n";
-        assert!(rules(&[("a.rs", src)]).is_empty());
+        let src = against_ba(
+            "fn ab(&self) {\n    let a = self.alpha.lock();\n    let b = self.beta.lock();\n}\n",
+        );
+        let src = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(rules(&[("a.rs", &src)]).is_empty());
     }
 
     #[test]
     fn nested_closure_acquisitions_get_edges_not_awaits() {
         // the fleet_health shape: outer lock held while inner lock taken
-        // inside an iterator closure — an edge, but no cycle and no await
+        // inside an iterator closure — an edge, but no cycle
         let src = "fn health(&self) -> F {\n    F { l: self.slots.lock().iter().map(|s| s.lock().clone()).collect() }\n}\n";
         assert!(rules(&[("sup.rs", src)]).is_empty());
     }

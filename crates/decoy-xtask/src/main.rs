@@ -1,7 +1,6 @@
-#![forbid(unsafe_code)]
 //! Thin CLI over the `decoy_xtask` library: `analyze` runs every
-//! static-analysis pass (panic-freedom lint, lock discipline, hot-path
-//! allocation, bench freshness) with the suppression baseline.
+//! static-analysis pass (lock discipline, hot-path allocation, bench
+//! freshness) with the suppression baseline.
 //!
 //! Exit codes are the contract CI relies on:
 //!
@@ -31,15 +30,16 @@ fn workspace_root(explicit: Option<&str>) -> PathBuf {
     PathBuf::from(".")
 }
 
-const USAGE: &str = "usage: decoy-xtask <command> [options]\n\
-\n\
-commands:\n\
-  analyze   all passes: lint, lock-discipline, hot-path alloc, bench freshness\n\
-\n\
-options:\n\
-  --json             machine-readable report on stdout\n\
-  --root <path>      workspace root (default: inferred)\n\
-  --no-baseline      analyze: ignore ANALYSIS_BASELINE.json (raw view)\n\
+const USAGE: &str = "\
+usage: decoy-xtask <command> [options]
+
+commands:
+  analyze   all passes: lock discipline, hot-path alloc, bench freshness
+
+options:
+  --json             machine-readable report on stdout
+  --root <path>      workspace root (default: inferred)
+  --no-baseline      analyze: ignore ANALYSIS_BASELINE.json (raw view)
   --write-baseline   analyze: regenerate ANALYSIS_BASELINE.json from findings";
 
 fn main() -> ExitCode {

@@ -17,8 +17,7 @@
 //!    so production-only rules skip test code.
 //!
 //! Known (documented) approximations: macro bodies are tokenized like
-//! ordinary code, `.await` points hidden behind macros (`tokio::select!`
-//! arms) are invisible, and brace-carrying const-generic expressions inside
+//! ordinary code, and brace-carrying const-generic expressions inside
 //! signatures can confuse body detection. All passes treat the model as
 //! best-effort and pair it with an escape hatch + suppression baseline.
 
