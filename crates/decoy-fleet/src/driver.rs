@@ -10,10 +10,10 @@
 use decoy_agents::schedule::PlannedSession;
 use decoy_agents::scripts::{self, CampaignParams, SessionScript};
 use decoy_base::json::{self, Value};
-use decoy_net::codec::Codec;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_store::foreign;
+use decoy_wire::codec::Codec;
 use decoy_wire::mongo::bson::{doc, Bson, Document};
 use decoy_wire::mongo::{MongoBody, MongoCodec, MongoMessage};
 use decoy_wire::{http, mysql, pgwire, resp, tds};
@@ -320,7 +320,7 @@ fn err_outcome(connections: usize) -> SessionOutcome {
 }
 
 async fn connect_only(addr: SocketAddr, src: SocketAddr) -> SessionOutcome {
-    match connect(addr, src, decoy_net::codec::RawCodec).await {
+    match connect(addr, src, decoy_wire::codec::RawCodec).await {
         Ok(framed) => {
             // Give the honeypot a moment to register the session before the
             // FIN races the PROXY header.
@@ -334,7 +334,7 @@ async fn connect_only(addr: SocketAddr, src: SocketAddr) -> SessionOutcome {
 }
 
 async fn raw_probe(addr: SocketAddr, src: SocketAddr, payload: &[u8]) -> SessionOutcome {
-    match connect(addr, src, decoy_net::codec::RawCodec).await {
+    match connect(addr, src, decoy_wire::codec::RawCodec).await {
         Ok(mut framed) => {
             if framed.write_raw(payload).await.is_err() {
                 return err_outcome(1);

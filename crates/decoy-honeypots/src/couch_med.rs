@@ -15,11 +15,11 @@ use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
 use decoy_base::json::{self, object, Value};
 use decoy_fakedata::FakeDataGenerator;
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::{EventStore, HoneypotId};
+use decoy_wire::error::NetResult;
 use decoy_wire::http::{HttpRequest, HttpResponse, HttpServerCodec};
 use decoy_wire::mongo::bson::{doc, Bson, Document};
 use std::sync::Arc;
@@ -234,7 +234,7 @@ impl CouchHoneypot {
     async fn session(
         &self,
         stream: SessionStream,
-        initial: bytes::BytesMut,
+        initial: decoy_wire::buf::RecvBuf,
         log: &SessionLogger,
     ) -> NetResult<()> {
         let mut framed = Framed::with_initial(stream, HttpServerCodec, initial);

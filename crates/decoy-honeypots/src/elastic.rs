@@ -14,11 +14,11 @@ use crate::catalog;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
 use decoy_base::json::{self, object, Value};
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::{EventStore, HoneypotId};
+use decoy_wire::error::NetResult;
 use decoy_wire::http::{HttpRequest, HttpResponse, HttpServerCodec};
 use std::sync::Arc;
 
@@ -289,7 +289,7 @@ impl ElasticPot {
     async fn session(
         &self,
         stream: SessionStream,
-        initial: bytes::BytesMut,
+        initial: decoy_wire::buf::RecvBuf,
         log: &SessionLogger,
     ) -> NetResult<()> {
         let mut framed = Framed::with_initial(stream, HttpServerCodec, initial);

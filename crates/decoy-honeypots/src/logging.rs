@@ -111,7 +111,7 @@ impl SessionLogger {
     /// capture; otherwise record the protocol violation. This is how the
     /// paper's Table 9 "scans for services unrelated to the DBMS" are
     /// observed on SQL/Redis ports.
-    pub fn fault(&self, buffered: &[u8], err: &decoy_net::NetError) {
+    pub fn fault(&self, buffered: &[u8], err: &decoy_wire::error::NetError) {
         if !buffered.is_empty() && foreign::recognize(buffered).is_some() {
             self.payload(buffered);
             return;

@@ -7,12 +7,12 @@
 //! everything is logged.
 
 use crate::logging::SessionLogger;
-use decoy_net::cursor::sat_u8;
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::{Dbms, EventStore, HoneypotId};
+use decoy_wire::cursor::sat_u8;
+use decoy_wire::error::NetResult;
 use decoy_wire::{mysql, pgwire, resp, tds};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,7 +88,7 @@ impl SessionHandler for LowHoneypot {
 
 async fn mysql_session(
     stream: SessionStream,
-    initial: bytes::BytesMut,
+    initial: decoy_wire::buf::RecvBuf,
     log: &SessionLogger,
 ) -> NetResult<()> {
     let mut framed = Framed::with_initial(stream, mysql::MySqlCodec, initial);
@@ -129,7 +129,7 @@ async fn mysql_session(
 
 async fn pg_session(
     stream: SessionStream,
-    initial: bytes::BytesMut,
+    initial: decoy_wire::buf::RecvBuf,
     log: &SessionLogger,
 ) -> NetResult<()> {
     let mut framed = Framed::with_initial(stream, pgwire::PgServerCodec::new(), initial);
@@ -183,7 +183,7 @@ async fn pg_session(
 
 async fn redis_session(
     stream: SessionStream,
-    initial: bytes::BytesMut,
+    initial: decoy_wire::buf::RecvBuf,
     log: &SessionLogger,
 ) -> NetResult<()> {
     let mut framed = Framed::with_initial(stream, resp::RespCodec::server(), initial);
@@ -250,7 +250,7 @@ async fn redis_session(
 
 async fn mssql_session(
     stream: SessionStream,
-    initial: bytes::BytesMut,
+    initial: decoy_wire::buf::RecvBuf,
     log: &SessionLogger,
 ) -> NetResult<()> {
     let mut framed = Framed::with_initial(stream, tds::TdsCodec, initial);
@@ -303,8 +303,8 @@ mod tests {
     use super::*;
     use decoy_base::time::Clock;
     use decoy_net::server::{Listener, ListenerOptions};
-    use decoy_net::Codec;
     use decoy_store::{ConfigVariant, EventKind, InteractionLevel};
+    use decoy_wire::codec::Codec;
     use tokio::net::TcpStream;
 
     async fn spawn_low(dbms: Dbms) -> (decoy_net::server::ServerHandle, Arc<EventStore>) {
@@ -523,9 +523,9 @@ mod tests {
         // a full 8-byte header with an impossible length is a codec error
         let mut codec = tds::TdsCodec;
         assert!(codec
-            .decode(&mut bytes::BytesMut::from(
-                &[0xdeu8, 0xad, 0x00, 0x04, 0, 0, 1, 0][..]
-            ))
+            .decode(&mut decoy_wire::buf::RecvBuf::from(vec![
+                0xde, 0xad, 0x00, 0x04, 0, 0, 1, 0
+            ]))
             .is_err());
     }
 }

@@ -11,12 +11,12 @@ use crate::docdb::DocDb;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
 use decoy_fakedata::FakeDataGenerator;
-use decoy_net::cursor::{sat_i32, sat_i64};
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::{EventStore, HoneypotId};
+use decoy_wire::cursor::{sat_i32, sat_i64};
+use decoy_wire::error::NetResult;
 use decoy_wire::mongo::bson::{doc, Bson, Document};
 use decoy_wire::mongo::{MongoBody, MongoCodec, MongoMessage};
 use std::sync::Arc;
@@ -273,7 +273,7 @@ impl MongoHoneypot {
     async fn session(
         &self,
         stream: SessionStream,
-        initial: bytes::BytesMut,
+        initial: decoy_wire::buf::RecvBuf,
         log: &SessionLogger,
     ) -> NetResult<()> {
         let mut framed = Framed::with_initial(stream, MongoCodec, initial);

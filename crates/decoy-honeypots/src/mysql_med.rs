@@ -13,13 +13,12 @@
 use crate::catalog;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
-use bytes::{BufMut, BytesMut};
-use decoy_net::cursor::sat_u8;
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::{EventStore, HoneypotId};
+use decoy_wire::cursor::sat_u8;
+use decoy_wire::error::NetResult;
 use decoy_wire::mysql::{self, MySqlCodec, MySqlPacket};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,7 +59,7 @@ impl MySqlHoneypot {
     async fn session(
         &self,
         stream: SessionStream,
-        initial: bytes::BytesMut,
+        initial: decoy_wire::buf::RecvBuf,
         log: &SessionLogger,
     ) -> NetResult<()> {
         let mut framed = Framed::with_initial(stream, MySqlCodec, initial);
@@ -141,21 +140,21 @@ fn single_value_result(column: &str, value: &str) -> Vec<MySqlPacket> {
         payload: vec![1].into(),
     });
     // column definition (catalog "def", empty schema/table, name, type var_string)
-    let mut def = BytesMut::new();
+    let mut def = Vec::new();
     for s in ["def", "", "", "", column, ""] {
-        def.put_u8(sat_u8(s.len()));
+        def.push(sat_u8(s.len()));
         def.extend_from_slice(s.as_bytes());
     }
-    def.put_u8(0x0c); // fixed fields length
-    def.put_u16_le(0xff); // charset
-    def.put_u32_le(1024); // column length
-    def.put_u8(0xfd); // type VAR_STRING
-    def.put_u16_le(0); // flags
-    def.put_u8(0); // decimals
-    def.put_u16_le(0); // filler
+    def.push(0x0c); // fixed fields length
+    def.extend_from_slice(&0xff_u16.to_le_bytes()); // charset
+    def.extend_from_slice(&1024_u32.to_le_bytes()); // column length
+    def.push(0xfd); // type VAR_STRING
+    def.extend_from_slice(&0_u16.to_le_bytes()); // flags
+    def.push(0); // decimals
+    def.extend_from_slice(&0_u16.to_le_bytes()); // filler
     out.push(MySqlPacket {
         seq: 2,
-        payload: def.freeze(),
+        payload: def.into(),
     });
     // EOF (pre-deprecate form keeps old clients happy)
     out.push(MySqlPacket {
@@ -163,12 +162,12 @@ fn single_value_result(column: &str, value: &str) -> Vec<MySqlPacket> {
         payload: vec![0xfe, 0, 0, 0x02, 0].into(),
     });
     // row
-    let mut row = BytesMut::new();
-    row.put_u8(sat_u8(value.len()));
+    let mut row = Vec::with_capacity(value.len().saturating_add(1));
+    row.push(sat_u8(value.len()));
     row.extend_from_slice(value.as_bytes());
     out.push(MySqlPacket {
         seq: 4,
-        payload: row.freeze(),
+        payload: row.into(),
     });
     // EOF
     out.push(MySqlPacket {

@@ -10,11 +10,11 @@
 use crate::catalog;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::{EventStore, HoneypotId};
+use decoy_wire::error::NetResult;
 use decoy_wire::pgwire::{BackendMessage, FrontendMessage, PgServerCodec};
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ impl StickyElephant {
     async fn session(
         &self,
         stream: SessionStream,
-        initial: bytes::BytesMut,
+        initial: decoy_wire::buf::RecvBuf,
         log: &SessionLogger,
     ) -> NetResult<()> {
         let mut framed = Framed::with_initial(stream, PgServerCodec::new(), initial);

@@ -13,13 +13,13 @@
 use crate::catalog;
 use crate::logging::SessionLogger;
 use crate::low::read_or_fault;
-use decoy_net::cursor::sat_i64;
-use decoy_net::error::NetResult;
 use decoy_net::framed::Framed;
 use decoy_net::proxy;
 use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
 use decoy_store::kv::{KvStore, ReplicationRole};
 use decoy_store::{EventStore, HoneypotId};
+use decoy_wire::cursor::sat_i64;
+use decoy_wire::error::NetResult;
 use decoy_wire::resp::{as_command, RedisCommand, RespCodec, RespValue};
 use std::sync::Arc;
 
@@ -336,7 +336,7 @@ impl RedisHoneypot {
     async fn session(
         &self,
         stream: SessionStream,
-        initial: bytes::BytesMut,
+        initial: decoy_wire::buf::RecvBuf,
         log: &SessionLogger,
     ) -> NetResult<()> {
         let mut framed = Framed::with_initial(stream, RespCodec::server(), initial);

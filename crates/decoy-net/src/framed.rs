@@ -1,32 +1,56 @@
 //! The async frame stream: a [`Codec`] bound to an `AsyncRead + AsyncWrite`.
 //!
-//! Split from [`crate::codec`] so the codec layer itself stays synchronous
-//! and I/O-free — decoders over attacker bytes can be compiled, tested, and
-//! fuzzed without a runtime.
+//! The codec layer itself lives in `decoy-wire`, synchronous and I/O-free,
+//! so decoders over attacker bytes are compiled, tested, and fuzzed
+//! without a runtime.
 //!
-//! Both buffers are checked out of the process-wide
+//! The read side is a [`RecvBuf`]: each read lands in its spare bytes, and
+//! the frames a codec splits off share its storage, which it reuses once
+//! they are gone. The write buffer is checked out of the process-wide
 //! [`crate::pool::BufferPool`] and restored when the `Framed` is dropped,
-//! so a churning session fleet reuses framing buffers instead of hitting
-//! the allocator per connection. [`Framed::write_split`] writes a
-//! pooled-buffer head and a borrowed body with one vectored syscall, so
-//! large response bodies (HTTP, bulk documents) are never copied into the
-//! write buffer at all.
+//! so a churning session fleet reuses it instead of hitting the allocator
+//! per connection. [`Framed::write_split`] writes a pooled-buffer head and
+//! a borrowed body with one vectored syscall, so large response bodies
+//! (HTTP, bulk documents) are never copied into the write buffer at all.
 
-use crate::codec::Codec;
-use crate::error::{NetError, NetResult};
 use crate::pool::{BufferPool, PooledBuf, SMALL_CLASS};
-use bytes::BytesMut;
+use decoy_wire::buf::RecvBuf;
+use decoy_wire::codec::Codec;
+use decoy_wire::error::{NetError, NetResult};
+use std::future::poll_fn;
 use std::io::IoSlice;
-use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use std::pin::Pin;
+use tokio::io::{AsyncRead, AsyncWrite, AsyncWriteExt, ReadBuf};
+
+/// Room a read asks the buffer for: one small pool class.
+const READ_CHUNK: usize = SMALL_CLASS;
+
+/// Read once from `stream` into the spare bytes of `buf`, returning how
+/// many arrived (0 at end of stream).
+pub(crate) async fn read_into<S: AsyncRead + Unpin>(
+    stream: &mut S,
+    buf: &mut RecvBuf,
+) -> std::io::Result<usize> {
+    let spare = buf.spare(READ_CHUNK);
+    let n = poll_fn(|cx| {
+        let mut read = ReadBuf::new(&mut *spare);
+        Pin::new(&mut *stream)
+            .poll_read(cx, &mut read)
+            .map_ok(|()| read.filled().len())
+    })
+    .await?;
+    buf.commit(n);
+    Ok(n)
+}
 
 /// A frame-oriented wrapper around a byte stream.
 ///
-/// Owns the read buffer; `read_frame` loops `decode` / `read_buf` until a
-/// frame is complete, the peer disconnects, or the frame limit is exceeded.
+/// Owns the read buffer; `read_frame` loops `decode` / read until a frame
+/// is complete, the peer disconnects, or the frame limit is exceeded.
 pub struct Framed<S, C> {
     stream: S,
     codec: C,
-    read_buf: PooledBuf,
+    read_buf: RecvBuf,
     write_buf: PooledBuf,
 }
 
@@ -35,26 +59,19 @@ where
     S: AsyncRead + AsyncWrite + Unpin,
     C: Codec,
 {
-    /// Wrap `stream` with `codec`, using pooled framing buffers.
+    /// Wrap `stream` with `codec`, using a pooled write buffer.
     pub fn new(stream: S, codec: C) -> Self {
-        let pool = BufferPool::global();
-        Framed {
-            stream,
-            codec,
-            read_buf: pool.checkout_guarded(SMALL_CLASS),
-            write_buf: pool.checkout_guarded(SMALL_CLASS),
-        }
+        Framed::with_initial(stream, codec, RecvBuf::default())
     }
 
     /// Wrap `stream` with `codec`, seeding the read buffer with bytes that
     /// were already consumed from the stream (e.g. while peeking for a
-    /// PROXY protocol header). The seeded buffer was allocated by the
-    /// peeker, so it lives detached from the pool.
-    pub fn with_initial(stream: S, codec: C, initial: BytesMut) -> Self {
+    /// PROXY protocol header).
+    pub fn with_initial(stream: S, codec: C, initial: RecvBuf) -> Self {
         Framed {
             stream,
             codec,
-            read_buf: PooledBuf::detached(initial),
+            read_buf: initial,
             write_buf: BufferPool::global().checkout_guarded(SMALL_CLASS),
         }
     }
@@ -81,7 +98,7 @@ where
                     got: self.read_buf.len(),
                 });
             }
-            let n = self.stream.read_buf(&mut *self.read_buf).await?;
+            let n = read_into(&mut self.stream, &mut self.read_buf).await?;
             if n == 0 {
                 return if self.read_buf.is_empty() {
                     Ok(None)
@@ -117,7 +134,7 @@ where
     /// the buffer. One `writev` covers both in the common case.
     pub async fn write_split<F>(&mut self, encode_head: F, body: &[u8]) -> NetResult<()>
     where
-        F: FnOnce(&mut BytesMut),
+        F: FnOnce(&mut Vec<u8>),
     {
         self.write_buf.clear();
         encode_head(&mut self.write_buf);
@@ -147,16 +164,16 @@ where
 
     /// Consume the wrapper, returning the underlying stream and any
     /// unconsumed buffered bytes. The write buffer returns to the pool.
-    pub fn into_parts(self) -> (S, BytesMut) {
-        (self.stream, self.read_buf.into_inner())
+    pub fn into_parts(self) -> (S, RecvBuf) {
+        (self.stream, self.read_buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{LineCodec, RawCodec};
-    use bytes::Bytes;
+    use decoy_wire::buf::Bytes;
+    use decoy_wire::codec::{LineCodec, RawCodec};
     use tokio::io::duplex;
 
     #[tokio::test]

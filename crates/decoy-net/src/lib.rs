@@ -23,18 +23,17 @@
 //!
 //! Networking substrate for the Decoy Databases honeypot fleet.
 //!
-//! This crate provides the pieces every honeypot server and attacker client is
-//! built from:
+//! This crate provides the async pieces every honeypot server and attacker
+//! client is built from. The synchronous byte path under them (the
+//! `Codec` trait, the frame buffer, the bounds-checked cursor and the
+//! error types) is std-only and lives in `decoy-wire`:
 //!
-//! * [`codec`] — the incremental [`codec::Codec`] trait (decode from / encode
-//!   into a [`bytes::BytesMut`]) and [`framed`] — [`framed::Framed`], an
-//!   async frame stream over any `AsyncRead + AsyncWrite`.
-//! * [`cursor`] — [`cursor::ByteCursor`], the fallible, offset-tracking
-//!   reader every `decoy-wire` decoder uses so adversarial bytes can never
-//!   panic the capture layer (errors surface as [`error::WireError`]).
-//! * [`pool`] — a thread-safe, size-classed [`pool::BufferPool`] so session
-//!   framing buffers are reused across connections instead of allocated per
-//!   session.
+//! * [`framed`] — [`framed::Framed`], an async frame stream that drives a
+//!   `decoy_wire::codec::Codec` over any `AsyncRead + AsyncWrite`, reading
+//!   into a `decoy_wire::buf::RecvBuf`.
+//! * [`pool`] — a thread-safe, size-classed [`pool::BufferPool`] of
+//!   `Vec<u8>` write buffers, reused across connections instead of
+//!   allocated per session.
 //! * [`limiter`] — per-source token-bucket rate limiting and connection caps,
 //!   protecting honeypots from accidental self-DoS during replay.
 //! * [`latency`] — a seeded, deterministic [`latency::LatencyShaper`] that
@@ -54,9 +53,6 @@
 //! interaction flow through the same production code path.
 
 pub mod chaos;
-pub mod codec;
-pub mod cursor;
-pub mod error;
 pub mod framed;
 pub mod latency;
 pub mod limiter;
@@ -71,9 +67,6 @@ pub mod supervisor;
 pub use decoy_base::time;
 
 pub use chaos::{ChaosStream, FaultPlan, SessionFaults};
-pub use codec::Codec;
-pub use cursor::ByteCursor;
-pub use error::{NetError, WireError, WireErrorKind, WireProtocol};
 pub use framed::Framed;
 pub use latency::{LatencyProfile, LatencyShaper};
 pub use limiter::{ConnectionGate, RateLimiter};

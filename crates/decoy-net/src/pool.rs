@@ -3,7 +3,7 @@
 //! Every session owns a read and a write buffer for its whole lifetime; at
 //! 100k+ sessions/min the allocator churn of creating and dropping those
 //! buffers per connection is measurable. [`BufferPool`] keeps cleared
-//! [`BytesMut`] buffers in two size classes and hands them back out on the
+//! `Vec<u8>` buffers in two size classes and hands them back out on the
 //! next checkout. The pool is intentionally simple:
 //!
 //! * **Two size classes.** [`SMALL_CLASS`] (4 KiB) covers session framing
@@ -17,11 +17,12 @@
 //!   take down every session that shares the pool.
 //!
 //! [`PooledBuf`] is the RAII face of the pool used by
-//! [`crate::framed::Framed`]: it derefs to `BytesMut` and restores the
-//! buffer on drop. The critical section is a `Vec` push/pop, far below
-//! contention concern.
+//! [`crate::framed::Framed`] for its write buffer: it derefs to `Vec<u8>`
+//! and restores the buffer on drop. The critical section is a `Vec`
+//! push/pop, far below contention concern. (The read side needs no pool:
+//! a `decoy_wire::buf::RecvBuf` reuses its own storage once no frame
+//! holds it.)
 
-use bytes::BytesMut;
 use decoy_base::sync::Mutex;
 use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
@@ -37,10 +38,10 @@ pub const SMALL_RETAIN: usize = 1024;
 /// Large buffers retained across checkouts.
 pub const LARGE_RETAIN: usize = 64;
 
-/// A thread-safe pool of reusable [`BytesMut`] buffers in two size classes.
+/// A thread-safe pool of reusable `Vec<u8>` buffers in two size classes.
 pub struct BufferPool {
-    small: Mutex<Vec<BytesMut>>,
-    large: Mutex<Vec<BytesMut>>,
+    small: Mutex<Vec<Vec<u8>>>,
+    large: Mutex<Vec<Vec<u8>>>,
 }
 
 /// Counts of buffers currently resting in the pool, for tests and
@@ -73,33 +74,31 @@ impl BufferPool {
     /// bytes. Small requests are served from the small class, mid-size from
     /// the large class, and oversize requests get a fresh allocation (they
     /// will be dropped, not retained, on restore).
-    pub fn checkout(&self, min_capacity: usize) -> BytesMut {
+    pub fn checkout(&self, min_capacity: usize) -> Vec<u8> {
         let (class, cap) = if min_capacity <= SMALL_CLASS {
             (&self.small, SMALL_CLASS)
         } else if min_capacity <= LARGE_CLASS {
             (&self.large, LARGE_CLASS)
         } else {
-            return BytesMut::with_capacity(min_capacity);
+            return Vec::with_capacity(min_capacity);
         };
         match class.lock().pop() {
             Some(mut buf) => {
-                // Reclaim capacity that earlier `split_to`/`freeze` calls
-                // may have carved off while the buffer was in service.
+                // A shelved buffer may hold as little as half its class.
                 buf.reserve(cap);
                 buf
             }
-            None => BytesMut::with_capacity(cap),
+            None => Vec::with_capacity(cap),
         }
     }
 
     /// Return `buf` to the pool. The buffer is cleared; it is retained only
     /// if its capacity still fits a class and the class shelf is not full.
-    pub fn restore(&self, mut buf: BytesMut) {
+    pub fn restore(&self, mut buf: Vec<u8>) {
         buf.clear();
         let cap = buf.capacity();
-        // A buffer that shrank below half its class (split-off bytes still
-        // alive elsewhere) or grew past the large class is not worth
-        // keeping.
+        // A buffer below half its class or grown past the large class is
+        // not worth keeping.
         let (class, retain) = if (SMALL_CLASS / 2..LARGE_CLASS / 2).contains(&cap) {
             (&self.small, SMALL_RETAIN)
         } else if (LARGE_CLASS / 2..=2 * LARGE_CLASS).contains(&cap) {
@@ -118,7 +117,7 @@ impl BufferPool {
     pub fn checkout_guarded(&'static self, min_capacity: usize) -> PooledBuf {
         PooledBuf {
             buf: self.checkout(min_capacity),
-            pool: Some(self),
+            pool: self,
         }
     }
 
@@ -137,50 +136,31 @@ impl Default for BufferPool {
     }
 }
 
-/// A [`BytesMut`] checked out of a [`BufferPool`], restored on drop.
+/// A `Vec<u8>` checked out of a [`BufferPool`], restored on drop.
 ///
-/// Derefs to `BytesMut` so codec and I/O code is oblivious to pooling.
-/// [`PooledBuf::detached`] wraps a caller-supplied buffer that should *not*
-/// return to any pool (e.g. bytes already read while peeking for a PROXY
-/// header).
+/// Derefs to `Vec<u8>` so codec and I/O code is oblivious to pooling.
 pub struct PooledBuf {
-    buf: BytesMut,
-    pool: Option<&'static BufferPool>,
-}
-
-impl PooledBuf {
-    /// Wrap `buf` without attaching it to a pool; it is simply dropped at
-    /// end of life.
-    pub fn detached(buf: BytesMut) -> Self {
-        PooledBuf { buf, pool: None }
-    }
-
-    /// Detach and return the inner buffer, bypassing restoration.
-    pub fn into_inner(mut self) -> BytesMut {
-        self.pool = None;
-        std::mem::take(&mut self.buf)
-    }
+    buf: Vec<u8>,
+    pool: &'static BufferPool,
 }
 
 impl Deref for PooledBuf {
-    type Target = BytesMut;
+    type Target = Vec<u8>;
 
-    fn deref(&self) -> &BytesMut {
+    fn deref(&self) -> &Vec<u8> {
         &self.buf
     }
 }
 
 impl DerefMut for PooledBuf {
-    fn deref_mut(&mut self) -> &mut BytesMut {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
 }
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool {
-            pool.restore(std::mem::take(&mut self.buf));
-        }
+        self.pool.restore(std::mem::take(&mut self.buf));
     }
 }
 
@@ -225,7 +205,7 @@ mod tests {
     #[test]
     fn retention_is_capped() {
         let pool = BufferPool::new();
-        let bufs: Vec<BytesMut> = (0..LARGE_RETAIN + 10)
+        let bufs: Vec<Vec<u8>> = (0..LARGE_RETAIN + 10)
             .map(|_| pool.checkout(LARGE_CLASS))
             .collect();
         for b in bufs {
@@ -235,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn guard_restores_on_drop_and_detach_bypasses() {
+    fn guard_restores_on_drop() {
         let pool = BufferPool::global();
         let before = pool.stats().small;
         {
@@ -243,15 +223,5 @@ mod tests {
             g.extend_from_slice(b"abc");
         }
         assert!(pool.stats().small > before || pool.stats().small == SMALL_RETAIN);
-        let g = pool.checkout_guarded(64);
-        let inner = g.into_inner();
-        drop(inner); // plain BytesMut: nothing returns to the pool
-    }
-
-    #[test]
-    fn detached_guard_never_touches_a_pool() {
-        let g = PooledBuf::detached(BytesMut::from(&b"seed"[..]));
-        assert_eq!(&g[..], b"seed");
-        drop(g);
     }
 }

@@ -8,10 +8,11 @@
 //! the protocol codec. A deployment facing the raw Internet simply runs with
 //! the header disabled.
 
-use crate::error::{NetError, NetResult};
-use bytes::BytesMut;
+use crate::framed::read_into;
+use decoy_wire::buf::RecvBuf;
+use decoy_wire::error::{NetError, NetResult};
 use std::net::{IpAddr, SocketAddr};
-use tokio::io::{AsyncRead, AsyncReadExt};
+use tokio::io::AsyncRead;
 
 /// Maximum v1 header length per the HAProxy spec.
 const MAX_HEADER: usize = 107;
@@ -65,13 +66,13 @@ pub fn parse_v1(line: &str) -> NetResult<SocketAddr> {
 
 /// Inspect the start of `stream` for a PROXY v1 header.
 ///
-/// Returns the announced source (if a header was present) and whatever bytes
-/// beyond the header were already read — the caller must seed its codec
-/// buffer with them ([`crate::framed::Framed::with_initial`]).
+/// Returns the announced source (if a header was present) and the buffer
+/// holding whatever bytes beyond the header were already read — the caller
+/// must seed its codec with it ([`crate::framed::Framed::with_initial`]).
 pub async fn maybe_read_v1<S: AsyncRead + Unpin>(
     stream: &mut S,
-) -> NetResult<(Option<SocketAddr>, BytesMut)> {
-    let mut buf = BytesMut::with_capacity(256);
+) -> NetResult<(Option<SocketAddr>, RecvBuf)> {
+    let mut buf = RecvBuf::default();
     loop {
         // Decide as early as possible whether this is a PROXY line at all.
         let prefix = b"PROXY ";
@@ -82,13 +83,13 @@ pub async fn maybe_read_v1<S: AsyncRead + Unpin>(
         if let Some(pos) = buf.windows(2).position(|w| w == b"\r\n") {
             let line = String::from_utf8_lossy(buf.get(..pos).unwrap_or_default()).into_owned();
             let src = parse_v1(&line)?;
-            let rest = BytesMut::from(buf.get(pos + 2..).unwrap_or_default());
-            return Ok((Some(src), rest));
+            buf.advance(pos + 2);
+            return Ok((Some(src), buf));
         }
         if buf.len() > MAX_HEADER {
             return Err(NetError::protocol("PROXY header too long"));
         }
-        let n = stream.read_buf(&mut buf).await?;
+        let n = read_into(stream, &mut buf).await?;
         if n == 0 {
             // EOF before a decision: treat whatever arrived as protocol bytes.
             return Ok((None, buf));
@@ -103,10 +104,10 @@ pub async fn maybe_read_v1<S: AsyncRead + Unpin>(
 pub async fn maybe_read_v1_deadline<S: AsyncRead + Unpin>(
     stream: &mut S,
     deadline: std::time::Duration,
-) -> NetResult<(Option<SocketAddr>, BytesMut)> {
+) -> NetResult<(Option<SocketAddr>, RecvBuf)> {
     match tokio::time::timeout(deadline, maybe_read_v1(stream)).await {
         Ok(result) => result,
-        Err(_) => Ok((None, BytesMut::new())),
+        Err(_) => Ok((None, RecvBuf::default())),
     }
 }
 

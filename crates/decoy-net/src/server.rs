@@ -551,8 +551,8 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::LineCodec;
     use crate::framed::Framed;
+    use decoy_wire::codec::LineCodec;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use tokio::io::{AsyncReadExt, AsyncWriteExt};
 

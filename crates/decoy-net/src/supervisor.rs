@@ -412,9 +412,9 @@ async fn run_loop(mut rl: RunLoop) {
 mod tests {
     use super::*;
     use crate::chaos::FaultPlan;
-    use crate::codec::LineCodec;
     use crate::framed::Framed;
     use crate::server::{Listener, ListenerOptions, SessionCtx, SessionHandler, SessionStream};
+    use decoy_wire::codec::LineCodec;
     use std::sync::atomic::{AtomicU32, Ordering};
     use tokio::net::TcpStream;
 

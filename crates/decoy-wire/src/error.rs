@@ -1,4 +1,6 @@
-//! Error type shared by the networking substrate.
+//! Error types of the byte path: [`WireError`], a decoder's structured
+//! protocol violation, and [`NetError`], which the codecs return and
+//! decoy-net's framed streams and listeners share.
 
 use std::fmt;
 

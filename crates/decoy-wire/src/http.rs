@@ -10,10 +10,10 @@
 
 // decoy-hot-path: file -- per-request decode/encode, one call per wire message
 
-use bytes::{Buf, Bytes, BytesMut};
-use decoy_net::codec::Codec;
-use decoy_net::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
-use std::fmt::Write as _;
+use crate::buf::{Bytes, RecvBuf};
+use crate::codec::Codec;
+use crate::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
+use std::io::Write as _;
 
 /// Shorthand for an HTTP wire error at `offset`.
 fn herr(offset: usize, kind: WireErrorKind) -> NetError {
@@ -43,7 +43,7 @@ impl HttpRequest {
             target: target.into(),
             version: "HTTP/1.1".into(),
             headers: vec![("Host".into(), "localhost".into())],
-            body: Bytes::new(),
+            body: Bytes::default(),
         }
     }
 
@@ -246,7 +246,7 @@ impl Codec for HttpServerCodec {
     type In = HttpRequest;
     type Out = HttpResponse;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<HttpRequest>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<HttpRequest>> {
         let Some((start_line, headers, head_len)) = parse_head(buf)? else {
             return Ok(None);
         };
@@ -288,7 +288,7 @@ impl Codec for HttpServerCodec {
             .to_string();
         let version = parts.next().unwrap_or("HTTP/1.0").to_string();
         buf.advance(head_len);
-        let body = buf.split_to(body_len).freeze();
+        let body = buf.split_to(body_len);
         Ok(Some(HttpRequest {
             method,
             target,
@@ -298,7 +298,7 @@ impl Codec for HttpServerCodec {
         }))
     }
 
-    fn encode(&mut self, resp: &HttpResponse, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, resp: &HttpResponse, buf: &mut Vec<u8>) -> NetResult<()> {
         encode_response_head(resp, buf);
         buf.extend_from_slice(&resp.body);
         Ok(())
@@ -313,7 +313,7 @@ impl Codec for HttpServerCodec {
 /// blank line) into `buf`, without the body. Pairs with
 /// `Framed::write_split` so honeypots send large canned bodies via
 /// vectored I/O instead of copying them into the write buffer.
-pub fn encode_response_head(resp: &HttpResponse, buf: &mut BytesMut) {
+pub fn encode_response_head(resp: &HttpResponse, buf: &mut Vec<u8>) {
     let _ = write!(buf, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
     for (k, v) in &resp.headers {
         let _ = write!(buf, "{k}: {v}\r\n");
@@ -329,7 +329,7 @@ impl Codec for HttpClientCodec {
     type In = HttpResponse;
     type Out = HttpRequest;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<HttpResponse>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<HttpResponse>> {
         let Some((start_line, headers, head_len)) = parse_head(buf)? else {
             return Ok(None);
         };
@@ -361,7 +361,7 @@ impl Codec for HttpClientCodec {
             })?;
         let reason = parts.next().unwrap_or_default().to_string();
         buf.advance(head_len);
-        let body = buf.split_to(body_len).freeze();
+        let body = buf.split_to(body_len);
         Ok(Some(HttpResponse {
             status,
             reason,
@@ -370,7 +370,7 @@ impl Codec for HttpClientCodec {
         }))
     }
 
-    fn encode(&mut self, req: &HttpRequest, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, req: &HttpRequest, buf: &mut Vec<u8>) -> NetResult<()> {
         let _ = write!(buf, "{} {} {}\r\n", req.method, req.target, req.version);
         let mut has_length = false;
         for (k, v) in &req.headers {
@@ -396,11 +396,11 @@ impl Codec for HttpClientCodec {
 mod tests {
     use super::*;
 
-    fn request_bytes(req: &HttpRequest) -> BytesMut {
+    fn request_bytes(req: &HttpRequest) -> RecvBuf {
         let mut codec = HttpClientCodec;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         codec.encode(req, &mut buf).unwrap();
-        buf
+        RecvBuf::from(buf)
     }
 
     #[test]
@@ -431,8 +431,9 @@ mod tests {
     fn response_roundtrip() {
         let resp = HttpResponse::json(200, r#"{"cluster_name":"elasticsearch"}"#);
         let mut server = HttpServerCodec;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         server.encode(&resp, &mut buf).unwrap();
+        let mut buf = RecvBuf::from(buf);
         let mut client = HttpClientCodec;
         let decoded = client.decode(&mut buf).unwrap().unwrap();
         assert_eq!(decoded.status, 200);
@@ -446,7 +447,7 @@ mod tests {
         let full = request_bytes(&req);
         let mut server = HttpServerCodec;
         for cut in [3usize, 10, full.len() - 3] {
-            let mut partial = BytesMut::from(&full[..cut]);
+            let mut partial = RecvBuf::from(full[..cut].to_vec());
             assert!(server.decode(&mut partial).unwrap().is_none(), "cut {cut}");
         }
     }
@@ -455,7 +456,7 @@ mod tests {
     fn pipelined_requests_decode_one_at_a_time() {
         let a = request_bytes(&HttpRequest::new("GET", "/a"));
         let b = request_bytes(&HttpRequest::new("GET", "/b"));
-        let mut buf = BytesMut::new();
+        let mut buf = RecvBuf::default();
         buf.extend_from_slice(&a);
         buf.extend_from_slice(&b);
         let mut server = HttpServerCodec;
@@ -468,15 +469,16 @@ mod tests {
     #[test]
     fn malformed_inputs_error_not_panic() {
         let mut server = HttpServerCodec;
-        let mut buf = BytesMut::from(&b"GET\r\n\r\n"[..]);
+        let mut buf = RecvBuf::from(b"GET\r\n\r\n".to_vec());
         assert!(server.decode(&mut buf).is_err()); // missing target
-        let mut buf = BytesMut::from(&b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n"[..]);
+        let mut buf = RecvBuf::from(b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n".to_vec());
         assert!(server.decode(&mut buf).is_err());
-        let mut buf = BytesMut::from(&b"GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"[..]);
+        let mut buf = RecvBuf::from(b"GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n".to_vec());
         assert!(server.decode(&mut buf).is_err());
-        let mut buf = BytesMut::from(&b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..]);
+        let mut buf =
+            RecvBuf::from(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec());
         assert!(server.decode(&mut buf).is_err());
-        let mut buf = BytesMut::from(&b"\xff\xfe / HTTP/1.1\r\n\r\n"[..]);
+        let mut buf = RecvBuf::from(b"\xff\xfe / HTTP/1.1\r\n\r\n".to_vec());
         assert!(server.decode(&mut buf).is_err());
     }
 
@@ -486,10 +488,11 @@ mod tests {
         // commitment — on the client codec too (it used to be uncapped).
         let mut server = HttpServerCodec;
         let mut buf =
-            BytesMut::from(&b"POST / HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n"[..]);
+            RecvBuf::from(b"POST / HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n".to_vec());
         assert!(server.decode(&mut buf).is_err());
         let mut client = HttpClientCodec;
-        let mut buf = BytesMut::from(&b"HTTP/1.1 200 OK\r\nContent-Length: 999999999\r\n\r\n"[..]);
+        let mut buf =
+            RecvBuf::from(b"HTTP/1.1 200 OK\r\nContent-Length: 999999999\r\n\r\n".to_vec());
         let err = client.decode(&mut buf).unwrap_err();
         match err {
             NetError::Wire(w) => {

@@ -38,12 +38,20 @@
 //! | [`mongo`] | MongoDB `OP_MSG`/`OP_QUERY` over our own [`mongo::bson`] codec | high MongoDB |
 //! | [`http`] | minimal HTTP/1.1 | medium Elasticsearch (Elasticpot-style) |
 //!
-//! All codecs implement [`decoy_net::Codec`]: incremental, bounded, and
-//! tolerant of adversarial bytes. Decoding is *total* — every input yields
-//! `Ok` or a structured [`decoy_net::WireError`]; panics are forbidden by
-//! the `decoy-xtask analyze` wall and exercised by the mutation harness in
-//! `tests/wire_total.rs`.
+//! All codecs implement [`codec::Codec`]: incremental, bounded, and
+//! tolerant of adversarial bytes. They decode from a [`buf::RecvBuf`], the
+//! read buffer whose frames are [`buf::Bytes`] views of its own storage,
+//! and encode into a plain `Vec<u8>`. Decoding is *total* — every input
+//! yields `Ok` or a structured [`error::WireError`], read through the
+//! bounds-checked [`cursor::ByteCursor`]; clippy's panic wall above forbids
+//! panics, and the mutation campaign in `tests/wire_total.rs` exercises
+//! it. The crate is std-only: the byte path builds and tests with no
+//! socket and no crates.io package.
 
+pub mod buf;
+pub mod codec;
+pub mod cursor;
+pub mod error;
 pub mod http;
 pub mod mongo;
 pub mod mysql;

@@ -11,11 +11,11 @@
 
 pub mod bson;
 
+use crate::buf::{Bytes, RecvBuf};
+use crate::codec::Codec;
+use crate::cursor::{sat_i32, ByteCursor};
+use crate::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
 use bson::Document;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use decoy_net::codec::Codec;
-use decoy_net::cursor::{sat_i32, ByteCursor};
-use decoy_net::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
 
 /// Opcode: OP_REPLY (server → client, answers OP_QUERY).
 pub const OP_REPLY: i32 = 1;
@@ -147,7 +147,7 @@ impl Codec for MongoCodec {
     type In = MongoMessage;
     type Out = MongoMessage;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<MongoMessage>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<MongoMessage>> {
         let Some(header) = buf.first_chunk::<16>() else {
             return Ok(None);
         };
@@ -174,7 +174,7 @@ impl Codec for MongoCodec {
         buf.advance(16);
         // Zero-copy: the body detaches as a shared view; `Unknown` keeps it
         // whole, the typed opcodes parse out of the borrow.
-        let body_bytes = buf.split_to(len - 16).freeze();
+        let body_bytes = buf.split_to(len - 16);
         let body = parse_body(opcode, body_bytes)?;
         Ok(Some(MongoMessage {
             request_id,
@@ -183,15 +183,15 @@ impl Codec for MongoCodec {
         }))
     }
 
-    fn encode(&mut self, frame: &MongoMessage, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, frame: &MongoMessage, buf: &mut Vec<u8>) -> NetResult<()> {
         // Reserve the length and opcode words, encode the body directly
         // into `buf`, then patch — no staging buffer, no body copy.
         let start = buf.len();
-        buf.put_i32_le(0); // messageLength, patched below
-        buf.put_i32_le(frame.request_id);
-        buf.put_i32_le(frame.response_to);
+        buf.extend_from_slice(&0i32.to_le_bytes()); // messageLength, patched below
+        buf.extend_from_slice(&frame.request_id.to_le_bytes());
+        buf.extend_from_slice(&frame.response_to.to_le_bytes());
         let op_pos = buf.len();
-        buf.put_i32_le(0); // opCode, patched below
+        buf.extend_from_slice(&0i32.to_le_bytes()); // opCode, patched below
         let opcode = encode_body(&frame.body, buf)?;
         let total = sat_i32(buf.len().saturating_sub(start));
         if let Some(slot) = buf.get_mut(start..start.saturating_add(4)) {
@@ -375,26 +375,31 @@ fn parse_body(opcode: i32, bytes: Bytes) -> NetResult<MongoBody> {
     }
 }
 
-fn encode_body(body: &MongoBody, out: &mut BytesMut) -> NetResult<i32> {
+fn encode_body(body: &MongoBody, out: &mut Vec<u8>) -> NetResult<i32> {
     match body {
         MongoBody::Msg {
             flags,
             doc,
             sequences,
         } => {
-            out.put_u32_le(flags & !0x1); // never emit checksums
-            out.put_u8(0);
+            out.extend_from_slice(&(flags & !0x1).to_le_bytes()); // never emit checksums
+            out.push(0);
             bson::encode_document(doc, out);
             for (identifier, docs) in sequences {
-                out.put_u8(1);
-                let mut section = BytesMut::new();
-                section.extend_from_slice(identifier.as_bytes());
-                section.put_u8(0);
+                out.push(1);
+                // The section's size word counts itself; patched once the
+                // section is written straight into `out`.
+                let size_at = out.len();
+                out.extend_from_slice(&0i32.to_le_bytes());
+                out.extend_from_slice(identifier.as_bytes());
+                out.push(0);
                 for d in docs {
-                    bson::encode_document(d, &mut section);
+                    bson::encode_document(d, out);
                 }
-                out.put_i32_le(sat_i32(section.len().saturating_add(4)));
-                out.extend_from_slice(&section);
+                let size = sat_i32(out.len().saturating_sub(size_at));
+                if let Some(slot) = out.get_mut(size_at..size_at.saturating_add(4)) {
+                    slot.copy_from_slice(&size.to_le_bytes());
+                }
             }
             Ok(OP_MSG)
         }
@@ -404,11 +409,11 @@ fn encode_body(body: &MongoBody, out: &mut BytesMut) -> NetResult<i32> {
             limit,
             query,
         } => {
-            out.put_i32_le(0); // flags
+            out.extend_from_slice(&0i32.to_le_bytes()); // flags
             out.extend_from_slice(collection.as_bytes());
-            out.put_u8(0);
-            out.put_i32_le(*skip);
-            out.put_i32_le(*limit);
+            out.push(0);
+            out.extend_from_slice(&skip.to_le_bytes());
+            out.extend_from_slice(&limit.to_le_bytes());
             bson::encode_document(query, out);
             Ok(OP_QUERY)
         }
@@ -417,10 +422,10 @@ fn encode_body(body: &MongoBody, out: &mut BytesMut) -> NetResult<i32> {
             starting_from,
             documents,
         } => {
-            out.put_i32_le(8); // responseFlags: AwaitCapable
-            out.put_i64_le(*cursor_id);
-            out.put_i32_le(*starting_from);
-            out.put_i32_le(sat_i32(documents.len()));
+            out.extend_from_slice(&8i32.to_le_bytes()); // responseFlags: AwaitCapable
+            out.extend_from_slice(&cursor_id.to_le_bytes());
+            out.extend_from_slice(&starting_from.to_le_bytes());
+            out.extend_from_slice(&sat_i32(documents.len()).to_le_bytes());
             for d in documents {
                 bson::encode_document(d, out);
             }
@@ -440,8 +445,9 @@ mod tests {
 
     fn roundtrip(msg: MongoMessage) -> MongoMessage {
         let mut codec = MongoCodec;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         codec.encode(&msg, &mut buf).unwrap();
+        let mut buf = RecvBuf::from(buf);
         let decoded = codec.decode(&mut buf).unwrap().unwrap();
         assert!(buf.is_empty());
         decoded
@@ -507,14 +513,14 @@ mod tests {
     fn checksum_flag_is_tolerated() {
         let msg = MongoMessage::msg(1, doc! { "ping" => 1i32 });
         let mut codec = MongoCodec;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         codec.encode(&msg, &mut buf).unwrap();
         // Rewrite as checksum-present: bump length by 4, set flag bit, append crc.
         let new_len = (buf.len() + 4) as i32;
         buf[0..4].copy_from_slice(&new_len.to_le_bytes());
         buf[16] |= 0x1;
         buf.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-        let decoded = codec.decode(&mut buf).unwrap().unwrap();
+        let decoded = codec.decode(&mut RecvBuf::from(buf)).unwrap().unwrap();
         assert_eq!(decoded.command_name().as_deref(), Some("ping"));
     }
 
@@ -535,10 +541,10 @@ mod tests {
     fn partial_messages_wait_for_more() {
         let msg = MongoMessage::msg(9, doc! { "listDatabases" => 1i32 });
         let mut codec = MongoCodec;
-        let mut full = BytesMut::new();
+        let mut full = Vec::new();
         codec.encode(&msg, &mut full).unwrap();
         for cut in 1..full.len() {
-            let mut partial = BytesMut::from(&full[..cut]);
+            let mut partial = RecvBuf::from(full[..cut].to_vec());
             assert!(codec.decode(&mut partial).unwrap().is_none(), "cut {cut}");
             assert_eq!(partial.len(), cut);
         }
@@ -547,7 +553,7 @@ mod tests {
     #[test]
     fn hostile_lengths_rejected() {
         let mut codec = MongoCodec;
-        let mut buf = BytesMut::from(&(-5i32).to_le_bytes()[..]);
+        let mut buf = RecvBuf::from((-5i32).to_le_bytes().to_vec());
         buf.extend_from_slice(&[0u8; 12]);
         let err = codec.decode(&mut buf).unwrap_err();
         match err {
@@ -558,8 +564,8 @@ mod tests {
             }
             other => panic!("expected wire error, got {other:?}"),
         }
-        let mut buf = BytesMut::new();
-        buf.put_i32_le(i32::MAX);
+        let mut buf = RecvBuf::default();
+        buf.extend_from_slice(&i32::MAX.to_le_bytes());
         buf.extend_from_slice(&[0u8; 12]);
         assert!(codec.decode(&mut buf).is_err());
     }

@@ -6,12 +6,11 @@
 //! the honeypot logs the raw message instead of guessing.
 //!
 //! Decoding is total: every attacker-declared length is checked before any
-//! read, and violations surface as [`decoy_net::WireError`] values with the
+//! read, and violations surface as [`crate::error::WireError`] values with the
 //! byte offset of the damage ([`WireProtocol::Bson`]).
 
-use bytes::{BufMut, BytesMut};
-use decoy_net::cursor::sat_i32;
-use decoy_net::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
+use crate::cursor::sat_i32;
+use crate::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
 
 /// Maximum nesting depth of embedded documents/arrays.
 const MAX_DEPTH: u32 = 64;
@@ -241,35 +240,35 @@ fn berr(offset: usize, kind: WireErrorKind) -> NetError {
 }
 
 /// Append the BSON encoding of `doc` to `out`.
-pub fn encode_document(doc: &Document, out: &mut BytesMut) {
+pub fn encode_document(doc: &Document, out: &mut Vec<u8>) {
     let start = out.len();
-    out.put_i32_le(0); // patched below
+    out.extend_from_slice(&0i32.to_le_bytes()); // patched below
     for (key, value) in doc.iter() {
         encode_element(key, value, out);
     }
-    out.put_u8(0);
+    out.push(0);
     let len = sat_i32(out.len().saturating_sub(start));
     if let Some(slot) = out.get_mut(start..start + 4) {
         slot.copy_from_slice(&len.to_le_bytes());
     }
 }
 
-fn encode_element(key: &str, value: &Bson, out: &mut BytesMut) {
-    let put_key = |out: &mut BytesMut, t: u8| {
-        out.put_u8(t);
+fn encode_element(key: &str, value: &Bson, out: &mut Vec<u8>) {
+    let put_key = |out: &mut Vec<u8>, t: u8| {
+        out.push(t);
         out.extend_from_slice(key.as_bytes());
-        out.put_u8(0);
+        out.push(0);
     };
     match value {
         Bson::Double(d) => {
             put_key(out, TYPE_DOUBLE);
-            out.put_f64_le(*d);
+            out.extend_from_slice(&d.to_le_bytes());
         }
         Bson::String(s) => {
             put_key(out, TYPE_STRING);
-            out.put_i32_le(sat_i32(s.len().saturating_add(1)));
+            out.extend_from_slice(&sat_i32(s.len().saturating_add(1)).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
-            out.put_u8(0);
+            out.push(0);
         }
         Bson::Document(d) => {
             put_key(out, TYPE_DOC);
@@ -286,8 +285,8 @@ fn encode_element(key: &str, value: &Bson, out: &mut BytesMut) {
         }
         Bson::Binary(b) => {
             put_key(out, TYPE_BINARY);
-            out.put_i32_le(sat_i32(b.len()));
-            out.put_u8(0); // generic subtype
+            out.extend_from_slice(&sat_i32(b.len()).to_le_bytes());
+            out.push(0); // generic subtype
             out.extend_from_slice(b);
         }
         Bson::ObjectId(oid) => {
@@ -296,20 +295,20 @@ fn encode_element(key: &str, value: &Bson, out: &mut BytesMut) {
         }
         Bson::Bool(b) => {
             put_key(out, TYPE_BOOL);
-            out.put_u8(u8::from(*b));
+            out.push(u8::from(*b));
         }
         Bson::DateTime(ms) => {
             put_key(out, TYPE_DATETIME);
-            out.put_i64_le(*ms);
+            out.extend_from_slice(&ms.to_le_bytes());
         }
         Bson::Null => put_key(out, TYPE_NULL),
         Bson::Int32(i) => {
             put_key(out, TYPE_INT32);
-            out.put_i32_le(*i);
+            out.extend_from_slice(&i.to_le_bytes());
         }
         Bson::Int64(i) => {
             put_key(out, TYPE_INT64);
-            out.put_i64_le(*i);
+            out.extend_from_slice(&i.to_le_bytes());
         }
     }
 }
@@ -498,7 +497,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(doc: &Document) -> Document {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_document(doc, &mut buf);
         let (decoded, used) = decode_document(&buf).unwrap();
         assert_eq!(used, buf.len());
@@ -507,7 +506,7 @@ mod tests {
 
     #[test]
     fn empty_document_is_five_bytes() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_document(&Document::new(), &mut buf);
         assert_eq!(&buf[..], &[5, 0, 0, 0, 0]);
         assert_eq!(roundtrip(&Document::new()), Document::new());
@@ -602,7 +601,7 @@ mod tests {
             outer.insert("d", inner);
             inner = outer;
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_document(&inner, &mut buf);
         assert!(decode_document(&buf).is_err());
     }

@@ -8,14 +8,14 @@
 //!
 //! The transport layer is the classic MySQL packet: 3-byte little-endian
 //! payload length, 1-byte sequence id, payload. All parsing is total via
-//! [`ByteCursor`]; malformed payloads surface as [`decoy_net::WireError`].
+//! [`ByteCursor`]; malformed payloads surface as [`crate::error::WireError`].
 
 // decoy-hot-path: file -- per-packet decode/encode, one call per wire message
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use decoy_net::codec::Codec;
-use decoy_net::cursor::{sat_u32, sat_u8, usize_from, ByteCursor};
-use decoy_net::error::{NetResult, WireError, WireErrorKind, WireProtocol};
+use crate::buf::{Bytes, RecvBuf};
+use crate::codec::Codec;
+use crate::cursor::{sat_u32, sat_u8, usize_from, ByteCursor};
+use crate::error::{NetResult, WireError, WireErrorKind, WireProtocol};
 
 /// Capability flag: CLIENT_PROTOCOL_41.
 pub const CLIENT_PROTOCOL_41: u32 = 0x0000_0200;
@@ -46,7 +46,7 @@ impl Codec for MySqlCodec {
     type In = MySqlPacket;
     type Out = MySqlPacket;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<MySqlPacket>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<MySqlPacket>> {
         let Some([b0, b1, b2, seq]) = buf.first_chunk::<4>().copied() else {
             return Ok(None);
         };
@@ -66,11 +66,11 @@ impl Codec for MySqlCodec {
             return Ok(None);
         }
         buf.advance(4);
-        let payload = buf.split_to(len).freeze();
+        let payload = buf.split_to(len);
         Ok(Some(MySqlPacket { seq, payload }))
     }
 
-    fn encode(&mut self, frame: &MySqlPacket, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, frame: &MySqlPacket, buf: &mut Vec<u8>) -> NetResult<()> {
         if frame.payload.len() > 0xff_ffff {
             return Err(WireError::new(
                 WireProtocol::MySql,
@@ -83,10 +83,10 @@ impl Codec for MySqlCodec {
             .into());
         }
         let [b0, b1, b2, _] = sat_u32(frame.payload.len()).to_le_bytes();
-        buf.put_u8(b0);
-        buf.put_u8(b1);
-        buf.put_u8(b2);
-        buf.put_u8(frame.seq);
+        buf.push(b0);
+        buf.push(b1);
+        buf.push(b2);
+        buf.push(frame.seq);
         buf.extend_from_slice(&frame.payload);
         Ok(())
     }
@@ -139,26 +139,27 @@ impl Greeting {
     pub fn build(&self) -> Bytes {
         let (part1, part2) = self.auth_data.split_at(8);
         let [cap0, cap1, cap2, cap3] = self.capabilities.to_le_bytes();
-        let mut p = BytesMut::new();
-        p.put_u8(0x0a); // protocol version
+        // decoy-lint: allow(alloc-vec) -- the greeting payload, one per session, sent before any peer byte is read
+        let mut p = Vec::new();
+        p.push(0x0a); // protocol version
         p.extend_from_slice(self.server_version.as_bytes());
-        p.put_u8(0);
-        p.put_u32_le(self.thread_id);
+        p.push(0);
+        p.extend_from_slice(&self.thread_id.to_le_bytes());
         p.extend_from_slice(part1); // auth-plugin-data-part-1
-        p.put_u8(0); // filler
-        p.put_u8(cap0); // capabilities, low half
-        p.put_u8(cap1);
-        p.put_u8(0xff); // character set: utf8mb4
-        p.put_u16_le(0x0002); // status: autocommit
-        p.put_u8(cap2); // capabilities, high half
-        p.put_u8(cap3);
-        p.put_u8(21); // length of auth plugin data
+        p.push(0); // filler
+        p.push(cap0); // capabilities, low half
+        p.push(cap1);
+        p.push(0xff); // character set: utf8mb4
+        p.extend_from_slice(&0x0002_u16.to_le_bytes()); // status: autocommit
+        p.push(cap2); // capabilities, high half
+        p.push(cap3);
+        p.push(21); // length of auth plugin data
         p.extend_from_slice(&[0u8; 10]); // reserved
         p.extend_from_slice(part2); // part-2 (12 bytes)
-        p.put_u8(0); // part-2 terminator
+        p.push(0); // part-2 terminator
         p.extend_from_slice(self.auth_plugin.as_bytes());
-        p.put_u8(0);
-        p.freeze()
+        p.push(0);
+        Bytes::from(p)
     }
 
     /// Parse a greeting payload (client side).
@@ -238,7 +239,7 @@ impl LoginRequest {
         } else {
             use std::fmt::Write as _;
             let mut hex = String::with_capacity(self.auth_response.len() * 2);
-            for b in &self.auth_response {
+            for b in self.auth_response.iter() {
                 let _ = write!(hex, "{b:02x}"); // writing to a String is infallible
             }
             hex
@@ -247,9 +248,10 @@ impl LoginRequest {
 
     /// Build a cleartext-plugin login (the form brute-force drivers use).
     pub fn cleartext(username: &str, password: &str, database: Option<&str>) -> Self {
-        let mut auth = BytesMut::with_capacity(password.len().saturating_add(1));
+        // decoy-lint: allow(alloc-vec) -- the client's credential, built once per login attempt
+        let mut auth = Vec::with_capacity(password.len().saturating_add(1));
         auth.extend_from_slice(password.as_bytes());
-        auth.put_u8(0);
+        auth.push(0);
         LoginRequest {
             capabilities: CLIENT_PROTOCOL_41
                 | CLIENT_SECURE_CONNECTION
@@ -260,7 +262,7 @@ impl LoginRequest {
                     0
                 },
             username: username.into(),
-            auth_response: auth.freeze(),
+            auth_response: Bytes::from(auth),
             database: database.map(String::from),
             auth_plugin: Some("mysql_clear_password".into()),
         }
@@ -268,25 +270,26 @@ impl LoginRequest {
 
     /// Serialize into a packet payload.
     pub fn build(&self) -> Bytes {
-        let mut p = BytesMut::new();
-        p.put_u32_le(self.capabilities);
-        p.put_u32_le(16 << 20); // max packet size
-        p.put_u8(0xff); // charset
+        // decoy-lint: allow(alloc-vec) -- the client's login payload, one per login attempt
+        let mut p = Vec::new();
+        p.extend_from_slice(&self.capabilities.to_le_bytes());
+        p.extend_from_slice(&(16u32 << 20).to_le_bytes()); // max packet size
+        p.push(0xff); // charset
         p.extend_from_slice(&[0u8; 23]);
         p.extend_from_slice(self.username.as_bytes());
-        p.put_u8(0);
+        p.push(0);
         // length-encoded auth response (secure connection form)
-        p.put_u8(sat_u8(self.auth_response.len()));
+        p.push(sat_u8(self.auth_response.len()));
         p.extend_from_slice(&self.auth_response);
         if let Some(db) = &self.database {
             p.extend_from_slice(db.as_bytes());
-            p.put_u8(0);
+            p.push(0);
         }
         if let Some(plugin) = &self.auth_plugin {
             p.extend_from_slice(plugin.as_bytes());
-            p.put_u8(0);
+            p.push(0);
         }
-        p.freeze()
+        Bytes::from(p)
     }
 
     /// Parse a `HandshakeResponse41` payload (server side).
@@ -340,32 +343,34 @@ impl LoginRequest {
 
 /// Build an `ERR` packet payload.
 pub fn build_err(code: u16, sql_state: &str, message: &str) -> Bytes {
-    let mut p = BytesMut::new();
+    // decoy-lint: allow(alloc-vec) -- the payload is the returned frame; build_err_into writes into a caller's buffer
+    let mut p = Vec::new();
     build_err_into(code, sql_state, message, &mut p);
-    p.freeze()
+    Bytes::from(p)
 }
 
 /// Append an `ERR` packet payload to a caller-provided (pooled) buffer.
-pub fn build_err_into(code: u16, sql_state: &str, message: &str, p: &mut BytesMut) {
+pub fn build_err_into(code: u16, sql_state: &str, message: &str, p: &mut Vec<u8>) {
     let start = p.len();
-    p.put_u8(0xff);
-    p.put_u16_le(code);
-    p.put_u8(b'#');
+    p.push(0xff);
+    p.extend_from_slice(&code.to_le_bytes());
+    p.push(b'#');
     let state = sql_state.as_bytes();
     p.extend_from_slice(state.get(..5.min(state.len())).unwrap_or_default());
     while p.len() < start + 4 + 5 {
-        p.put_u8(b'0');
+        p.push(b'0');
     }
     p.extend_from_slice(message.as_bytes());
 }
 
 /// The access-denied error a real server sends for a failed login.
 pub fn access_denied(user: &str, host: &str, using_password: bool) -> Bytes {
-    use std::fmt::Write as _;
-    let mut p = BytesMut::new();
-    p.put_u8(0xff);
-    p.put_u16_le(1045);
-    p.put_u8(b'#');
+    use std::io::Write as _;
+    // decoy-lint: allow(alloc-vec) -- one error payload per refused login
+    let mut p = Vec::new();
+    p.push(0xff);
+    p.extend_from_slice(&1045u16.to_le_bytes());
+    p.push(b'#');
     p.extend_from_slice(b"28000");
     // render the message straight into the payload buffer — no temporary String
     let _ = write!(
@@ -373,7 +378,7 @@ pub fn access_denied(user: &str, host: &str, using_password: bool) -> Bytes {
         "Access denied for user '{user}'@'{host}' (using password: {})",
         if using_password { "YES" } else { "NO" }
     );
-    p.freeze()
+    Bytes::from(p)
 }
 
 /// The `OK` packet payload (static: it never varies).
@@ -442,13 +447,13 @@ mod tests {
             seq: 1,
             payload: Bytes::from_static(&[1, 2, 3, 4, 5]),
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         c.encode(&pkt, &mut buf).unwrap();
         for cut in 1..buf.len() {
-            let mut partial = BytesMut::from(&buf[..cut]);
+            let mut partial = RecvBuf::from(buf[..cut].to_vec());
             assert!(c.decode(&mut partial).unwrap().is_none());
         }
-        assert_eq!(c.decode(&mut buf).unwrap().unwrap(), pkt);
+        assert_eq!(c.decode(&mut RecvBuf::from(buf)).unwrap().unwrap(), pkt);
     }
 
     #[test]
@@ -518,7 +523,7 @@ mod tests {
         );
         let other = parse_command(&Bytes::from_static(&[0x1b, 9])).unwrap();
         assert!(matches!(other, MySqlCommand::Other(0x1b, ref b) if b[..] == [9]));
-        assert!(parse_command(&Bytes::new()).is_err());
+        assert!(parse_command(&Bytes::default()).is_err());
     }
 
     #[test]
@@ -536,7 +541,7 @@ mod tests {
         payload.extend_from_slice(&[0u8; 6]);
         let err = LoginRequest::parse(&payload).unwrap_err();
         match err {
-            decoy_net::NetError::Wire(w) => {
+            crate::error::NetError::Wire(w) => {
                 assert_eq!(w.protocol, WireProtocol::MySql);
                 assert!(matches!(w.kind, WireErrorKind::Truncated { .. }));
             }

@@ -7,14 +7,14 @@
 //! unexpected client behaviour is preserved verbatim in the logs.
 //!
 //! Decoding is total: every read goes through [`ByteCursor`], so malformed
-//! frames surface as [`decoy_net::WireError`] values, never panics.
+//! frames surface as [`crate::error::WireError`] values, never panics.
 
 // decoy-hot-path: file -- per-message decode/encode, one call per wire message
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use decoy_net::codec::{peek_u32_be, Codec};
-use decoy_net::cursor::{sat_i32, sat_u16, sat_u32, usize_from, ByteCursor};
-use decoy_net::error::{NetResult, WireError, WireErrorKind, WireProtocol};
+use crate::buf::{Bytes, RecvBuf};
+use crate::codec::{peek_u32_be, Codec};
+use crate::cursor::{sat_i32, sat_u16, sat_u32, usize_from, ByteCursor};
+use crate::error::{NetResult, WireError, WireErrorKind, WireProtocol};
 use std::fmt::Write as _;
 
 /// Protocol version number for v3.0 startup packets.
@@ -146,9 +146,9 @@ impl BackendMessage {
     }
 }
 
-fn put_cstring(buf: &mut BytesMut, s: &str) {
+fn put_cstring(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
-    buf.put_u8(0);
+    buf.push(0);
 }
 
 /// Decode a startup-family packet body (after the 4-byte length; offsets in
@@ -182,7 +182,7 @@ fn parse_startup_body(body: &[u8]) -> NetResult<FrontendMessage> {
 }
 
 /// Peek a tagged message header: tag byte + big-endian length word.
-fn peek_tagged_header(buf: &BytesMut) -> Option<(u8, u32)> {
+fn peek_tagged_header(buf: &[u8]) -> Option<(u8, u32)> {
     let tag = *buf.first()?;
     let len = buf
         .get(1..5)
@@ -237,7 +237,7 @@ impl Codec for PgServerCodec {
     type In = FrontendMessage;
     type Out = BackendMessage;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<FrontendMessage>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<FrontendMessage>> {
         if !self.startup_done {
             let Some(len32) = peek_u32_be(buf) else {
                 return Ok(None);
@@ -275,7 +275,7 @@ impl Codec for PgServerCodec {
         buf.advance(5);
         // Zero-copy: the body is a shared view of the read buffer; only
         // `Other` keeps it, the typed arms parse out of the borrow.
-        let body = buf.split_to(len - 4).freeze();
+        let body = buf.split_to(len - 4);
         let msg = match tag {
             b'p' => {
                 let mut cur = ByteCursor::with_base(&body, WireProtocol::Pgwire, 5);
@@ -291,7 +291,7 @@ impl Codec for PgServerCodec {
         Ok(Some(msg))
     }
 
-    fn encode(&mut self, frame: &BackendMessage, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, frame: &BackendMessage, buf: &mut Vec<u8>) -> NetResult<()> {
         encode_backend(frame, buf);
         Ok(())
     }
@@ -326,7 +326,7 @@ impl Codec for PgClientCodec {
     type In = BackendMessage;
     type Out = FrontendMessage;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<BackendMessage>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<BackendMessage>> {
         let Some((tag, len32)) = peek_tagged_header(buf) else {
             return Ok(None);
         };
@@ -340,7 +340,7 @@ impl Codec for PgClientCodec {
         Ok(Some(msg))
     }
 
-    fn encode(&mut self, frame: &FrontendMessage, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, frame: &FrontendMessage, buf: &mut Vec<u8>) -> NetResult<()> {
         encode_frontend(frame, buf, &mut self.sent_startup);
         Ok(())
     }
@@ -446,17 +446,17 @@ fn parse_backend(tag: u8, body: &[u8]) -> NetResult<BackendMessage> {
     })
 }
 
-fn encode_frontend(msg: &FrontendMessage, buf: &mut BytesMut, sent_startup: &mut bool) {
+fn encode_frontend(msg: &FrontendMessage, buf: &mut Vec<u8>, sent_startup: &mut bool) {
     match msg {
         FrontendMessage::SslRequest => {
-            buf.put_u32(8);
-            buf.put_u32(SSL_REQUEST_CODE);
+            buf.extend_from_slice(&8u32.to_be_bytes());
+            buf.extend_from_slice(&SSL_REQUEST_CODE.to_be_bytes());
         }
         FrontendMessage::CancelRequest { pid, secret } => {
-            buf.put_u32(16);
-            buf.put_u32(CANCEL_REQUEST_CODE);
-            buf.put_u32(*pid);
-            buf.put_u32(*secret);
+            buf.extend_from_slice(&16u32.to_be_bytes());
+            buf.extend_from_slice(&CANCEL_REQUEST_CODE.to_be_bytes());
+            buf.extend_from_slice(&pid.to_be_bytes());
+            buf.extend_from_slice(&secret.to_be_bytes());
         }
         FrontendMessage::Startup { params } => {
             // Length computed up front so the body renders straight into
@@ -466,74 +466,74 @@ fn encode_frontend(msg: &FrontendMessage, buf: &mut BytesMut, sent_startup: &mut
                 .map(|(k, v)| k.len().saturating_add(v.len()).saturating_add(2))
                 .sum::<usize>()
                 .saturating_add(5);
-            buf.put_u32(sat_u32(4usize.saturating_add(body_len)));
-            buf.put_u32(PROTOCOL_V3);
+            buf.extend_from_slice(&sat_u32(4usize.saturating_add(body_len)).to_be_bytes());
+            buf.extend_from_slice(&PROTOCOL_V3.to_be_bytes());
             for (k, v) in params {
                 put_cstring(buf, k);
                 put_cstring(buf, v);
             }
-            buf.put_u8(0);
+            buf.push(0);
             *sent_startup = true;
         }
         FrontendMessage::Password(pw) => {
-            buf.put_u8(b'p');
-            buf.put_u32(sat_u32(4 + pw.len() + 1));
+            buf.push(b'p');
+            buf.extend_from_slice(&sat_u32(4 + pw.len() + 1).to_be_bytes());
             put_cstring(buf, pw);
         }
         FrontendMessage::Query(q) => {
-            buf.put_u8(b'Q');
-            buf.put_u32(sat_u32(4 + q.len() + 1));
+            buf.push(b'Q');
+            buf.extend_from_slice(&sat_u32(4 + q.len() + 1).to_be_bytes());
             put_cstring(buf, q);
         }
         FrontendMessage::Terminate => {
-            buf.put_u8(b'X');
-            buf.put_u32(4);
+            buf.push(b'X');
+            buf.extend_from_slice(&4u32.to_be_bytes());
         }
         FrontendMessage::Other { tag, body } => {
-            buf.put_u8(*tag);
-            buf.put_u32(sat_u32(4 + body.len()));
+            buf.push(*tag);
+            buf.extend_from_slice(&sat_u32(4 + body.len()).to_be_bytes());
             buf.extend_from_slice(body);
         }
     }
 }
 
-fn encode_backend(msg: &BackendMessage, buf: &mut BytesMut) {
+fn encode_backend(msg: &BackendMessage, buf: &mut Vec<u8>) {
     match msg {
         BackendMessage::SslRefused => {
-            buf.put_u8(b'N');
+            buf.push(b'N');
         }
         BackendMessage::AuthenticationOk => {
-            buf.put_u8(b'R');
-            buf.put_u32(8);
-            buf.put_u32(0);
+            buf.push(b'R');
+            buf.extend_from_slice(&8u32.to_be_bytes());
+            buf.extend_from_slice(&0u32.to_be_bytes());
         }
         BackendMessage::AuthenticationCleartextPassword => {
-            buf.put_u8(b'R');
-            buf.put_u32(8);
-            buf.put_u32(3);
+            buf.push(b'R');
+            buf.extend_from_slice(&8u32.to_be_bytes());
+            buf.extend_from_slice(&3u32.to_be_bytes());
         }
         BackendMessage::AuthenticationMd5Password { salt } => {
-            buf.put_u8(b'R');
-            buf.put_u32(12);
-            buf.put_u32(5);
+            buf.push(b'R');
+            buf.extend_from_slice(&12u32.to_be_bytes());
+            buf.extend_from_slice(&5u32.to_be_bytes());
             buf.extend_from_slice(salt);
         }
         BackendMessage::ParameterStatus { name, value } => {
-            buf.put_u8(b'S');
-            buf.put_u32(sat_u32(4 + name.len() + 1 + value.len() + 1));
+            buf.push(b'S');
+            buf.extend_from_slice(&sat_u32(4 + name.len() + 1 + value.len() + 1).to_be_bytes());
             put_cstring(buf, name);
             put_cstring(buf, value);
         }
         BackendMessage::BackendKeyData { pid, secret } => {
-            buf.put_u8(b'K');
-            buf.put_u32(12);
-            buf.put_u32(*pid);
-            buf.put_u32(*secret);
+            buf.push(b'K');
+            buf.extend_from_slice(&12u32.to_be_bytes());
+            buf.extend_from_slice(&pid.to_be_bytes());
+            buf.extend_from_slice(&secret.to_be_bytes());
         }
         BackendMessage::ReadyForQuery { status } => {
-            buf.put_u8(b'Z');
-            buf.put_u32(5);
-            buf.put_u8(*status);
+            buf.push(b'Z');
+            buf.extend_from_slice(&5u32.to_be_bytes());
+            buf.push(*status);
         }
         BackendMessage::ErrorResponse {
             severity,
@@ -546,15 +546,15 @@ fn encode_backend(msg: &BackendMessage, buf: &mut BytesMut) {
                 .saturating_add(code.len())
                 .saturating_add(message.len())
                 .saturating_add(7);
-            buf.put_u8(b'E');
-            buf.put_u32(sat_u32(4usize.saturating_add(body_len)));
-            buf.put_u8(b'S');
+            buf.push(b'E');
+            buf.extend_from_slice(&sat_u32(4usize.saturating_add(body_len)).to_be_bytes());
+            buf.push(b'S');
             put_cstring(buf, severity);
-            buf.put_u8(b'C');
+            buf.push(b'C');
             put_cstring(buf, code);
-            buf.put_u8(b'M');
+            buf.push(b'M');
             put_cstring(buf, message);
-            buf.put_u8(0);
+            buf.push(0);
         }
         BackendMessage::RowDescription { columns } => {
             // Per column: name + NUL + 18 bytes of fixed descriptor fields.
@@ -563,17 +563,17 @@ fn encode_backend(msg: &BackendMessage, buf: &mut BytesMut) {
                 .map(|c| c.len().saturating_add(19))
                 .sum::<usize>()
                 .saturating_add(2);
-            buf.put_u8(b'T');
-            buf.put_u32(sat_u32(4usize.saturating_add(body_len)));
-            buf.put_u16(sat_u16(columns.len()));
+            buf.push(b'T');
+            buf.extend_from_slice(&sat_u32(4usize.saturating_add(body_len)).to_be_bytes());
+            buf.extend_from_slice(&sat_u16(columns.len()).to_be_bytes());
             for col in columns {
                 put_cstring(buf, col);
-                buf.put_u32(0); // table oid
-                buf.put_u16(0); // attribute number
-                buf.put_u32(25); // type oid: text
-                buf.put_i16(-1); // type size: variable
-                buf.put_i32(-1); // type modifier
-                buf.put_u16(0); // format: text
+                buf.extend_from_slice(&0u32.to_be_bytes()); // table oid
+                buf.extend_from_slice(&0u16.to_be_bytes()); // attribute number
+                buf.extend_from_slice(&25u32.to_be_bytes()); // type oid: text
+                buf.extend_from_slice(&(-1i16).to_be_bytes()); // type size: variable
+                buf.extend_from_slice(&(-1i32).to_be_bytes()); // type modifier
+                buf.extend_from_slice(&0u16.to_be_bytes()); // format: text
             }
         }
         BackendMessage::DataRow { values } => {
@@ -582,27 +582,27 @@ fn encode_backend(msg: &BackendMessage, buf: &mut BytesMut) {
                 .map(|v| v.as_ref().map_or(4, |s| s.len().saturating_add(4)))
                 .sum::<usize>()
                 .saturating_add(2);
-            buf.put_u8(b'D');
-            buf.put_u32(sat_u32(4usize.saturating_add(body_len)));
-            buf.put_u16(sat_u16(values.len()));
+            buf.push(b'D');
+            buf.extend_from_slice(&sat_u32(4usize.saturating_add(body_len)).to_be_bytes());
+            buf.extend_from_slice(&sat_u16(values.len()).to_be_bytes());
             for v in values {
                 match v {
-                    None => buf.put_i32(-1),
+                    None => buf.extend_from_slice(&(-1i32).to_be_bytes()),
                     Some(s) => {
-                        buf.put_i32(sat_i32(s.len()));
+                        buf.extend_from_slice(&sat_i32(s.len()).to_be_bytes());
                         buf.extend_from_slice(s.as_bytes());
                     }
                 }
             }
         }
         BackendMessage::CommandComplete { tag } => {
-            buf.put_u8(b'C');
-            buf.put_u32(sat_u32(4 + tag.len() + 1));
+            buf.push(b'C');
+            buf.extend_from_slice(&sat_u32(4 + tag.len() + 1).to_be_bytes());
             put_cstring(buf, tag);
         }
         BackendMessage::EmptyQueryResponse => {
-            buf.put_u8(b'I');
-            buf.put_u32(4);
+            buf.push(b'I');
+            buf.extend_from_slice(&4u32.to_be_bytes());
         }
     }
 }
@@ -623,11 +623,11 @@ pub fn startup_user(msg: &FrontendMessage) -> Option<&str> {
 mod tests {
     use super::*;
 
-    fn client_encode(msg: FrontendMessage) -> BytesMut {
+    fn client_encode(msg: FrontendMessage) -> RecvBuf {
         let mut codec = PgClientCodec::new();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         codec.encode(&msg, &mut buf).unwrap();
-        buf
+        RecvBuf::from(buf)
     }
 
     #[test]
@@ -715,8 +715,9 @@ mod tests {
         let mut server = PgServerCodec::new();
         let mut client = PgClientCodec::new();
         for msg in messages {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             server.encode(&msg, &mut buf).unwrap();
+            let mut buf = RecvBuf::from(buf);
             let decoded = client.decode(&mut buf).unwrap().unwrap();
             assert_eq!(decoded, msg);
             assert!(buf.is_empty());
@@ -730,7 +731,7 @@ mod tests {
         });
         for cut in 1..full.len() {
             let mut server = PgServerCodec::new();
-            let mut buf = BytesMut::from(&full[..cut]);
+            let mut buf = RecvBuf::from(full[..cut].to_vec());
             assert!(server.decode(&mut buf).unwrap().is_none());
             assert_eq!(buf.len(), cut);
         }
@@ -739,20 +740,20 @@ mod tests {
     #[test]
     fn hostile_startup_length_is_rejected() {
         let mut server = PgServerCodec::new();
-        let mut buf = BytesMut::from(&[0xffu8, 0xff, 0xff, 0xff, 0, 0, 0, 0][..]);
+        let mut buf = RecvBuf::from([0xffu8, 0xff, 0xff, 0xff, 0, 0, 0, 0].to_vec());
         assert!(server.decode(&mut buf).is_err());
         let mut server = PgServerCodec::new();
-        let mut buf = BytesMut::from(&[0u8, 0, 0, 4][..]); // length < 8
+        let mut buf = RecvBuf::from([0u8, 0, 0, 4].to_vec()); // length < 8
         assert!(server.decode(&mut buf).is_err());
     }
 
     #[test]
     fn wire_errors_carry_protocol_and_offset() {
         let mut server = PgServerCodec::new();
-        let mut buf = BytesMut::from(&[0xffu8, 0xff, 0xff, 0xff, 0, 0, 0, 0][..]);
+        let mut buf = RecvBuf::from([0xffu8, 0xff, 0xff, 0xff, 0, 0, 0, 0].to_vec());
         let err = server.decode(&mut buf).unwrap_err();
         match err {
-            decoy_net::NetError::Wire(w) => {
+            crate::error::NetError::Wire(w) => {
                 assert_eq!(w.protocol, WireProtocol::Pgwire);
                 assert_eq!(w.offset, 0);
                 assert!(matches!(w.kind, WireErrorKind::LengthOutOfRange { .. }));

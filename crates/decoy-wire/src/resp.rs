@@ -8,15 +8,15 @@
 //!
 //! Parsing is total and index-free: every length an attacker declares is
 //! range-checked against the codec's frame limit before any allocation, and
-//! violations surface as [`decoy_net::WireError`] values carrying the byte
+//! violations surface as [`crate::error::WireError`] values carrying the byte
 //! offset of the damage.
 
 // decoy-hot-path: file -- per-value decode/encode, one call per wire message
 
-use bytes::{Bytes, BytesMut};
-use decoy_net::codec::Codec;
-use decoy_net::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
-use std::fmt::Write as _;
+use crate::buf::{Bytes, RecvBuf};
+use crate::codec::Codec;
+use crate::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
+use std::io::Write as _;
 
 /// Nesting bound for arrays-of-arrays from hostile clients.
 const MAX_DEPTH: u32 = 32;
@@ -107,7 +107,8 @@ pub fn as_command(value: &RespValue) -> Option<RedisCommand> {
             for item in items {
                 match item {
                     // Shares the frame bytes; no payload copy.
-                    RespValue::Bulk(b) => parts.push(b.slice(..)),
+                    // decoy-lint: allow(alloc-clone) -- a Bytes clone bumps a refcount
+                    RespValue::Bulk(b) => parts.push(b.clone()),
                     RespValue::Simple(s) | RespValue::Inline(s) => {
                         parts.push(Bytes::copy_from_slice(s.as_bytes()))
                     }
@@ -392,7 +393,7 @@ impl Codec for RespCodec {
     type In = RespValue;
     type Out = RespValue;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<RespValue>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<RespValue>> {
         let Some(&first) = buf.first() else {
             return Ok(None);
         };
@@ -402,22 +403,19 @@ impl Codec for RespCodec {
             let Some(pos) = buf.iter().position(|&b| b == b'\n') else {
                 return Ok(None);
             };
-            let mut line = buf.split_to(pos + 1);
-            line.truncate(pos);
-            if line.last() == Some(&b'\r') {
-                line.truncate(line.len().saturating_sub(1));
-            }
-            return Ok(Some(RespValue::Inline(
-                String::from_utf8_lossy(&line).into_owned(),
-            )));
+            let line = buf.get(..pos).unwrap_or_default();
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            let inline = String::from_utf8_lossy(line).into_owned();
+            buf.advance(pos + 1);
+            return Ok(Some(RespValue::Inline(inline)));
         }
         let Some(consumed) = measure_value(buf, 0, 0, self.max_frame)? else {
             return Ok(None);
         };
         // The measure pass fixed the exact frame length; detach it as a
         // shared view and build values whose bulk payloads borrow from it.
-        let frame = buf.split_to(consumed).freeze();
-        match parse_value(&frame, frame.as_ref(), 0, 0, self.max_frame)? {
+        let frame = buf.split_to(consumed);
+        match parse_value(&frame, &frame, 0, 0, self.max_frame)? {
             Some((value, _)) => Ok(Some(value)),
             None => Err(rerr(
                 0,
@@ -428,7 +426,7 @@ impl Codec for RespCodec {
         }
     }
 
-    fn encode(&mut self, frame: &RespValue, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, frame: &RespValue, buf: &mut Vec<u8>) -> NetResult<()> {
         encode_value(frame, buf);
         Ok(())
     }
@@ -438,7 +436,7 @@ impl Codec for RespCodec {
     }
 }
 
-fn encode_value(v: &RespValue, buf: &mut BytesMut) {
+fn encode_value(v: &RespValue, buf: &mut Vec<u8>) {
     match v {
         RespValue::Simple(s) => {
             buf.extend_from_slice(b"+");
@@ -481,7 +479,7 @@ mod tests {
     use super::*;
 
     fn decode_one(codec: &mut RespCodec, bytes: &[u8]) -> NetResult<Option<RespValue>> {
-        let mut buf = BytesMut::from(bytes);
+        let mut buf = RecvBuf::from(bytes.to_vec());
         codec.decode(&mut buf)
     }
 
@@ -520,11 +518,11 @@ mod tests {
         let full = b"*2\r\n$3\r\nGET\r\n$1\r\nx\r\n";
         // every prefix is incomplete, the full buffer decodes
         for cut in 1..full.len() {
-            let mut buf = BytesMut::from(&full[..cut]);
+            let mut buf = RecvBuf::from(full[..cut].to_vec());
             assert_eq!(c.decode(&mut buf).unwrap(), None, "cut at {cut}");
             assert_eq!(buf.len(), cut, "no bytes consumed on partial");
         }
-        let mut buf = BytesMut::from(&full[..]);
+        let mut buf = RecvBuf::from(full[..].to_vec());
         let v = c.decode(&mut buf).unwrap().unwrap();
         assert_eq!(v, RespValue::command(&["GET", "x"]));
         assert!(buf.is_empty());
@@ -577,8 +575,9 @@ mod tests {
         ];
         let mut c = RespCodec::client();
         for v in values {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             c.encode(&v, &mut buf).unwrap();
+            let mut buf = RecvBuf::from(buf);
             let decoded = c.decode(&mut buf).unwrap().unwrap();
             assert_eq!(decoded, v);
             assert!(buf.is_empty());

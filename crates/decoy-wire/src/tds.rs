@@ -9,14 +9,14 @@
 //!
 //! All parse paths are total: attacker-declared offsets and lengths are
 //! bounds-checked with `.get()` before any read, and violations become
-//! structured [`decoy_net::WireError`] values.
+//! structured [`crate::error::WireError`] values.
 
 // decoy-hot-path: file -- per-packet decode/encode, one call per wire message
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use decoy_net::codec::Codec;
-use decoy_net::cursor::{sat_u16, sat_u32, sat_u8, usize_from};
-use decoy_net::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
+use crate::buf::{Bytes, RecvBuf};
+use crate::codec::Codec;
+use crate::cursor::{sat_u16, sat_u32, sat_u8, usize_from};
+use crate::error::{NetError, NetResult, WireError, WireErrorKind, WireProtocol};
 use std::fmt::Write as _;
 
 /// Packet type: PRELOGIN.
@@ -65,7 +65,7 @@ impl Codec for TdsCodec {
     type In = TdsPacket;
     type Out = TdsPacket;
 
-    fn decode(&mut self, buf: &mut BytesMut) -> NetResult<Option<TdsPacket>> {
+    fn decode(&mut self, buf: &mut RecvBuf) -> NetResult<Option<TdsPacket>> {
         let Some(&[ptype, status, l0, l1, _, _, _, _]) = buf.first_chunk::<8>() else {
             return Ok(None);
         };
@@ -91,7 +91,7 @@ impl Codec for TdsCodec {
             return Ok(None);
         }
         buf.advance(8);
-        let payload = buf.split_to(len - 8).freeze();
+        let payload = buf.split_to(len - 8);
         Ok(Some(TdsPacket {
             ptype,
             status,
@@ -99,17 +99,17 @@ impl Codec for TdsCodec {
         }))
     }
 
-    fn encode(&mut self, frame: &TdsPacket, buf: &mut BytesMut) -> NetResult<()> {
+    fn encode(&mut self, frame: &TdsPacket, buf: &mut Vec<u8>) -> NetResult<()> {
         let total = 8usize.saturating_add(frame.payload.len());
         if total > usize::from(u16::MAX) {
             return Err(NetError::protocol("tds payload too large for one packet"));
         }
-        buf.put_u8(frame.ptype);
-        buf.put_u8(frame.status);
-        buf.put_u16(sat_u16(total));
-        buf.put_u16(0); // spid
-        buf.put_u8(1); // packet id
-        buf.put_u8(0); // window
+        buf.push(frame.ptype);
+        buf.push(frame.status);
+        buf.extend_from_slice(&sat_u16(total).to_be_bytes());
+        buf.extend_from_slice(&0u16.to_be_bytes()); // spid
+        buf.push(1); // packet id
+        buf.push(0); // window
         buf.extend_from_slice(&frame.payload);
         Ok(())
     }
@@ -207,19 +207,20 @@ pub fn parse_prelogin(payload: &Bytes) -> NetResult<Vec<PreloginOption>> {
 pub fn build_prelogin(options: &[PreloginOption]) -> Bytes {
     let header_len = options.len() * 5 + 1;
     let data_len: usize = options.iter().map(|(_, b)| b.len()).sum();
-    let mut p = BytesMut::with_capacity(header_len + data_len);
+    // decoy-lint: allow(alloc-vec) -- one prelogin payload per session
+    let mut p = Vec::with_capacity(header_len + data_len);
     let mut offset = header_len;
     for (token, bytes) in options {
-        p.put_u8(*token);
-        p.put_u16(sat_u16(offset));
-        p.put_u16(sat_u16(bytes.len()));
+        p.push(*token);
+        p.extend_from_slice(&sat_u16(offset).to_be_bytes());
+        p.extend_from_slice(&sat_u16(bytes.len()).to_be_bytes());
         offset += bytes.len();
     }
-    p.put_u8(0xff);
+    p.push(0xff);
     for (_, bytes) in options {
         p.extend_from_slice(bytes);
     }
-    p.freeze()
+    Bytes::from(p)
 }
 
 /// The PRELOGIN response our honeypot sends: SQL Server 2019 version token
@@ -276,38 +277,39 @@ impl Login7 {
         ];
         let var_len: usize = fields.iter().map(Vec::len).sum();
         let total = LOGIN7_FIXED + var_len;
-        let mut p = BytesMut::with_capacity(total);
-        p.put_u32_le(sat_u32(total));
-        p.put_u32_le(0x7400_0004); // TDS 7.4
-        p.put_u32_le(4096); // packet size
-        p.put_u32_le(7); // client prog version
-        p.put_u32_le(1000); // client pid
-        p.put_u32_le(0); // connection id
-        p.put_u8(0xe0); // option flags 1
-        p.put_u8(0x03); // option flags 2
-        p.put_u8(0); // type flags
-        p.put_u8(0); // option flags 3
-        p.put_i32_le(0); // timezone
-        p.put_u32_le(0x0409); // LCID en-US
+        // decoy-lint: allow(alloc-vec) -- the client's LOGIN7 payload, one per login attempt
+        let mut p = Vec::with_capacity(total);
+        p.extend_from_slice(&sat_u32(total).to_le_bytes());
+        p.extend_from_slice(&0x7400_0004_u32.to_le_bytes()); // TDS 7.4
+        p.extend_from_slice(&4096u32.to_le_bytes()); // packet size
+        p.extend_from_slice(&7u32.to_le_bytes()); // client prog version
+        p.extend_from_slice(&1000u32.to_le_bytes()); // client pid
+        p.extend_from_slice(&0u32.to_le_bytes()); // connection id
+        p.push(0xe0); // option flags 1
+        p.push(0x03); // option flags 2
+        p.push(0); // type flags
+        p.push(0); // option flags 3
+        p.extend_from_slice(&0i32.to_le_bytes()); // timezone
+        p.extend_from_slice(&0x0409_u32.to_le_bytes()); // LCID en-US
         let mut offset = LOGIN7_FIXED;
         for f in &fields {
-            p.put_u16_le(sat_u16(offset));
-            p.put_u16_le(sat_u16(f.len() / 2));
+            p.extend_from_slice(&sat_u16(offset).to_le_bytes());
+            p.extend_from_slice(&sat_u16(f.len() / 2).to_le_bytes());
             offset += f.len();
         }
         p.extend_from_slice(&[0, 1, 2, 3, 4, 5]); // client MAC
-        p.put_u16_le(0); // SSPI offset
-        p.put_u16_le(0); // SSPI length
-        p.put_u16_le(0); // AtchDBFile
-        p.put_u16_le(0);
-        p.put_u16_le(0); // ChangePassword
-        p.put_u16_le(0);
-        p.put_u32_le(0); // cbSSPILong
+        p.extend_from_slice(&0u16.to_le_bytes()); // SSPI offset
+        p.extend_from_slice(&0u16.to_le_bytes()); // SSPI length
+        p.extend_from_slice(&0u16.to_le_bytes()); // AtchDBFile
+        p.extend_from_slice(&0u16.to_le_bytes());
+        p.extend_from_slice(&0u16.to_le_bytes()); // ChangePassword
+        p.extend_from_slice(&0u16.to_le_bytes());
+        p.extend_from_slice(&0u32.to_le_bytes()); // cbSSPILong
         debug_assert_eq!(p.len(), LOGIN7_FIXED);
         for f in &fields {
             p.extend_from_slice(f);
         }
-        p.freeze()
+        Bytes::from(p)
     }
 
     /// Parse a LOGIN7 payload, deobfuscating the password.
@@ -399,24 +401,25 @@ pub fn build_login_failed(username: &str) -> Bytes {
     let body_len = 14_usize
         .saturating_add(msg_ucs2.len())
         .saturating_add(server.len());
-    let mut p = BytesMut::with_capacity(body_len.saturating_add(16));
-    p.put_u8(TOKEN_ERROR);
-    p.put_u16_le(sat_u16(body_len));
-    p.put_i32_le(18456); // error number
-    p.put_u8(1); // state
-    p.put_u8(14); // class/severity
-    p.put_u16_le(sat_u16(msg.encode_utf16().count()));
+    // decoy-lint: allow(alloc-vec) -- one error payload per refused login
+    let mut p = Vec::with_capacity(body_len.saturating_add(16));
+    p.push(TOKEN_ERROR);
+    p.extend_from_slice(&sat_u16(body_len).to_le_bytes());
+    p.extend_from_slice(&18456i32.to_le_bytes()); // error number
+    p.push(1); // state
+    p.push(14); // class/severity
+    p.extend_from_slice(&sat_u16(msg.encode_utf16().count()).to_le_bytes());
     p.extend_from_slice(&msg_ucs2);
-    p.put_u8(sat_u8(server.len() / 2));
+    p.push(sat_u8(server.len() / 2));
     p.extend_from_slice(&server);
-    p.put_u8(0); // proc name length
-    p.put_u32_le(1); // line number
-                     // DONE token: error, no count
-    p.put_u8(TOKEN_DONE);
-    p.put_u16_le(0x0002); // status: DONE_ERROR
-    p.put_u16_le(0);
-    p.put_u64_le(0);
-    p.freeze()
+    p.push(0); // proc name length
+    p.extend_from_slice(&1u32.to_le_bytes()); // line number
+                                              // DONE token: error, no count
+    p.push(TOKEN_DONE);
+    p.extend_from_slice(&0x0002_u16.to_le_bytes()); // status: DONE_ERROR
+    p.extend_from_slice(&0u16.to_le_bytes());
+    p.extend_from_slice(&0u64.to_le_bytes());
+    Bytes::from(p)
 }
 
 /// Extract the error message from a token-stream response (client side).
@@ -442,20 +445,20 @@ mod tests {
     fn packet_codec_roundtrip_and_partials() {
         let mut c = TdsCodec;
         let pkt = TdsPacket::eom(PKT_PRELOGIN, vec![0xff]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         c.encode(&pkt, &mut buf).unwrap();
         assert_eq!(buf.len(), 9);
         for cut in 1..buf.len() {
-            let mut partial = BytesMut::from(&buf[..cut]);
+            let mut partial = RecvBuf::from(buf[..cut].to_vec());
             assert!(c.decode(&mut partial).unwrap().is_none());
         }
-        assert_eq!(c.decode(&mut buf).unwrap().unwrap(), pkt);
+        assert_eq!(c.decode(&mut RecvBuf::from(buf)).unwrap().unwrap(), pkt);
     }
 
     #[test]
     fn packet_codec_rejects_undersized_length() {
         let mut c = TdsCodec;
-        let mut buf = BytesMut::from(&[0x12u8, 0x01, 0x00, 0x04, 0, 0, 1, 0][..]);
+        let mut buf = RecvBuf::from([0x12u8, 0x01, 0x00, 0x04, 0, 0, 1, 0].to_vec());
         let err = c.decode(&mut buf).unwrap_err();
         match err {
             NetError::Wire(w) => {

@@ -9,9 +9,9 @@
 //! the prefix trie, TF vectors, the ECDF, Luhn, the document engine,
 //! `LRANGE`, Ward heights) live in the unit tests of the code they check.
 
-use bytes::{Bytes, BytesMut};
 use decoy_base::rng::{for_all, Rng};
-use decoy_net::codec::Codec;
+use decoy_wire::buf::{Bytes, RecvBuf};
+use decoy_wire::codec::Codec;
 use decoy_wire::mongo::bson::{self, Bson, Document};
 use decoy_wire::{http, mongo, mysql, pgwire, resp, tds};
 use std::ops::{Range, RangeInclusive};
@@ -52,7 +52,7 @@ fn decoder_never_panics<C: Codec>(seed: u64, codec: impl Fn() -> C) {
     let gen = |rng: &mut Rng| bytes(rng, 0..512);
     for_all(seed, 256, gen, |bytes| {
         let mut codec = codec();
-        let mut buf = BytesMut::from(&bytes[..]);
+        let mut buf = RecvBuf::from(bytes.clone());
         for _ in 0..600 {
             let before = buf.len();
             match codec.decode(&mut buf) {
@@ -148,8 +148,9 @@ fn resp_roundtrip() {
     let gen = |rng: &mut Rng| resp_value(rng, 3);
     for_all(0x7e59, 256, gen, |value| {
         let mut codec = resp::RespCodec::client();
-        let mut buf = BytesMut::new();
-        codec.encode(value, &mut buf).unwrap();
+        let mut out = Vec::new();
+        codec.encode(value, &mut out).unwrap();
+        let mut buf = RecvBuf::from(out);
         let decoded = codec.decode(&mut buf).unwrap().unwrap();
         assert_eq!(&decoded, value);
         assert!(buf.is_empty());
@@ -203,14 +204,15 @@ fn pg_query_roundtrip() {
     for_all(0x96a1, 256, gen, |query| {
         let mut client = pgwire::PgClientCodec::new();
         let mut server = pgwire::PgServerCodec::new();
-        let mut buf = BytesMut::new();
+        let mut out = Vec::new();
         let startup = pgwire::FrontendMessage::Startup {
             params: vec![("user".into(), "u".into())],
         };
-        client.encode(&startup, &mut buf).unwrap();
-        server.decode(&mut buf).unwrap().unwrap();
+        client.encode(&startup, &mut out).unwrap();
         let message = pgwire::FrontendMessage::Query(query.clone());
-        client.encode(&message, &mut buf).unwrap();
+        client.encode(&message, &mut out).unwrap();
+        let mut buf = RecvBuf::from(out);
+        server.decode(&mut buf).unwrap().unwrap();
         assert_eq!(server.decode(&mut buf).unwrap().unwrap(), message);
     });
 }
@@ -256,7 +258,7 @@ fn bson_roundtrip() {
             .collect()
     };
     for_all(0xb50e, 256, gen, |doc| {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         bson::encode_document(doc, &mut buf);
         let (decoded, used) = bson::decode_document(&buf).unwrap();
         assert_eq!(used, buf.len());

@@ -37,10 +37,10 @@ pub const LOCK_SCOPE: [&str; 6] = [
 
 /// Files that must carry a `decoy-hot-path` tag: the six wire decoders,
 /// the journal decode path, the journal sink and record encoder (fn-scope
-/// tags), the codec write path, the store's
+/// tags), the codec write path and the frame buffer, the store's
 /// `append_locked` (fn-scope tag in events.rs), the latency shaper's
 /// draw path, the error-catalog render path, and the JSON string escaper.
-pub const HOT_PATH_EXPECTED: [&str; 14] = [
+pub const HOT_PATH_EXPECTED: [&str; 15] = [
     "crates/decoy-wire/src/http.rs",
     "crates/decoy-wire/src/mongo.rs",
     "crates/decoy-wire/src/mysql.rs",
@@ -51,7 +51,9 @@ pub const HOT_PATH_EXPECTED: [&str; 14] = [
     // every spooled event is encoded once, by the sink, under the store lock
     "crates/decoy-store/src/journal/mod.rs",
     "crates/decoy-store/src/journal/encode.rs",
-    "crates/decoy-net/src/codec.rs",
+    "crates/decoy-wire/src/codec.rs",
+    // every inbound byte is buffered in it and every frame split from it
+    "crates/decoy-wire/src/buf.rs",
     "crates/decoy-store/src/events.rs",
     // per-response latency shaping runs inside every session loop
     "crates/decoy-net/src/latency.rs",
@@ -375,7 +377,8 @@ mod tests {
             "crates/decoy-store/src/journal/decode.rs",
             "crates/decoy-store/src/journal/mod.rs",
             "crates/decoy-store/src/journal/encode.rs",
-            "crates/decoy-net/src/codec.rs",
+            "crates/decoy-wire/src/codec.rs",
+            "crates/decoy-wire/src/buf.rs",
             "crates/decoy-store/src/events.rs",
             "crates/decoy-net/src/latency.rs",
             "crates/decoy-honeypots/src/catalog.rs",

@@ -168,16 +168,6 @@ impl SourceFile {
             .copied()
             .unwrap_or(false)
     }
-
-    /// The trimmed original text of 1-based line `lineno` — the stable key
-    /// baseline entries match on (line numbers drift, line content rarely).
-    pub fn line_key(&self, lineno: usize) -> &str {
-        self.src
-            .lines()
-            .nth(lineno.saturating_sub(1))
-            .unwrap_or_default()
-            .trim()
-    }
 }
 
 /// Render findings (and baseline bookkeeping) as the unified JSON report.
@@ -469,7 +459,6 @@ mod tests {
         );
         assert!(sf.allowed(1, "alloc-clone"));
         assert!(!sf.allowed(1, "alloc-vec"));
-        assert!(sf.line_key(1).starts_with("fn f()"));
         assert_eq!(sf.fns.len(), 2);
         assert!(!sf.in_test[0]);
         assert!(sf.in_test[2]);

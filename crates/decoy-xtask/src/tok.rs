@@ -309,8 +309,6 @@ pub struct FnItem {
     pub name_tok: usize,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// True when the nearest preceding modifiers include `async`.
-    pub is_async: bool,
     /// `(open, close)` token indices of the body braces; `None` for
     /// bodyless declarations (trait methods, extern fns).
     pub body: Option<(usize, usize)>,
@@ -332,24 +330,6 @@ pub fn functions(toks: &[Tok], src: &str) -> Vec<FnItem> {
         };
         if name_t.kind != TokKind::Ident {
             continue; // `fn(` — a function-pointer type, not an item
-        }
-        // modifiers: scan back a few tokens for `async`, stopping at
-        // item/statement boundaries
-        let mut is_async = false;
-        let mut k = i;
-        for _ in 0..8 {
-            if k == 0 {
-                break;
-            }
-            k -= 1;
-            match toks.get(k) {
-                Some(m) if m.is_ident(src, "async") => {
-                    is_async = true;
-                    break;
-                }
-                Some(m) if matches!(m.kind, TokKind::Punct(b';' | b'{' | b'}')) => break,
-                _ => {}
-            }
         }
         // body: first `{` or `;` after the name
         let mut body = None;
@@ -385,7 +365,6 @@ pub fn functions(toks: &[Tok], src: &str) -> Vec<FnItem> {
             name: name_t.text(src).to_string(),
             name_tok: i + 1,
             line: t.line,
-            is_async,
             body,
         });
     }
@@ -582,10 +561,8 @@ mod tests {
         let fns = functions(&toks, &stripped);
         assert_eq!(fns.len(), 3);
         assert_eq!(fns[0].name, "go");
-        assert!(fns[0].is_async);
         assert!(fns[0].body.is_some());
         assert_eq!(fns[1].name, "plain");
-        assert!(!fns[1].is_async);
         assert_eq!(fns[2].name, "decl");
         assert!(fns[2].body.is_none());
     }
