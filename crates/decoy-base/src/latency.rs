@@ -10,16 +10,16 @@
 //! session, op)` triple hashes to one draw from a configurable
 //! [`LatencyProfile`] (floor / median / ceiling plus a per-mille tail
 //! probability), so replaying an experiment replays its latencies — no
-//! wall-clock flake, no RNG state threading. The server layer applies the
-//! draw per response write (see `server::SessionStream`): on a simulated
-//! [`Clock`](decoy_base::time::Clock) the shared clock advances instead of the
-//! task sleeping, keeping tests instant; on the wall clock the session
-//! really waits.
+//! wall-clock flake, no RNG state threading. decoy-net's listener applies
+//! the draw per response write (its `server::SessionStream`): on a
+//! simulated [`Clock`](crate::time::Clock) the shared clock advances
+//! instead of the task sleeping, keeping tests instant; on the wall clock
+//! the session really waits.
 //!
 //! Shaping is opt-in (`ListenerOptions::latency` defaults to `None`) so
 //! existing byte-identity goldens are untouched.
 
-use decoy_base::splitmix64;
+use crate::splitmix64;
 use std::time::Duration;
 
 /// Shape of the response-latency distribution a shaper draws from.
@@ -127,7 +127,7 @@ impl LatencyShaper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::rng::{for_all, Rng};
+    use crate::rng::{for_all, Rng};
 
     #[test]
     fn identical_inputs_identical_delays() {

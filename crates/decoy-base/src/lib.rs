@@ -11,12 +11,14 @@
 //! fingerprint baseline; [`time`], the virtual clock and the
 //! [`time::Timestamp`] every event carries; [`health`], the listener
 //! health the supervisor tracks, the event store logs and the report
-//! renders; and [`sync`], the one lock type, which never poisons. With
-//! these here, the event store, the analysis and the report name no crate
-//! that opens a socket.
+//! renders; [`sync`], the one lock type, which never poisons; and
+//! [`latency`], the seeded response-latency shaper the listeners and the
+//! fingerprint corpus draw from. With these here, the event store, the
+//! analysis and the report name no crate that opens a socket.
 
 pub mod health;
 pub mod json;
+pub mod latency;
 pub mod rng;
 pub mod sync;
 pub mod time;

@@ -142,8 +142,8 @@ fn bench(c: &mut Criterion) {
         use decoy_agents::schedule::PlannedSession;
         use decoy_agents::scripts::SessionScript;
         use decoy_base::time::Clock;
+        use decoy_fleet::deploy::{spawn, HoneypotSpec};
         use decoy_fleet::driver::run_session;
-        use decoy_honeypots::deploy::{spawn, HoneypotSpec};
         use decoy_store::HoneypotId;
 
         let runtime = tokio::runtime::Builder::new_multi_thread()

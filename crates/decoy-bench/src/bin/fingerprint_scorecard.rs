@@ -15,9 +15,9 @@
 //!
 //! Run: `cargo run -p decoy-bench --release --bin fingerprint_scorecard -- --check`
 
+use decoy_base::latency::{LatencyProfile, LatencyShaper};
 use decoy_base::time::Clock;
 use decoy_fingerprint::{evaluate, fingerprint_fleet, EngineOptions, Scorecard};
-use decoy_net::latency::{LatencyProfile, LatencyShaper};
 use decoy_net::server::ListenerOptions;
 
 const BASELINE: &str = "FINGERPRINT_BASELINE.json";

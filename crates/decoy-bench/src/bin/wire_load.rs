@@ -394,7 +394,7 @@ fn main() {
 }
 
 async fn run_all(sessions: usize, concurrency: usize) -> Value {
-    use decoy_honeypots::deploy::{spawn, HoneypotSpec};
+    use decoy_fleet::deploy::{spawn, HoneypotSpec};
 
     let targets: [(&'static str, HoneypotId, SessionFn); 6] = [
         (

@@ -13,8 +13,8 @@
 
 use std::fmt::Write as _;
 
+use decoy_base::latency::{LatencyProfile, LatencyShaper};
 use decoy_honeypots::catalog;
-use decoy_net::latency::{LatencyProfile, LatencyShaper};
 
 use crate::probes::Surface;
 

@@ -57,7 +57,7 @@ impl Default for EngineOptions {
 /// Spawn each of the six deploy-spec honeypot families on loopback,
 /// capture its probe surface, and shut it down again.
 pub async fn fingerprint_fleet(options: &EngineOptions) -> std::io::Result<Vec<Surface>> {
-    use decoy_honeypots::deploy::{spawn_with_options, HoneypotSpec};
+    use decoy_fleet::deploy::{spawn_with_options, HoneypotSpec};
 
     let targets: [(HoneypotId, CaptureFn); 6] = [
         (

@@ -17,7 +17,8 @@
 //!
 //! [`corpus`] pins the pre-hardening surfaces so the score improvement
 //! from the hardening layer (`decoy_honeypots::catalog`, the seeded
-//! latency shaper in `decoy-net`) stays measurable and regression-proof.
+//! latency shaper in `decoy_base::latency`) stays measurable and
+//! regression-proof.
 
 // The probes parse live honeypot responses, attacker-shaped bytes; clippy
 // holds them to the byte-path wall (DESIGN.md "Threat model of the byte

@@ -2,9 +2,9 @@
 //! loopback listeners and the hardened, latency-shaped fleet must score
 //! zero — matching the committed `FINGERPRINT_BASELINE.json`.
 
+use decoy_base::latency::{LatencyProfile, LatencyShaper};
 use decoy_base::time::Clock;
 use decoy_fingerprint::{evaluate, fingerprint_fleet, EngineOptions, Scorecard};
-use decoy_net::latency::{LatencyProfile, LatencyShaper};
 use decoy_net::server::ListenerOptions;
 
 #[tokio::test(flavor = "multi_thread")]

@@ -13,6 +13,7 @@ use decoy_analysis::cluster::cluster_sources;
 use decoy_analysis::frame::{AnalysisFrame, Partition};
 use decoy_analysis::tagging::tag_sources;
 use decoy_base::time::{Clock, EXPERIMENT_START, MILLIS_PER_DAY};
+use decoy_fleet::deploy::Shell;
 use decoy_fleet::driver::run_session;
 use decoy_geo::GeoDb;
 use decoy_honeypots::docdb::DocDb;
@@ -32,12 +33,12 @@ async fn main() -> std::io::Result<()> {
         0,
     );
     // keep a handle on the engine so we can inspect the damage afterwards
-    let honeypot = MongoHoneypot::with_fake_customers(store.clone(), id, 99, 50);
+    let honeypot = MongoHoneypot::with_fake_customers(99, 50);
     let engine: Arc<DocDb> = honeypot.db().clone();
     let clock = Clock::simulated();
     let server = Listener::bind(
         "127.0.0.1:0".parse().expect("loopback"),
-        honeypot,
+        Shell::new(store.clone(), id, honeypot),
         ListenerOptions {
             max_sessions: 64,
             clock: clock.clone(),

@@ -12,7 +12,7 @@
 //! Stop with Ctrl-C; the dataset is written to `decoy-dataset.jsonl`.
 
 use decoy_base::time::Clock;
-use decoy_honeypots::deploy::{spawn, HoneypotSpec};
+use decoy_fleet::deploy::{spawn, HoneypotSpec};
 use decoy_store::{ConfigVariant, Dbms, EventStore, HoneypotId, InteractionLevel};
 use std::net::SocketAddr;
 

@@ -10,9 +10,9 @@ use decoy_agents::scripts::SessionScript;
 use decoy_analysis::frame::{AnalysisFrame, Partition};
 use decoy_base::time::{Clock, EXPERIMENT_START};
 use decoy_core::deployment::instance_seed;
+use decoy_fleet::deploy::{spawn, HoneypotSpec};
 use decoy_fleet::driver::run_session;
 use decoy_geo::GeoDb;
-use decoy_honeypots::deploy::{spawn, HoneypotSpec};
 use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
 
 #[tokio::main]

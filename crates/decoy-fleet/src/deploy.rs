@@ -1,25 +1,107 @@
-//! Deployment helpers: turn a [`HoneypotSpec`] into a bound, running
-//! listener. The experiment runner in `decoy-core` uses this to stand up
-//! the full Table 4 fleet; the examples use it for single instances.
+//! Deployment: the one async shell that puts a honeypot's session machine
+//! on a socket, and the helpers that turn a [`HoneypotSpec`] into a bound,
+//! running listener. The network runner uses them to stand up the full
+//! Table 4 fleet; the examples use them for single instances.
 
-use crate::catalog::{Family, VersionProfile};
-use crate::elastic::{ElasticPot, ResponseBook};
-use crate::low::LowHoneypot;
-use crate::mongo_high::MongoHoneypot;
-use crate::pg_med::StickyElephant;
-use crate::redis_med::RedisHoneypot;
 use decoy_base::time::Clock;
 use decoy_base::HealthState;
-use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
+use decoy_honeypots::catalog::{Family, VersionProfile};
+use decoy_honeypots::couch_med::CouchHoneypot;
+use decoy_honeypots::elastic::ElasticPot;
+use decoy_honeypots::low::{LowMssql, LowMySql, LowPostgres, LowRedis};
+use decoy_honeypots::mongo_high::MongoHoneypot;
+use decoy_honeypots::mysql_med::MySqlHoneypot;
+use decoy_honeypots::pg_med::StickyElephant;
+use decoy_honeypots::redis_med::RedisHoneypot;
+use decoy_honeypots::session::{Conversation, Frame, Reply, Session};
+use decoy_honeypots::SessionLogger;
+use decoy_net::framed::Framed;
+use decoy_net::proxy;
+use decoy_net::server::{
+    Listener, ListenerOptions, ServerHandle, SessionCtx, SessionHandler, SessionStream,
+};
 use decoy_net::supervisor::{
     ListenerFactory, SupervisedListener, Supervisor, Transition, TransitionObserver,
 };
 use decoy_store::{
     ConfigVariant, Dbms, Event, EventKind, EventStore, HoneypotId, InteractionLevel,
 };
+use decoy_wire::error::NetResult;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// MySQL is server-speaks-first: a client with no PROXY header to send is
+/// itself waiting for the greeting, so the sniff gives up after this long.
+const MYSQL_SNIFF_DEADLINE: Duration = Duration::from_millis(1500);
+
+/// The socket side of every honeypot: sniff a PROXY header, then read
+/// frames with the machine's codec, feed them to a fresh clone of
+/// `machine` and write its replies, logging the session's life through a
+/// [`Conversation`].
+pub struct Shell<S> {
+    store: Arc<EventStore>,
+    id: HoneypotId,
+    machine: S,
+}
+
+impl<S> Shell<S> {
+    /// A shell that runs a clone of `machine` per accepted connection and
+    /// logs into `store` as honeypot `id`.
+    pub fn new(store: Arc<EventStore>, id: HoneypotId, machine: S) -> Arc<Self> {
+        Arc::new(Shell { store, id, machine })
+    }
+}
+
+impl<S> SessionHandler for Shell<S>
+where
+    S: Session + Clone + Send + Sync + 'static,
+    S::Codec: Send,
+    Frame<S>: Send,
+    Reply<S>: Send + Sync,
+{
+    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
+        let sniff = if self.id.dbms == Dbms::MySql {
+            proxy::maybe_read_v1_deadline(&mut stream, MYSQL_SNIFF_DEADLINE).await
+        } else {
+            proxy::maybe_read_v1(&mut stream).await
+        };
+        let Ok((proxied, initial)) = sniff else {
+            return;
+        };
+        let log = SessionLogger::new(
+            self.store.clone(),
+            self.id,
+            ctx.clock,
+            ctx.session_seq,
+            ctx.peer.ip(),
+            proxied.map(|sa| sa.ip()),
+        );
+        let machine = self.machine.clone();
+        let mut framed = Framed::with_initial(stream, machine.codec(), initial);
+        let mut session = Conversation::open(machine, log);
+        let written = converse(&mut session, &mut framed).await;
+        session.close(written);
+    }
+}
+
+/// Write the session's replies and read its next frame until it ends;
+/// `Err` is the write that failed.
+async fn converse<S: Session>(
+    session: &mut Conversation<S>,
+    framed: &mut Framed<SessionStream, S::Codec>,
+) -> NetResult<()> {
+    loop {
+        for reply in session.replies() {
+            framed.write_frame(&reply).await?;
+        }
+        if !session.is_open() {
+            return Ok(());
+        }
+        let read = framed.read_frame().await;
+        session.read(read, framed.buffered());
+    }
+}
 
 /// What to deploy.
 #[derive(Debug, Clone)]
@@ -38,7 +120,6 @@ pub struct HoneypotSpec {
 impl HoneypotSpec {
     /// A loopback spec with an OS-assigned port.
     pub fn loopback(id: HoneypotId, clock: Clock, seed: u64) -> Self {
-        use std::net::{Ipv4Addr, SocketAddr};
         HoneypotSpec {
             id,
             bind: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
@@ -105,6 +186,7 @@ async fn bind_listener(
     options: ListenerOptions,
     addr: SocketAddr,
 ) -> std::io::Result<ServerHandle> {
+    use InteractionLevel::*;
     let id = spec.id;
     // Capability-flag coherence gate: an incoherent version profile (e.g.
     // a Mongo 4.4 banner with the wrong wire-version ceiling) is exactly
@@ -114,68 +196,53 @@ async fn bind_listener(
             .validate()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     }
-    let server = match (id.level, id.dbms) {
-        (InteractionLevel::Low, _) => {
-            Listener::bind(addr, LowHoneypot::new(store, id), options).await?
+    let (config, seed) = (id.config, spec.seed);
+    match (id.level, id.dbms) {
+        (Low, Dbms::MySql) => serve(addr, store, id, LowMySql, options).await,
+        (Low, Dbms::Postgres) => serve(addr, store, id, LowPostgres::default(), options).await,
+        (Low, Dbms::Redis) => serve(addr, store, id, LowRedis, options).await,
+        (Low, Dbms::Mssql) => serve(addr, store, id, LowMssql, options).await,
+        (Medium, Dbms::Redis) if config == ConfigVariant::FakeData => {
+            let machine = RedisHoneypot::with_fake_data(decoy_fakedata::fake_redis_entries(seed));
+            serve(addr, store, id, machine, options).await
         }
-        (InteractionLevel::Medium, Dbms::Redis) => {
-            let hp = if id.config == ConfigVariant::FakeData {
-                let entries = decoy_fakedata::fake_redis_entries(spec.seed);
-                RedisHoneypot::with_fake_data(store, id, entries)
-            } else {
-                RedisHoneypot::new(store, id)
-            };
-            Listener::bind(addr, hp, options).await?
+        (Medium, Dbms::Redis) => serve(addr, store, id, RedisHoneypot::default(), options).await,
+        (Medium, Dbms::MySql) => serve(addr, store, id, MySqlHoneypot::default(), options).await,
+        (Medium, Dbms::Postgres) => {
+            let machine = StickyElephant::new(config != ConfigVariant::LoginDisabled);
+            serve(addr, store, id, machine, options).await
         }
-        (InteractionLevel::Medium, Dbms::MySql) => {
-            Listener::bind(
-                addr,
-                crate::mysql_med::MySqlHoneypot::new(store, id),
-                options,
-            )
-            .await?
+        (Medium, Dbms::CouchDb) => {
+            let machine = CouchHoneypot::with_fake_customers(seed, MONGO_FAKE_CUSTOMERS);
+            serve(addr, store, id, machine, options).await
         }
-        (InteractionLevel::Medium, Dbms::Postgres) => {
-            let allow_login = id.config != ConfigVariant::LoginDisabled;
-            Listener::bind(addr, StickyElephant::new(store, id, allow_login), options).await?
+        (Medium, Dbms::Elastic) => serve(addr, store, id, ElasticPot::default(), options).await,
+        (High, Dbms::MongoDb) => {
+            let machine = MongoHoneypot::with_fake_customers(seed, MONGO_FAKE_CUSTOMERS);
+            serve(addr, store, id, machine, options).await
         }
-        (InteractionLevel::Medium, Dbms::CouchDb) => {
-            Listener::bind(
-                addr,
-                crate::couch_med::CouchHoneypot::with_fake_customers(
-                    store,
-                    id,
-                    spec.seed,
-                    MONGO_FAKE_CUSTOMERS,
-                ),
-                options,
-            )
-            .await?
-        }
-        (InteractionLevel::Medium, Dbms::Elastic) => {
-            Listener::bind(
-                addr,
-                ElasticPot::with_book(store, id, ResponseBook::new()),
-                options,
-            )
-            .await?
-        }
-        (InteractionLevel::High, Dbms::MongoDb) => {
-            Listener::bind(
-                addr,
-                MongoHoneypot::with_fake_customers(store, id, spec.seed, MONGO_FAKE_CUSTOMERS),
-                options,
-            )
-            .await?
-        }
-        (level, dbms) => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                format!("no {level:?}-interaction honeypot for {dbms:?} in the deployment"),
-            ))
-        }
-    };
-    Ok(server)
+        (level, dbms) => Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            format!("no {level:?}-interaction honeypot for {dbms:?} in the deployment"),
+        )),
+    }
+}
+
+/// Bind a [`Shell`] around `machine` at `addr`.
+async fn serve<S>(
+    addr: SocketAddr,
+    store: Arc<EventStore>,
+    id: HoneypotId,
+    machine: S,
+    options: ListenerOptions,
+) -> std::io::Result<ServerHandle>
+where
+    S: Session + Clone + Send + Sync + 'static,
+    S::Codec: Send,
+    Frame<S>: Send,
+    Reply<S>: Send + Sync,
+{
+    Listener::bind(addr, Shell::new(store, id, machine), options).await
 }
 
 /// The catalog family whose version profile a deployment of `dbms` must
@@ -262,8 +329,8 @@ pub async fn spawn_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_net::framed::Framed;
     use decoy_wire::resp::{RespCodec, RespValue};
+    use tokio::io::AsyncWriteExt;
     use tokio::net::TcpStream;
 
     fn id(dbms: Dbms, level: InteractionLevel, config: ConfigVariant) -> HoneypotId {
@@ -385,5 +452,38 @@ mod tests {
             "{n}"
         );
         running.shutdown().await;
+    }
+
+    #[tokio::test]
+    async fn proxy_header_sets_logged_source() {
+        let store = EventStore::new();
+        let spec = HoneypotSpec::loopback(
+            id(
+                Dbms::Redis,
+                InteractionLevel::Low,
+                ConfigVariant::MultiService,
+            ),
+            Clock::simulated(),
+            0,
+        );
+        let server = spawn(store.clone(), spec).await.unwrap();
+        let mut stream = TcpStream::connect(server.addr()).await.unwrap();
+        let header = proxy::encode_v1("198.51.100.42:40000".parse().unwrap(), server.addr());
+        stream.write_all(header.as_bytes()).await.unwrap();
+        let mut framed = Framed::new(stream, RespCodec::client());
+        framed
+            .write_frame(&RespValue::command(&["PING"]))
+            .await
+            .unwrap();
+        assert_eq!(
+            framed.read_frame().await.unwrap().unwrap(),
+            RespValue::Simple("PONG".into())
+        );
+        server.shutdown().await;
+        let srcs = store.sources();
+        assert_eq!(
+            srcs,
+            vec!["198.51.100.42".parse::<std::net::IpAddr>().unwrap()]
+        );
     }
 }

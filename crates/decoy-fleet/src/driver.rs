@@ -1033,8 +1033,8 @@ fn io_err_msg(msg: &str) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::{spawn, HoneypotSpec};
     use decoy_base::time::{Clock, EXPERIMENT_START};
-    use decoy_honeypots::deploy::{spawn, HoneypotSpec};
     use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use std::net::Ipv4Addr;
     use std::sync::Arc;

@@ -6,6 +6,10 @@
 //! schedule the direct replay emits, driven over real TCP against a live,
 //! supervised honeypot fleet on loopback.
 //!
+//! * [`deploy`] — the one async shell that puts a honeypot's session
+//!   machine (`decoy-honeypots`) on a socket: the PROXY sniff, the framed
+//!   reads, the machine call and the replies' writes; and the helpers that
+//!   bind a honeypot spec, alone or under supervision.
 //! * [`driver`] — runs one planned session against a live honeypot,
 //!   announcing the actor's address via the PROXY protocol and speaking
 //!   the real client protocol.
@@ -15,6 +19,7 @@
 //!   live report, plan → population → schedule, durability barrier) are
 //!   `decoy_core::runner::Replay`'s, shared with the direct replay.
 
+pub mod deploy;
 pub mod driver;
 pub mod runner;
 

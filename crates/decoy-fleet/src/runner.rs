@@ -3,12 +3,12 @@
 //! [`driver`](crate::driver), advancing the run's simulated clock to each
 //! session's virtual start so honeypot logs carry virtual timestamps.
 
+use crate::deploy::{spawn_supervised, HoneypotSpec, SupervisedHoneypot};
 use crate::driver;
 use decoy_agents::schedule::PlannedSession;
 use decoy_base::time::{Clock, SimClock};
 use decoy_core::deployment::DeploymentPlan;
 use decoy_core::runner::{ExperimentConfig, ExperimentResult, Replay};
-use decoy_honeypots::deploy::{spawn_supervised, HoneypotSpec, SupervisedHoneypot};
 use decoy_net::chaos::FaultPlan;
 use decoy_net::server::ListenerOptions;
 use decoy_net::supervisor::{Supervisor, SupervisorOptions};

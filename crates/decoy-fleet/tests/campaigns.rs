@@ -11,9 +11,9 @@ use decoy_analysis::frame::{AnalysisFrame, Partition};
 use decoy_analysis::tagging::{tag_sources, AttackCategory, CampaignTag};
 use decoy_base::time::{Clock, EXPERIMENT_START};
 use decoy_core::deployment::instance_seed;
+use decoy_fleet::deploy::{spawn, HoneypotSpec};
 use decoy_fleet::driver::run_session;
 use decoy_geo::GeoDb;
-use decoy_honeypots::deploy::{spawn, HoneypotSpec};
 use decoy_store::{ConfigVariant, Dbms, EventStore, HoneypotId, InteractionLevel};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;

@@ -13,7 +13,7 @@ use common::wait_for_events;
 use decoy_base::time::Clock;
 use decoy_base::Rng;
 use decoy_core::deployment::instance_seed;
-use decoy_honeypots::deploy::{spawn, spawn_with_options, HoneypotSpec, RunningHoneypot};
+use decoy_fleet::deploy::{spawn, spawn_with_options, HoneypotSpec, RunningHoneypot};
 use decoy_net::framed::Framed;
 use decoy_net::server::{ListenerOptions, SessionLimits};
 use decoy_store::{ConfigVariant, Dbms, EventKindRef, EventStore, HoneypotId, InteractionLevel};

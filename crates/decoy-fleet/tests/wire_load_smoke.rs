@@ -11,7 +11,7 @@
 //!   buffers never corrupt what gets persisted.
 
 use decoy_base::time::Clock;
-use decoy_honeypots::deploy::{spawn, HoneypotSpec};
+use decoy_fleet::deploy::{spawn, HoneypotSpec};
 use decoy_net::framed::Framed;
 use decoy_store::{
     ConfigVariant, Dbms, EventKindRef, EventStore, HoneypotId, InteractionLevel, JournalConfig,

@@ -11,39 +11,30 @@
 
 use crate::catalog;
 use crate::docdb::DocDb;
+use crate::elastic::{flow_after, render};
 use crate::logging::SessionLogger;
-use crate::low::read_or_fault;
+use crate::session::{Flow, Session};
 use decoy_base::json::{self, object, Value};
 use decoy_fakedata::FakeDataGenerator;
-use decoy_net::framed::Framed;
-use decoy_net::proxy;
-use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
-use decoy_store::{EventStore, HoneypotId};
-use decoy_wire::error::NetResult;
 use decoy_wire::http::{HttpRequest, HttpResponse, HttpServerCodec};
 use decoy_wire::mongo::bson::{doc, Bson, Document};
 use std::sync::Arc;
 
-/// The medium-interaction CouchDB honeypot.
+/// The medium-interaction CouchDB honeypot; every session of an instance
+/// shares its engine.
+#[derive(Clone)]
 pub struct CouchHoneypot {
-    store: Arc<EventStore>,
-    id: HoneypotId,
     db: Arc<DocDb>,
 }
 
 impl CouchHoneypot {
     /// An instance backed by an existing engine.
-    pub fn with_db(store: Arc<EventStore>, id: HoneypotId, db: Arc<DocDb>) -> Arc<Self> {
-        Arc::new(CouchHoneypot { store, id, db })
+    pub fn with_db(db: Arc<DocDb>) -> Self {
+        CouchHoneypot { db }
     }
 
     /// Bait configuration: fake customer documents generated from `seed`.
-    pub fn with_fake_customers(
-        store: Arc<EventStore>,
-        id: HoneypotId,
-        seed: u64,
-        count: usize,
-    ) -> Arc<Self> {
+    pub fn with_fake_customers(seed: u64, count: usize) -> Self {
         let db = Arc::new(DocDb::new());
         let mut generator = FakeDataGenerator::new(seed);
         let docs: Vec<Document> = generator
@@ -62,7 +53,7 @@ impl CouchHoneypot {
             })
             .collect();
         db.insert("customers", "docs", docs);
-        Self::with_db(store, id, db)
+        Self::with_db(db)
     }
 
     /// The backing engine (forensics and tests).
@@ -213,68 +204,35 @@ fn json_to_bson(value: Value) -> Option<Bson> {
     }
 }
 
-impl SessionHandler for CouchHoneypot {
-    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
-        let (proxied, initial) = match proxy::maybe_read_v1(&mut stream).await {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        let log = SessionLogger::new(self.store.clone(), self.id, ctx, proxied.map(|sa| sa.ip()));
-        log.connect();
-        if let Err(e) = self.session(stream, initial, &log).await {
-            if e.is_peer_fault() {
-                log.malformed(e.to_string());
-            }
-        }
-        log.disconnect();
-    }
-}
+impl Session for CouchHoneypot {
+    type Codec = HttpServerCodec;
 
-impl CouchHoneypot {
-    async fn session(
-        &self,
-        stream: SessionStream,
-        initial: decoy_wire::buf::RecvBuf,
+    fn codec(&self) -> HttpServerCodec {
+        HttpServerCodec
+    }
+
+    fn on_frame(
+        &mut self,
+        req: HttpRequest,
+        out: &mut Vec<HttpResponse>,
         log: &SessionLogger,
-    ) -> NetResult<()> {
-        let mut framed = Framed::with_initial(stream, HttpServerCodec, initial);
-        loop {
-            let req = read_or_fault!(framed, log);
-            let rendered = if req.body.is_empty() {
-                format!("{} {}", req.method, req.target)
-            } else {
-                format!("{} {} {}", req.method, req.target, req.body_text())
-            };
-            log.command(&rendered);
-            let resp = self.respond(&req);
-            // vectored head+body write: the body never enters the write buffer
-            framed
-                .write_split(
-                    |buf| decoy_wire::http::encode_response_head(&resp, buf),
-                    &resp.body,
-                )
-                .await?;
-            let close = req
-                .header("connection")
-                .map(|v| v.eq_ignore_ascii_case("close"))
-                .unwrap_or(false);
-            if close {
-                return Ok(());
-            }
-        }
+    ) -> Flow {
+        log.command(&render(&req));
+        out.push(self.respond(&req));
+        flow_after(&req)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
-    use decoy_store::{ConfigVariant, Dbms, EventKind, InteractionLevel};
+    use crate::driver::Driver;
+    use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use decoy_wire::http::HttpClientCodec;
-    use tokio::net::TcpStream;
 
-    async fn spawn_couch() -> (ServerHandle, Arc<EventStore>, Arc<CouchHoneypot>) {
+    type Client = Driver<CouchHoneypot, HttpClientCodec>;
+
+    fn connect_couch() -> (Client, Arc<EventStore>, CouchHoneypot) {
         let store = EventStore::new();
         let id = HoneypotId::new(
             Dbms::CouchDb,
@@ -282,81 +240,53 @@ mod tests {
             ConfigVariant::FakeData,
             0,
         );
-        let hp = CouchHoneypot::with_fake_customers(store.clone(), id, 12, 10);
-        let server = Listener::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            hp.clone(),
-            ListenerOptions {
-                max_sessions: 64,
-                clock: Clock::simulated(),
-                ..ListenerOptions::default()
-            },
-        )
-        .await
-        .unwrap();
-        (server, store, hp)
+        let hp = CouchHoneypot::with_fake_customers(12, 10);
+        let client = Driver::connect(hp.clone(), &store, id, HttpClientCodec);
+        (client, store, hp)
     }
 
-    async fn request(
-        f: &mut Framed<TcpStream, HttpClientCodec>,
-        method: &str,
-        target: &str,
-    ) -> HttpResponse {
-        f.write_frame(&HttpRequest::new(method, target))
-            .await
-            .unwrap();
-        f.read_frame().await.unwrap().unwrap()
+    fn request(f: &mut Client, method: &str, target: &str) -> HttpResponse {
+        f.roundtrip(&HttpRequest::new(method, target))
     }
 
-    #[tokio::test]
-    async fn welcome_banner_and_all_dbs() {
-        let (server, _store, _hp) = spawn_couch().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        let banner = request(&mut f, "GET", "/").await;
+    #[test]
+    fn welcome_banner_and_all_dbs() {
+        let (mut f, _store, _hp) = connect_couch();
+        let banner = request(&mut f, "GET", "/");
         let v = json::parse(&banner.body).unwrap();
         assert_eq!(v["couchdb"].as_str(), Some("Welcome"));
         assert_eq!(v["version"].as_str(), Some("3.3.2"));
-        let dbs = request(&mut f, "GET", "/_all_dbs").await;
+        let dbs = request(&mut f, "GET", "/_all_dbs");
         let v = json::parse(&dbs.body).unwrap();
         assert_eq!(v, Value::from(vec!["customers".into()]));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn reads_real_bait_documents() {
-        let (server, _store, _hp) = spawn_couch().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        let all = request(&mut f, "GET", "/customers/_all_docs").await;
+    #[test]
+    fn reads_real_bait_documents() {
+        let (mut f, _store, _hp) = connect_couch();
+        let all = request(&mut f, "GET", "/customers/_all_docs");
         let v = json::parse(&all.body).unwrap();
         assert_eq!(v["total_rows"].as_u64(), Some(10));
-        let one = request(&mut f, "GET", "/customers/customer:0").await;
+        let one = request(&mut f, "GET", "/customers/customer:0");
         assert_eq!(one.status, 200);
         let v = json::parse(&one.body).unwrap();
         assert!(v["credit_card"].as_str().unwrap().starts_with('4'));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn couch_ransom_kill_chain() {
+    #[test]
+    fn couch_ransom_kill_chain() {
         // the real-world CouchDB ransom pattern: enumerate, wipe, leave note
-        let (server, store, hp) = spawn_couch().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        request(&mut f, "GET", "/_all_dbs").await;
-        request(&mut f, "GET", "/customers/_all_docs").await;
-        let deleted = request(&mut f, "DELETE", "/customers").await;
+        let (mut f, store, hp) = connect_couch();
+        request(&mut f, "GET", "/_all_dbs");
+        request(&mut f, "GET", "/customers/_all_docs");
+        let deleted = request(&mut f, "DELETE", "/customers");
         assert_eq!(deleted.status, 200);
-        f.write_frame(&HttpRequest::new("PUT", "/warning/readme").with_body(
+        f.send(&HttpRequest::new("PUT", "/warning/readme").with_body(
             "application/json",
             r#"{"note":"send 0.01 BTC to recover your data"}"#,
-        ))
-        .await
-        .unwrap();
-        let created = f.read_frame().await.unwrap().unwrap();
+        ));
+        let created = f.recv();
         assert_eq!(created.status, 201);
-        server.shutdown().await;
 
         // engine state reflects the wipe
         assert_eq!(hp.db().list_databases(), vec!["warning"]);
@@ -376,18 +306,15 @@ mod tests {
         assert!(raws.iter().any(|r| r.contains("BTC")));
     }
 
-    #[tokio::test]
-    async fn unknown_paths_404_and_are_logged() {
-        let (server, store, _hp) = spawn_couch().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        let resp = request(&mut f, "GET", "/_utils/").await;
+    #[test]
+    fn unknown_paths_404_and_are_logged() {
+        let (mut f, store, _hp) = connect_couch();
+        let resp = request(&mut f, "GET", "/_utils/");
         assert_eq!(resp.status, 403);
-        let resp = request(&mut f, "GET", "/nope/_all_docs").await;
+        let resp = request(&mut f, "GET", "/nope/_all_docs");
         assert_eq!(resp.status, 200); // empty db: zero rows
         let v = json::parse(&resp.body).unwrap();
         assert_eq!(v["total_rows"].as_u64(), Some(0));
-        server.shutdown().await;
         assert!(
             store
                 .filter(|e| matches!(e.kind, EventKind::Command { .. }))
@@ -396,14 +323,8 @@ mod tests {
         );
     }
 
-    fn couch(db: DocDb) -> Arc<CouchHoneypot> {
-        let id = HoneypotId::new(
-            Dbms::CouchDb,
-            InteractionLevel::Medium,
-            ConfigVariant::FakeData,
-            0,
-        );
-        CouchHoneypot::with_db(EventStore::new(), id, Arc::new(db))
+    fn couch(db: DocDb) -> CouchHoneypot {
+        CouchHoneypot::with_db(Arc::new(db))
     }
 
     fn answer(hp: &CouchHoneypot, req: HttpRequest) -> (u16, String) {

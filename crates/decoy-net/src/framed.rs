@@ -6,19 +6,17 @@
 //!
 //! The read side is a [`RecvBuf`]: each read lands in its spare bytes, and
 //! the frames a codec splits off share its storage, which it reuses once
-//! they are gone. The write buffer is checked out of the process-wide
-//! [`crate::pool::BufferPool`] and restored when the `Framed` is dropped,
-//! so a churning session fleet reuses it instead of hitting the allocator
-//! per connection. [`Framed::write_split`] writes a pooled-buffer head and
-//! a borrowed body with one vectored syscall, so large response bodies
-//! (HTTP, bulk documents) are never copied into the write buffer at all.
+//! they are gone. Which bytes make a frame, and when a frame is too large
+//! or cut off, is `decoy_wire::codec::read_step`'s rule. The write buffer
+//! is checked out of the process-wide [`crate::pool::BufferPool`] and
+//! restored when the `Framed` is dropped, so a churning session fleet
+//! reuses it instead of hitting the allocator per connection.
 
 use crate::pool::{BufferPool, PooledBuf, SMALL_CLASS};
 use decoy_wire::buf::RecvBuf;
-use decoy_wire::codec::Codec;
-use decoy_wire::error::{NetError, NetResult};
+use decoy_wire::codec::{read_step, Codec, ReadStep};
+use decoy_wire::error::NetResult;
 use std::future::poll_fn;
-use std::io::IoSlice;
 use std::pin::Pin;
 use tokio::io::{AsyncRead, AsyncWrite, AsyncWriteExt, ReadBuf};
 
@@ -45,8 +43,8 @@ pub(crate) async fn read_into<S: AsyncRead + Unpin>(
 
 /// A frame-oriented wrapper around a byte stream.
 ///
-/// Owns the read buffer; `read_frame` loops `decode` / read until a frame
-/// is complete, the peer disconnects, or the frame limit is exceeded.
+/// Owns the read buffer; `read_frame` loops [`read_step`] / read until a
+/// frame is complete, the peer disconnects, or the frame limit is exceeded.
 pub struct Framed<S, C> {
     stream: S,
     codec: C,
@@ -76,11 +74,6 @@ where
         }
     }
 
-    /// Access the codec (some protocols carry handshake state in it).
-    pub fn codec_mut(&mut self) -> &mut C {
-        &mut self.codec
-    }
-
     /// Bytes currently buffered but not yet decoded.
     pub fn buffered(&self) -> &[u8] {
         &self.read_buf
@@ -88,23 +81,12 @@ where
 
     /// Read one frame, or `None` on clean EOF at a frame boundary.
     pub async fn read_frame(&mut self) -> NetResult<Option<C::In>> {
+        let mut eof = false;
         loop {
-            if let Some(frame) = self.codec.decode(&mut self.read_buf)? {
-                return Ok(Some(frame));
-            }
-            if self.read_buf.len() > self.codec.max_frame_len() {
-                return Err(NetError::FrameTooLarge {
-                    limit: self.codec.max_frame_len(),
-                    got: self.read_buf.len(),
-                });
-            }
-            let n = read_into(&mut self.stream, &mut self.read_buf).await?;
-            if n == 0 {
-                return if self.read_buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(NetError::UnexpectedEof)
-                };
+            match read_step(&mut self.codec, &mut self.read_buf, eof)? {
+                ReadStep::Frame(frame) => return Ok(Some(frame)),
+                ReadStep::End => return Ok(None),
+                ReadStep::More => eof = read_into(&mut self.stream, &mut self.read_buf).await? == 0,
             }
         }
     }
@@ -125,43 +107,6 @@ where
         Ok(())
     }
 
-    /// Write a response as a head rendered into the pooled write buffer
-    /// plus a borrowed body, using vectored I/O.
-    ///
-    /// `encode_head` renders everything that precedes the body (status
-    /// line, headers, length prefix) into the cleared write buffer; the
-    /// body is then sent from its own slice without ever being copied into
-    /// the buffer. One `writev` covers both in the common case.
-    pub async fn write_split<F>(&mut self, encode_head: F, body: &[u8]) -> NetResult<()>
-    where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        self.write_buf.clear();
-        encode_head(&mut self.write_buf);
-        let head_len = self.write_buf.len();
-        let total = head_len.saturating_add(body.len());
-        let mut written = 0usize;
-        while written < total {
-            let head_rest = self.write_buf.get(written..).unwrap_or(&[]);
-            let body_off = written.saturating_sub(head_len);
-            let body_rest = body.get(body_off..).unwrap_or(&[]);
-            let n = if head_rest.is_empty() {
-                self.stream.write(body_rest).await?
-            } else {
-                let slices = [IoSlice::new(head_rest), IoSlice::new(body_rest)];
-                self.stream.write_vectored(&slices).await?
-            };
-            if n == 0 {
-                return Err(NetError::Io(std::io::Error::from(
-                    std::io::ErrorKind::WriteZero,
-                )));
-            }
-            written = written.saturating_add(n);
-        }
-        self.stream.flush().await?;
-        Ok(())
-    }
-
     /// Consume the wrapper, returning the underlying stream and any
     /// unconsumed buffered bytes. The write buffer returns to the pool.
     pub fn into_parts(self) -> (S, RecvBuf) {
@@ -174,6 +119,7 @@ mod tests {
     use super::*;
     use decoy_wire::buf::Bytes;
     use decoy_wire::codec::{LineCodec, RawCodec};
+    use decoy_wire::error::NetError;
     use tokio::io::duplex;
 
     #[tokio::test]
@@ -214,46 +160,5 @@ mod tests {
             fa.read_frame().await,
             Err(NetError::FrameTooLarge { .. })
         ));
-    }
-
-    #[tokio::test]
-    async fn write_split_sends_head_then_body() {
-        let (a, b) = duplex(64); // smaller than the payload: forces partial writes
-        let mut fa = Framed::new(a, RawCodec);
-        let mut fb = Framed::new(b, RawCodec);
-        let body = vec![b'Z'; 300];
-        let expect_body = body.clone();
-        let writer = async move {
-            fa.write_split(|buf| buf.extend_from_slice(b"HEAD:"), &body)
-                .await
-                .unwrap();
-            fa
-        };
-        let reader = async move {
-            let mut got = Vec::new();
-            while got.len() < 305 {
-                match fb.read_frame().await.unwrap() {
-                    Some(chunk) => got.extend_from_slice(&chunk),
-                    None => break,
-                }
-            }
-            got
-        };
-        let (_fa, got) = tokio::join!(writer, reader);
-        assert_eq!(&got[..5], b"HEAD:");
-        assert_eq!(&got[5..], &expect_body[..]);
-    }
-
-    #[tokio::test]
-    async fn write_split_with_empty_body() {
-        let (a, b) = duplex(256);
-        let mut fa = Framed::new(a, RawCodec);
-        let mut fb = Framed::new(b, RawCodec);
-        fa.write_split(|buf| buf.extend_from_slice(b"only-head"), &[])
-            .await
-            .unwrap();
-        drop(fa);
-        let got = fb.read_frame().await.unwrap().unwrap();
-        assert_eq!(&got[..], b"only-head");
     }
 }

@@ -36,25 +36,25 @@
 //!   allocated per session.
 //! * [`limiter`] — per-source token-bucket rate limiting and connection caps,
 //!   protecting honeypots from accidental self-DoS during replay.
-//! * [`latency`] — a seeded, deterministic [`latency::LatencyShaper`] that
-//!   draws per-op response delays from a configurable distribution, so
-//!   honeypot responses stop being timing-fingerprintable.
 //! * [`server`] — a supervised TCP listener: accept loop, per-session tasks,
-//!   uniform session limits (deadline, idle timeout, byte budget), and
-//!   graceful shutdown, following the Tokio guide idioms.
+//!   uniform session limits (deadline, idle timeout, byte budget), optional
+//!   response-latency shaping (the std-only `decoy_base::latency` shaper),
+//!   and graceful shutdown, following the Tokio guide idioms.
 //! * [`supervisor`] — restart-on-death with jittered exponential backoff, a
 //!   crash-loop circuit breaker, and fleet health snapshots
 //!   ([`decoy_base::HealthState`] per listener).
 //! * [`chaos`] — a seeded, deterministic fault-injection plan and stream
 //!   wrapper used by the resilience test suite.
 //!
-//! The honeypots in `decoy-honeypots` and the attacker drivers in
-//! `decoy-fleet` share these primitives so that both sides of every recorded
-//! interaction flow through the same production code path.
+//! decoy-fleet's honeypot shell and its attacker drivers share these
+//! primitives, so both sides of every recorded interaction flow through the
+//! same production code path. The honeypots' protocol logic
+//! (`decoy-honeypots`) names no socket: the shell reads frames with
+//! [`framed::Framed`], feeds them to a honeypot's session machine and
+//! writes its replies.
 
 pub mod chaos;
 pub mod framed;
-pub mod latency;
 pub mod limiter;
 pub mod pool;
 pub mod proxy;
@@ -68,7 +68,6 @@ pub use decoy_base::time;
 
 pub use chaos::{ChaosStream, FaultPlan, SessionFaults};
 pub use framed::Framed;
-pub use latency::{LatencyProfile, LatencyShaper};
 pub use limiter::{ConnectionGate, RateLimiter};
 pub use pool::{BufferPool, PooledBuf};
 pub use server::{

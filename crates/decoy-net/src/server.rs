@@ -11,9 +11,9 @@
 //! wait for in-flight sessions to drain.
 
 use crate::chaos::{AcceptFault, ChaosStream, FaultPlan, SessionFaults};
-use crate::latency::LatencyShaper;
 use crate::limiter::ConnectionGate;
 use crate::time::Clock;
+use decoy_base::latency::LatencyShaper;
 use std::future::Future;
 use std::io;
 use std::net::SocketAddr;
@@ -80,7 +80,8 @@ pub struct SessionCtx {
     pub session_seq: u64,
 }
 
-/// Implemented by every honeypot server: drives one accepted connection.
+/// Drives one accepted connection. decoy-fleet's honeypot shell is the one
+/// implementation outside this crate's tests.
 pub trait SessionHandler: Send + Sync + 'static {
     /// Handle a single session to completion. Errors are the handler's to
     /// log; the supervisor only cares that the task ends.
@@ -777,7 +778,7 @@ mod tests {
 
     #[tokio::test]
     async fn latency_shaping_advances_the_sim_clock() {
-        use crate::latency::{LatencyProfile, LatencyShaper};
+        use decoy_base::latency::{LatencyProfile, LatencyShaper};
         let clock = Clock::simulated();
         let sim = clock.sim().unwrap().clone();
         let t0 = sim.now();
@@ -804,7 +805,7 @@ mod tests {
 
     #[tokio::test]
     async fn latency_shaping_on_wall_clock_still_echoes() {
-        use crate::latency::{LatencyProfile, LatencyShaper};
+        use decoy_base::latency::{LatencyProfile, LatencyShaper};
         let options = ListenerOptions {
             latency: Some(LatencyShaper::new(7, LatencyProfile::cache())),
             ..ListenerOptions::default()

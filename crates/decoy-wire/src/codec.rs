@@ -39,9 +39,47 @@ pub trait Codec {
     /// Append the encoding of `frame` to `buf`.
     fn encode(&mut self, frame: &Self::Out, buf: &mut Vec<u8>) -> NetResult<()>;
 
-    /// Upper bound on a single frame, enforced by decoy-net's `Framed`.
+    /// Upper bound on a single frame, enforced by [`read_step`].
     fn max_frame_len(&self) -> usize {
         1 << 20
+    }
+}
+
+/// What a frame reader does after one [`read_step`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum ReadStep<T> {
+    /// A whole frame was decoded and its bytes consumed.
+    Frame(T),
+    /// No whole frame is buffered yet: read more bytes.
+    More,
+    /// The stream ended at a frame boundary.
+    End,
+}
+
+/// The one read rule, shared by decoy-net's `Framed` and every in-memory
+/// driver so both decode the same bytes the same way. Decode a frame from
+/// the front of `buf`; without one, a buffer past the codec's
+/// [`Codec::max_frame_len`] is [`NetError::FrameTooLarge`], and once the
+/// stream has ended (`eof`) an empty buffer is a clean [`ReadStep::End`]
+/// and a partial frame [`NetError::UnexpectedEof`].
+pub fn read_step<C: Codec>(
+    codec: &mut C,
+    buf: &mut RecvBuf,
+    eof: bool,
+) -> NetResult<ReadStep<C::In>> {
+    if let Some(frame) = codec.decode(buf)? {
+        return Ok(ReadStep::Frame(frame));
+    }
+    if buf.len() > codec.max_frame_len() {
+        return Err(NetError::FrameTooLarge {
+            limit: codec.max_frame_len(),
+            got: buf.len(),
+        });
+    }
+    match (eof, buf.is_empty()) {
+        (false, _) => Ok(ReadStep::More),
+        (true, true) => Ok(ReadStep::End),
+        (true, false) => Err(NetError::UnexpectedEof),
     }
 }
 
@@ -155,6 +193,29 @@ mod tests {
         let mut out = Vec::new();
         c.encode(&frame, &mut out).unwrap();
         assert_eq!(&out[..], &frame[..]);
+    }
+
+    /// Frames first, then the frame limit, then the end-of-stream rule.
+    #[test]
+    fn read_step_rules() {
+        let mut c = LineCodec::with_max_len(8);
+        let mut buf = RecvBuf::from(b"ping\npo".to_vec());
+        let step = read_step(&mut c, &mut buf, false).unwrap();
+        assert_eq!(step, ReadStep::Frame("ping".to_string()));
+        assert_eq!(read_step(&mut c, &mut buf, false).unwrap(), ReadStep::More);
+        assert!(matches!(
+            read_step(&mut c, &mut buf, true),
+            Err(NetError::UnexpectedEof)
+        ));
+        buf.extend_from_slice(b"ng\n");
+        let step = read_step(&mut c, &mut buf, true).unwrap();
+        assert_eq!(step, ReadStep::Frame("pong".to_string()));
+        assert_eq!(read_step(&mut c, &mut buf, true).unwrap(), ReadStep::End);
+        buf.extend_from_slice(&[b'x'; 9]);
+        assert!(matches!(
+            read_step(&mut c, &mut buf, false),
+            Err(NetError::FrameTooLarge { limit: 8, got: 9 })
+        ));
     }
 
     #[test]

@@ -310,9 +310,8 @@ impl Codec for HttpServerCodec {
 }
 
 /// Render the status line and headers of `resp` (through the terminating
-/// blank line) into `buf`, without the body. Pairs with
-/// `Framed::write_split` so honeypots send large canned bodies via
-/// vectored I/O instead of copying them into the write buffer.
+/// blank line) into `buf`, without the body; [`HttpServerCodec`] appends
+/// the body after it.
 pub fn encode_response_head(resp: &HttpResponse, buf: &mut Vec<u8>) {
     let _ = write!(buf, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
     for (k, v) in &resp.headers {

@@ -56,7 +56,7 @@ pub const HOT_PATH_EXPECTED: [&str; 15] = [
     "crates/decoy-wire/src/buf.rs",
     "crates/decoy-store/src/events.rs",
     // per-response latency shaping runs inside every session loop
-    "crates/decoy-net/src/latency.rs",
+    "crates/decoy-base/src/latency.rs",
     // the shared error catalog renders on every scripted error response
     "crates/decoy-honeypots/src/catalog.rs",
     // every JSON body escapes through it, each unknown-index 404 included
@@ -380,7 +380,7 @@ mod tests {
             "crates/decoy-wire/src/codec.rs",
             "crates/decoy-wire/src/buf.rs",
             "crates/decoy-store/src/events.rs",
-            "crates/decoy-net/src/latency.rs",
+            "crates/decoy-base/src/latency.rs",
             "crates/decoy-honeypots/src/catalog.rs",
             "crates/decoy-base/src/json.rs",
         ] {
