@@ -1,15 +1,16 @@
 //! Direct mode: emit the events a honeypot would log, without TCP.
 //!
 //! Used for full-volume runs (18 M login attempts need no sockets to
-//! aggregate correctly) and validated against network mode by the
-//! `modes_equivalent` integration test: for the same planned session, the
-//! aggregates the paper's tables are built from (per-source event kinds,
-//! credentials, commands, classifications) coincide.
+//! aggregate correctly). `tests/modes_offline.rs` validates it in tier-1:
+//! for each planned session, the attack client run against the honeypot's
+//! session machine logs exactly these events. The networked
+//! `modes_equivalent` test holds network mode to the same aggregates.
 //!
-//! Stateless caveat: the high-interaction MongoDB honeypot is *stateful*
-//! (a second ransom visit finds only the previous note). Direct mode always
-//! emits the first-visit shape; every aggregate in the tables is invariant
-//! to this (same source, same kinds, same tags).
+//! Stateless caveat: the MongoDB and CouchDB honeypots are *stateful* (a
+//! second MongoDB ransom visit finds only the previous note; after a CouchDB
+//! ransom only the `warning` database is left). Direct mode always emits the
+//! first-visit shape; every aggregate in the tables is invariant to this
+//! (same source, same kinds, same tags).
 
 use crate::schedule::PlannedSession;
 use crate::scripts::{self, CampaignParams, SessionScript};

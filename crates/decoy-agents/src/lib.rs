@@ -20,15 +20,19 @@
 //!   the virtual 20-day window.
 //! * [`direct`] — direct mode: emits the standardized events a honeypot
 //!   would log for each planned session, without TCP, for full-volume runs.
+//! * [`client`] — the attack client: each script's conversation in the
+//!   target's wire protocol, generic over a `Dial` transport.
 //!
-//! The crate opens no socket and names no crates.io package. Network mode,
-//! which drives the same planned sessions over real TCP against live
-//! honeypots, is `decoy-fleet`'s `driver`; its `modes_equivalent` test holds
-//! the two modes to equivalent aggregates.
+//! The crate opens no socket and names no crates.io package. Network mode
+//! runs the client over real TCP against live honeypots (`decoy-fleet`'s
+//! `driver`); tier-1 runs it against the honeypots' session machines in
+//! memory, and `tests/modes_offline.rs` holds it to direct mode event for
+//! event.
 //!
 //! Everything is deterministic in `(seed, scale)`.
 
 pub mod actors;
+pub mod client;
 pub mod credentials;
 pub mod direct;
 pub mod population;

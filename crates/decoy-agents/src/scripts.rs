@@ -1,9 +1,9 @@
 //! Session scripts — what an actor does during one visit.
 //!
 //! Each variant corresponds to an observed behavior class or campaign
-//! (Table 9, Listings 1–14). The network driver executes the script with
-//! real client protocol code; the direct generator emits the equivalent
-//! events. Campaign scripts render the exact command sequences of the
+//! (Table 9, Listings 1–14). The attack client ([`crate::client`]) executes
+//! the script with real client protocol code; the direct generator emits
+//! the equivalent events. Campaign scripts render the exact command sequences of the
 //! paper's listings (with the masked fields instantiated).
 
 /// One visit's worth of intent.

@@ -6,12 +6,11 @@
 //! deploy specs, hardened error catalog, seeded LAN latency shaper on a
 //! wall clock) and probed with the genuine client codecs. Modes:
 //!
-//! * default            — print the scorecard JSON (or `--out FILE`)
-//! * `--check`          — exit non-zero if any family scores worse than
-//!                        the committed `FINGERPRINT_BASELINE.json`
-//! * `--write-baseline` — rewrite the baseline, refusing regressions
-//!                        (the same one-way ratchet as the hot-path
-//!                        allocation baseline)
+//! * default — print the scorecard JSON (or `--out FILE`)
+//! * `--check` — exit non-zero if any family scores worse than the
+//!   committed `FINGERPRINT_BASELINE.json`
+//! * `--write-baseline` — rewrite the baseline, refusing regressions (the
+//!   same one-way ratchet as the hot-path allocation baseline)
 //!
 //! Run: `cargo run -p decoy-bench --release --bin fingerprint_scorecard -- --check`
 

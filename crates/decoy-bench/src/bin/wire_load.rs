@@ -2,13 +2,16 @@
 //! protocols.
 //!
 //! Spawns one honeypot per protocol (the same deploy specs the experiment
-//! fleet uses), then drives scripted client sessions over real TCP
-//! loopback sockets at maximum rate and reports, per protocol:
+//! fleet uses), then drives one attack-client script per protocol over
+//! real TCP loopback sockets (`decoy_fleet::driver::run_session_with`, the
+//! network replay's transport) at maximum rate and reports, per protocol:
 //!
-//! * `sessions_per_sec` — completed sessions over wall-clock time
+//! * `sessions_per_sec` — completed sessions over wall-clock time; a
+//!   session fails on an error, and where the script logs in, on a login
+//!   the honeypot refused
 //! * `p50_ms` / `p99_ms` — per-session latency percentiles
-//! * `bytes_per_sec` — bytes on the wire (both directions), counted at
-//!   the socket so vectored writes and pooled-buffer reads are included
+//! * `bytes_per_sec` — bytes on the wire (both directions, the PROXY
+//!   header included), counted at the socket
 //!
 //! Run: `cargo run -p decoy-bench --release --bin wire_load -- \
 //!          --sessions 500 --concurrency 8 --out BENCH_wire.json`
@@ -17,15 +20,14 @@
 //! networked machine can regenerate the file in place; `decoy-xtask
 //! analyze` tracks placeholder freshness of the committed copy.
 
+use decoy_agents::actors::TargetSelector;
+use decoy_agents::schedule::PlannedSession;
+use decoy_agents::scripts::SessionScript;
 use decoy_base::json::{object, Value};
-use decoy_base::time::Clock;
-use decoy_net::framed::Framed;
-use decoy_store::{ConfigVariant, Dbms, EventStore, HoneypotId, InteractionLevel};
-use decoy_wire::mongo::bson::doc;
-use decoy_wire::mongo::{MongoBody, MongoCodec, MongoMessage};
-use decoy_wire::{http, mysql, pgwire, resp, tds};
-use std::io::IoSlice;
-use std::net::SocketAddr;
+use decoy_base::time::{Clock, EXPERIMENT_START};
+use decoy_fleet::driver::run_session_with;
+use decoy_store::{ConfigVariant, Dbms, EventKindRef, EventStore, HoneypotId, InteractionLevel};
+use std::net::{Ipv4Addr, SocketAddr};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,22 +71,6 @@ impl AsyncWrite for Counted {
         poll
     }
 
-    fn poll_write_vectored(
-        mut self: Pin<&mut Self>,
-        cx: &mut Context<'_>,
-        bufs: &[IoSlice<'_>],
-    ) -> Poll<std::io::Result<usize>> {
-        let poll = Pin::new(&mut self.inner).poll_write_vectored(cx, bufs);
-        if let Poll::Ready(Ok(n)) = &poll {
-            self.bytes.fetch_add(*n as u64, Ordering::Relaxed);
-        }
-        poll
-    }
-
-    fn is_write_vectored(&self) -> bool {
-        self.inner.is_write_vectored()
-    }
-
     fn poll_flush(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
         Pin::new(&mut self.inner).poll_flush(cx)
     }
@@ -92,160 +78,6 @@ impl AsyncWrite for Counted {
     fn poll_shutdown(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
         Pin::new(&mut self.inner).poll_shutdown(cx)
     }
-}
-
-async fn dial(addr: SocketAddr, bytes: Arc<AtomicU64>) -> std::io::Result<Counted> {
-    let inner = TcpStream::connect(addr).await?;
-    inner.set_nodelay(true)?;
-    Ok(Counted { inner, bytes })
-}
-
-type Fail = Box<dyn std::error::Error + Send + Sync>;
-
-/// One scripted pgwire session: startup, cleartext auth, one query, quit.
-async fn pg_session(addr: SocketAddr, bytes: Arc<AtomicU64>) -> Result<(), Fail> {
-    let stream = dial(addr, bytes).await?;
-    let mut f = Framed::new(stream, pgwire::PgClientCodec::new());
-    f.write_frame(&pgwire::FrontendMessage::Startup {
-        params: vec![
-            ("user".into(), "postgres".into()),
-            ("database".into(), "postgres".into()),
-        ],
-    })
-    .await?;
-    loop {
-        match f.read_frame().await?.ok_or("closed during auth")? {
-            pgwire::BackendMessage::AuthenticationCleartextPassword
-            | pgwire::BackendMessage::AuthenticationMd5Password { .. } => {
-                f.write_frame(&pgwire::FrontendMessage::Password("postgres".into()))
-                    .await?;
-            }
-            pgwire::BackendMessage::ReadyForQuery { .. } => break,
-            pgwire::BackendMessage::ErrorResponse { .. } => return Err("login rejected".into()),
-            _ => continue,
-        }
-    }
-    f.write_frame(&pgwire::FrontendMessage::Query("SELECT version();".into()))
-        .await?;
-    loop {
-        match f.read_frame().await?.ok_or("closed mid query")? {
-            pgwire::BackendMessage::ReadyForQuery { .. } => break,
-            _ => continue,
-        }
-    }
-    f.write_frame(&pgwire::FrontendMessage::Terminate).await?;
-    Ok(())
-}
-
-/// MySQL: greeting, login, one COM_QUERY result set, COM_QUIT.
-async fn mysql_session(addr: SocketAddr, bytes: Arc<AtomicU64>) -> Result<(), Fail> {
-    let stream = dial(addr, bytes).await?;
-    let mut f = Framed::new(stream, mysql::MySqlCodec);
-    let greeting = f.read_frame().await?.ok_or("no greeting")?;
-    mysql::Greeting::parse(&greeting.payload)?;
-    let login = mysql::LoginRequest::cleartext("root", "wire", None);
-    f.write_frame(&mysql::MySqlPacket {
-        seq: greeting.seq.wrapping_add(1),
-        payload: login.build(),
-    })
-    .await?;
-    let reply = f.read_frame().await?.ok_or("no auth reply")?;
-    if reply.payload.first() != Some(&0x00) {
-        return Err("login rejected".into());
-    }
-    let mut q = vec![0x03];
-    q.extend_from_slice(b"SELECT @@version");
-    f.write_frame(&mysql::MySqlPacket {
-        seq: 0,
-        payload: q.into(),
-    })
-    .await?;
-    // column-count, definition, EOF, row, EOF
-    for _ in 0..5 {
-        f.read_frame().await?.ok_or("result truncated")?;
-    }
-    f.write_frame(&mysql::MySqlPacket {
-        seq: 0,
-        payload: vec![0x01].into(),
-    })
-    .await?;
-    Ok(())
-}
-
-/// RESP: PING, SET, GET.
-async fn resp_session(addr: SocketAddr, bytes: Arc<AtomicU64>) -> Result<(), Fail> {
-    let stream = dial(addr, bytes).await?;
-    let mut f = Framed::new(stream, resp::RespCodec::client());
-    for cmd in [
-        resp::RespValue::command(&["PING"]),
-        resp::RespValue::command(&["SET", "wire:probe", "1"]),
-        resp::RespValue::command(&["GET", "wire:probe"]),
-    ] {
-        f.write_frame(&cmd).await?;
-        f.read_frame().await?.ok_or("server closed")?;
-    }
-    Ok(())
-}
-
-/// TDS: prelogin exchange, LOGIN7, error token (the brute-force hot path).
-async fn tds_session(addr: SocketAddr, bytes: Arc<AtomicU64>) -> Result<(), Fail> {
-    let stream = dial(addr, bytes).await?;
-    let mut f = Framed::new(stream, tds::TdsCodec);
-    f.write_frame(&tds::TdsPacket::eom(
-        tds::PKT_PRELOGIN,
-        tds::build_prelogin(&[
-            (0x00, vec![15, 0, 0, 0, 0, 0].into()),
-            (0x01, vec![2].into()),
-        ]),
-    ))
-    .await?;
-    f.read_frame().await?.ok_or("no prelogin reply")?;
-    let login = tds::Login7 {
-        hostname: "WIRE-LOAD".into(),
-        username: "sa".into(),
-        password: "wire".into(),
-        appname: "wire_load".into(),
-        servername: addr.ip().to_string(),
-        database: String::new(),
-    };
-    f.write_frame(&tds::TdsPacket::eom(tds::PKT_LOGIN7, login.build()))
-        .await?;
-    f.read_frame().await?.ok_or("no login reply")?;
-    Ok(())
-}
-
-/// MongoDB: isMaster then buildInfo over OP_MSG.
-async fn mongo_session(addr: SocketAddr, bytes: Arc<AtomicU64>) -> Result<(), Fail> {
-    let stream = dial(addr, bytes).await?;
-    let mut f = Framed::new(stream, MongoCodec);
-    let mut rid = 0i32;
-    for cmd in [
-        doc! { "isMaster" => 1i32, "$db" => "admin" },
-        doc! { "buildInfo" => 1i32, "$db" => "admin" },
-    ] {
-        rid += 1;
-        f.write_frame(&MongoMessage::msg(rid, cmd)).await?;
-        let reply = f.read_frame().await?.ok_or("server closed")?;
-        if !matches!(reply.body, MongoBody::Msg { .. }) {
-            return Err("unexpected reply opcode".into());
-        }
-    }
-    Ok(())
-}
-
-/// HTTP: banner GET plus a `_search` POST.
-async fn http_session(addr: SocketAddr, bytes: Arc<AtomicU64>) -> Result<(), Fail> {
-    let stream = dial(addr, bytes).await?;
-    let mut f = Framed::new(stream, http::HttpClientCodec);
-    for req in [
-        http::HttpRequest::new("GET", "/"),
-        http::HttpRequest::new("POST", "/_search")
-            .with_body("application/json", r#"{"query":{"match_all":{}}}"#),
-    ] {
-        f.write_frame(&req).await?;
-        f.read_frame().await?.ok_or("server closed")?;
-    }
-    Ok(())
 }
 
 /// Per-protocol results.
@@ -285,20 +117,21 @@ impl ProtoReport {
     }
 }
 
-type SessionFn = fn(
-    SocketAddr,
-    Arc<AtomicU64>,
-) -> Pin<Box<dyn std::future::Future<Output = Result<(), Fail>> + Send>>;
-
-/// Drive `sessions` scripted sessions against `addr` with `concurrency`
-/// parallel clients; returns the aggregated report.
+/// Drive `sessions` runs of `session` against `addr` with `concurrency`
+/// parallel clients; returns the aggregated report. A run with any error
+/// counts as one failed session. Where the script logs in, `login_log` is
+/// the honeypot's store, and a run it logged no successful login for fails
+/// too; a run can fail both ways, so the larger of the two counts is a
+/// floor on the failures.
 async fn drive(
     proto: &'static str,
     addr: SocketAddr,
     sessions: usize,
     concurrency: usize,
-    run: SessionFn,
+    session: PlannedSession,
+    login_log: Option<&EventStore>,
 ) -> ProtoReport {
+    let session = Arc::new(session);
     let bytes = Arc::new(AtomicU64::new(0));
     let started = Instant::now();
     let mut workers = tokio::task::JoinSet::new();
@@ -310,13 +143,19 @@ async fn drive(
             break;
         }
         assigned += n;
-        let bytes = bytes.clone();
+        let session = Arc::clone(&session);
+        let bytes = Arc::clone(&bytes);
         workers.spawn(async move {
+            let count = |inner: TcpStream| {
+                inner.set_nodelay(true)?;
+                let bytes = Arc::clone(&bytes);
+                Ok(Counted { inner, bytes })
+            };
             let mut latencies = Vec::with_capacity(n);
             let mut errors = 0usize;
             for _ in 0..n {
                 let t0 = Instant::now();
-                if run(addr, bytes.clone()).await.is_err() {
+                if run_session_with(addr, &session, count).await.errors > 0 {
                     errors += 1;
                 }
                 latencies.push(t0.elapsed().as_secs_f64() * 1000.0);
@@ -333,6 +172,12 @@ async fn drive(
         }
     }
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
+    if let Some(store) = login_log {
+        let success =
+            |kind: &EventKindRef| matches!(kind, EventKindRef::LoginAttempt { success: true, .. });
+        let logins = store.read(|log| log.iter().filter(|e| success(&e.kind)).count());
+        errors = errors.max(sessions.saturating_sub(logins));
+    }
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     ProtoReport {
         proto,
@@ -396,75 +241,68 @@ fn main() {
 async fn run_all(sessions: usize, concurrency: usize) -> Value {
     use decoy_fleet::deploy::{spawn, HoneypotSpec};
 
-    let targets: [(&'static str, HoneypotId, SessionFn); 6] = [
+    use ConfigVariant::*;
+    use InteractionLevel::*;
+    let id = |dbms, level, config| HoneypotId::new(dbms, level, config, 0);
+    let creds = vec![("sa".to_string(), "wire".to_string())];
+    // (protocol, honeypot, script, whether the script logs in)
+    let targets = [
         (
             "pgwire",
-            HoneypotId::new(
-                Dbms::Postgres,
-                InteractionLevel::Medium,
-                ConfigVariant::Default,
-                0,
-            ),
-            |a, b| Box::pin(pg_session(a, b)),
+            id(Dbms::Postgres, Medium, Default),
+            SessionScript::PgScout,
+            true,
         ),
         (
             "mysql",
-            HoneypotId::new(
-                Dbms::MySql,
-                InteractionLevel::Medium,
-                ConfigVariant::Default,
-                0,
-            ),
-            |a, b| Box::pin(mysql_session(a, b)),
+            id(Dbms::MySql, Medium, Default),
+            SessionScript::MysqlScout,
+            true,
         ),
         (
             "resp",
-            HoneypotId::new(
-                Dbms::Redis,
-                InteractionLevel::Medium,
-                ConfigVariant::Default,
-                0,
-            ),
-            |a, b| Box::pin(resp_session(a, b)),
+            id(Dbms::Redis, Medium, Default),
+            SessionScript::AbcBot,
+            false,
         ),
         (
             "tds",
-            HoneypotId::new(
-                Dbms::Mssql,
-                InteractionLevel::Low,
-                ConfigVariant::MultiService,
-                0,
-            ),
-            |a, b| Box::pin(tds_session(a, b)),
+            id(Dbms::Mssql, Low, MultiService),
+            SessionScript::MssqlBrute { creds },
+            false,
         ),
         (
             "mongo",
-            HoneypotId::new(
-                Dbms::MongoDb,
-                InteractionLevel::High,
-                ConfigVariant::FakeData,
-                0,
-            ),
-            |a, b| Box::pin(mongo_session(a, b)),
+            id(Dbms::MongoDb, High, FakeData),
+            SessionScript::MongoScout { deep: false },
+            false,
         ),
         (
             "http",
-            HoneypotId::new(
-                Dbms::Elastic,
-                InteractionLevel::Medium,
-                ConfigVariant::Default,
-                0,
-            ),
-            |a, b| Box::pin(http_session(a, b)),
+            id(Dbms::Elastic, Medium, Default),
+            SessionScript::ElasticScout { deep: true },
+            false,
         ),
     ];
 
     let mut per_proto = std::collections::BTreeMap::new();
-    for (proto, id, run) in targets {
+    for (proto, id, script, logs_in) in targets {
         let store = EventStore::new();
         let spec = HoneypotSpec::loopback(id, Clock::simulated(), 11);
         let hp = spawn(store.clone(), spec).await.expect("spawn honeypot");
-        let report = drive(proto, hp.addr(), sessions, concurrency, run).await;
+        let session = PlannedSession {
+            ts: EXPERIMENT_START,
+            actor_idx: 0,
+            src: Ipv4Addr::new(198, 51, 100, 7),
+            target: TargetSelector {
+                dbms: id.dbms,
+                level: id.level,
+                config: Some(id.config),
+            },
+            script,
+        };
+        let login_log = logs_in.then_some(&*store);
+        let report = drive(proto, hp.addr(), sessions, concurrency, session, login_log).await;
         hp.shutdown().await;
         eprintln!(
             "{:>6}: {:8.1} sessions/s  p50 {:7.3} ms  p99 {:7.3} ms  {:10.0} bytes/s  ({} errors)",
@@ -486,7 +324,7 @@ async fn run_all(sessions: usize, concurrency: usize) -> Value {
         ("concurrency", concurrency.into()),
         (
             "note",
-            "loopback TCP against the deploy-spec honeypots; scripted client sessions per protocol (auth + one command where the protocol has one)".into(),
+            "loopback TCP against the deploy-spec honeypots; one attack-client script per protocol through the network replay's transport; bytes counted at the socket in both directions".into(),
         ),
     ]);
     object([

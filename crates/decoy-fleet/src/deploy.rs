@@ -5,14 +5,7 @@
 
 use decoy_base::time::Clock;
 use decoy_base::HealthState;
-use decoy_honeypots::catalog::{Family, VersionProfile};
-use decoy_honeypots::couch_med::CouchHoneypot;
-use decoy_honeypots::elastic::ElasticPot;
-use decoy_honeypots::low::{LowMssql, LowMySql, LowPostgres, LowRedis};
-use decoy_honeypots::mongo_high::MongoHoneypot;
-use decoy_honeypots::mysql_med::MySqlHoneypot;
-use decoy_honeypots::pg_med::StickyElephant;
-use decoy_honeypots::redis_med::RedisHoneypot;
+use decoy_honeypots::deploy::{self, Visitor};
 use decoy_honeypots::session::{Conversation, Frame, Reply, Session};
 use decoy_honeypots::SessionLogger;
 use decoy_net::framed::Framed;
@@ -23,11 +16,11 @@ use decoy_net::server::{
 use decoy_net::supervisor::{
     ListenerFactory, SupervisedListener, Supervisor, Transition, TransitionObserver,
 };
-use decoy_store::{
-    ConfigVariant, Dbms, Event, EventKind, EventStore, HoneypotId, InteractionLevel,
-};
+use decoy_store::{Dbms, Event, EventKind, EventStore, HoneypotId};
 use decoy_wire::error::NetResult;
+use std::future::Future;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::pin::Pin;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -151,9 +144,6 @@ impl RunningHoneypot {
     }
 }
 
-/// Number of fake customer records loaded into the MongoDB honeypot.
-pub const MONGO_FAKE_CUSTOMERS: usize = 200;
-
 /// Spawn the honeypot described by `spec`, logging into `store`, with
 /// default listener options.
 pub async fn spawn(store: Arc<EventStore>, spec: HoneypotSpec) -> std::io::Result<RunningHoneypot> {
@@ -177,8 +167,8 @@ pub async fn spawn_with_options(
     Ok(RunningHoneypot { id, server })
 }
 
-/// Bind the listener for `spec` at `addr`. This is the single place the
-/// (level, dbms) match lives; the supervisor calls it again on every
+/// Bind the listener for `spec` at `addr`, around the machine
+/// [`deploy::visit`] builds for it. The supervisor calls it again on every
 /// restart, re-seeding fake data identically from `spec.seed`.
 async fn bind_listener(
     store: Arc<EventStore>,
@@ -186,76 +176,35 @@ async fn bind_listener(
     options: ListenerOptions,
     addr: SocketAddr,
 ) -> std::io::Result<ServerHandle> {
-    use InteractionLevel::*;
-    let id = spec.id;
-    // Capability-flag coherence gate: an incoherent version profile (e.g.
-    // a Mongo 4.4 banner with the wrong wire-version ceiling) is exactly
-    // what fingerprinting scanners cross-reference, so it never binds.
-    if let Some(family) = catalog_family(id.dbms) {
-        VersionProfile::of(family)
-            .validate()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    }
-    let (config, seed) = (id.config, spec.seed);
-    match (id.level, id.dbms) {
-        (Low, Dbms::MySql) => serve(addr, store, id, LowMySql, options).await,
-        (Low, Dbms::Postgres) => serve(addr, store, id, LowPostgres::default(), options).await,
-        (Low, Dbms::Redis) => serve(addr, store, id, LowRedis, options).await,
-        (Low, Dbms::Mssql) => serve(addr, store, id, LowMssql, options).await,
-        (Medium, Dbms::Redis) if config == ConfigVariant::FakeData => {
-            let machine = RedisHoneypot::with_fake_data(decoy_fakedata::fake_redis_entries(seed));
-            serve(addr, store, id, machine, options).await
-        }
-        (Medium, Dbms::Redis) => serve(addr, store, id, RedisHoneypot::default(), options).await,
-        (Medium, Dbms::MySql) => serve(addr, store, id, MySqlHoneypot::default(), options).await,
-        (Medium, Dbms::Postgres) => {
-            let machine = StickyElephant::new(config != ConfigVariant::LoginDisabled);
-            serve(addr, store, id, machine, options).await
-        }
-        (Medium, Dbms::CouchDb) => {
-            let machine = CouchHoneypot::with_fake_customers(seed, MONGO_FAKE_CUSTOMERS);
-            serve(addr, store, id, machine, options).await
-        }
-        (Medium, Dbms::Elastic) => serve(addr, store, id, ElasticPot::default(), options).await,
-        (High, Dbms::MongoDb) => {
-            let machine = MongoHoneypot::with_fake_customers(seed, MONGO_FAKE_CUSTOMERS);
-            serve(addr, store, id, machine, options).await
-        }
-        (level, dbms) => Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            format!("no {level:?}-interaction honeypot for {dbms:?} in the deployment"),
-        )),
-    }
+    let bind = Bind {
+        addr,
+        store,
+        id: spec.id,
+        options,
+    };
+    deploy::visit(spec.id, spec.seed, bind)?.await
 }
 
-/// Bind a [`Shell`] around `machine` at `addr`.
-async fn serve<S>(
+/// The [`Visitor`] that binds a [`Shell`] around a honeypot's machine.
+struct Bind {
     addr: SocketAddr,
     store: Arc<EventStore>,
     id: HoneypotId,
-    machine: S,
     options: ListenerOptions,
-) -> std::io::Result<ServerHandle>
-where
-    S: Session + Clone + Send + Sync + 'static,
-    S::Codec: Send,
-    Frame<S>: Send,
-    Reply<S>: Send + Sync,
-{
-    Listener::bind(addr, Shell::new(store, id, machine), options).await
 }
 
-/// The catalog family whose version profile a deployment of `dbms` must
-/// satisfy (MSSQL is low-interaction-only and carries no profile).
-fn catalog_family(dbms: Dbms) -> Option<Family> {
-    match dbms {
-        Dbms::MySql => Some(Family::MySql),
-        Dbms::Postgres => Some(Family::Postgres),
-        Dbms::MongoDb => Some(Family::MongoDb),
-        Dbms::Redis => Some(Family::Redis),
-        Dbms::Elastic => Some(Family::Elastic),
-        Dbms::CouchDb => Some(Family::CouchDb),
-        Dbms::Mssql => None,
+impl Visitor for Bind {
+    type Output = Pin<Box<dyn Future<Output = std::io::Result<ServerHandle>> + Send>>;
+
+    fn machine<S>(self, machine: S) -> Self::Output
+    where
+        S: Session + Clone + Send + Sync + 'static,
+        S::Codec: Send,
+        Frame<S>: Send,
+        Reply<S>: Send + Sync,
+    {
+        let shell = Shell::new(self.store, self.id, machine);
+        Box::pin(Listener::bind(self.addr, shell, self.options))
     }
 }
 
@@ -329,6 +278,7 @@ pub async fn spawn_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decoy_store::{ConfigVariant, InteractionLevel};
     use decoy_wire::resp::{RespCodec, RespValue};
     use tokio::io::AsyncWriteExt;
     use tokio::net::TcpStream;
@@ -412,46 +362,6 @@ mod tests {
             assert!(r.addr().port() != 0);
             r.shutdown().await;
         }
-    }
-
-    #[tokio::test]
-    async fn unsupported_combination_errors() {
-        let store = EventStore::new();
-        let spec = HoneypotSpec::loopback(
-            id(Dbms::MySql, InteractionLevel::High, ConfigVariant::Default),
-            Clock::simulated(),
-            0,
-        );
-        assert!(spawn(store, spec).await.is_err());
-    }
-
-    #[tokio::test]
-    async fn fake_data_redis_has_200_entries() {
-        let store = EventStore::new();
-        let spec = HoneypotSpec::loopback(
-            id(
-                Dbms::Redis,
-                InteractionLevel::Medium,
-                ConfigVariant::FakeData,
-            ),
-            Clock::simulated(),
-            99,
-        );
-        let running = spawn(store, spec).await.unwrap();
-        let stream = TcpStream::connect(running.addr()).await.unwrap();
-        let mut f = Framed::new(stream, RespCodec::client());
-        f.write_frame(&RespValue::command(&["DBSIZE"]))
-            .await
-            .unwrap();
-        let RespValue::Integer(n) = f.read_frame().await.unwrap().unwrap() else {
-            panic!("expected DBSIZE integer");
-        };
-        // duplicate generated usernames collapse in the keyspace
-        assert!(
-            (190..=decoy_fakedata::REDIS_FAKE_ENTRIES as i64).contains(&n),
-            "{n}"
-        );
-        running.shutdown().await;
     }
 
     #[tokio::test]

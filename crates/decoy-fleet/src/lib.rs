@@ -10,9 +10,12 @@
 //!   machine (`decoy-honeypots`) on a socket: the PROXY sniff, the framed
 //!   reads, the machine call and the replies' writes; and the helpers that
 //!   bind a honeypot spec, alone or under supervision.
-//! * [`driver`] — runs one planned session against a live honeypot,
-//!   announcing the actor's address via the PROXY protocol and speaking
-//!   the real client protocol.
+//! * [`driver`] — the TCP transport of the attack client
+//!   (`decoy_agents::client`): runs one planned session against a live
+//!   honeypot, announcing the actor's address via the PROXY protocol. The
+//!   same client runs against the session machines in memory in tier-1,
+//!   where `tests/modes_offline.rs` holds it to direct mode event for event;
+//!   `modes_equivalent` here checks this shell against direct mode.
 //! * [`runner`] — stands every honeypot of the deployment plan up under
 //!   supervision, replays the schedule 64 sessions at a time, and
 //!   snapshots the fleet's health. The set-up and finish (spool journal,

@@ -3,6 +3,7 @@
 //! concurrent clients hammer them with well-formed sessions. The contract:
 //!
 //! * every scripted client session completes without a protocol error,
+//!   and every Postgres and MySQL login is let in,
 //! * the honeypots record **zero** `Malformed` events — the zero-copy
 //!   decoders parse concurrent well-formed traffic exactly like the
 //!   buffered ones did, and
@@ -10,149 +11,21 @@
 //!   events (count parity + clean recovery stats), proving the pooled
 //!   buffers never corrupt what gets persisted.
 
-use decoy_base::time::Clock;
+use decoy_agents::actors::TargetSelector;
+use decoy_agents::schedule::PlannedSession;
+use decoy_agents::scripts::SessionScript;
+use decoy_base::time::{Clock, EXPERIMENT_START};
 use decoy_fleet::deploy::{spawn, HoneypotSpec};
-use decoy_net::framed::Framed;
+use decoy_fleet::driver::run_session;
 use decoy_store::{
     ConfigVariant, Dbms, EventKindRef, EventStore, HoneypotId, InteractionLevel, JournalConfig,
     JournalReader, JournalWriter,
 };
-use decoy_wire::mongo::bson::doc;
-use decoy_wire::mongo::{MongoCodec, MongoMessage};
-use decoy_wire::{http, mysql, pgwire, resp, tds};
-use std::net::SocketAddr;
-use tokio::net::TcpStream;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 const CLIENTS_PER_PROTOCOL: usize = 6;
 const SESSIONS_PER_CLIENT: usize = 3;
-
-type Fail = Box<dyn std::error::Error + Send + Sync>;
-
-async fn pg_session(addr: SocketAddr) -> Result<(), Fail> {
-    let stream = TcpStream::connect(addr).await?;
-    let mut f = Framed::new(stream, pgwire::PgClientCodec::new());
-    f.write_frame(&pgwire::FrontendMessage::Startup {
-        params: vec![("user".into(), "postgres".into())],
-    })
-    .await?;
-    loop {
-        match f.read_frame().await?.ok_or("closed during auth")? {
-            pgwire::BackendMessage::AuthenticationCleartextPassword
-            | pgwire::BackendMessage::AuthenticationMd5Password { .. } => {
-                f.write_frame(&pgwire::FrontendMessage::Password("postgres".into()))
-                    .await?;
-            }
-            pgwire::BackendMessage::ReadyForQuery { .. } => break,
-            pgwire::BackendMessage::ErrorResponse { .. } => return Err("login rejected".into()),
-            _ => continue,
-        }
-    }
-    f.write_frame(&pgwire::FrontendMessage::Query("SELECT version();".into()))
-        .await?;
-    loop {
-        if let pgwire::BackendMessage::ReadyForQuery { .. } =
-            f.read_frame().await?.ok_or("closed mid query")?
-        {
-            break;
-        }
-    }
-    f.write_frame(&pgwire::FrontendMessage::Terminate).await?;
-    Ok(())
-}
-
-async fn mysql_session(addr: SocketAddr) -> Result<(), Fail> {
-    let stream = TcpStream::connect(addr).await?;
-    let mut f = Framed::new(stream, mysql::MySqlCodec);
-    let greeting = f.read_frame().await?.ok_or("no greeting")?;
-    mysql::Greeting::parse(&greeting.payload)?;
-    let login = mysql::LoginRequest::cleartext("root", "smoke", None);
-    f.write_frame(&mysql::MySqlPacket {
-        seq: greeting.seq.wrapping_add(1),
-        payload: login.build(),
-    })
-    .await?;
-    f.read_frame().await?.ok_or("no auth reply")?;
-    let mut q = vec![0x03];
-    q.extend_from_slice(b"SELECT @@version");
-    f.write_frame(&mysql::MySqlPacket {
-        seq: 0,
-        payload: q.into(),
-    })
-    .await?;
-    f.read_frame().await?.ok_or("no result")?;
-    Ok(())
-}
-
-async fn resp_session(addr: SocketAddr) -> Result<(), Fail> {
-    let stream = TcpStream::connect(addr).await?;
-    let mut f = Framed::new(stream, resp::RespCodec::client());
-    for cmd in [
-        resp::RespValue::command(&["PING"]),
-        resp::RespValue::command(&["SET", "smoke:key", "1"]),
-        resp::RespValue::command(&["GET", "smoke:key"]),
-    ] {
-        f.write_frame(&cmd).await?;
-        f.read_frame().await?.ok_or("server closed")?;
-    }
-    Ok(())
-}
-
-async fn tds_session(addr: SocketAddr) -> Result<(), Fail> {
-    let stream = TcpStream::connect(addr).await?;
-    let mut f = Framed::new(stream, tds::TdsCodec);
-    f.write_frame(&tds::TdsPacket::eom(
-        tds::PKT_PRELOGIN,
-        tds::build_prelogin(&[
-            (0x00, vec![15, 0, 0, 0, 0, 0].into()),
-            (0x01, vec![2].into()),
-        ]),
-    ))
-    .await?;
-    f.read_frame().await?.ok_or("no prelogin reply")?;
-    let login = tds::Login7 {
-        hostname: "SMOKE".into(),
-        username: "sa".into(),
-        password: "smoke".into(),
-        appname: "wire_load_smoke".into(),
-        servername: addr.ip().to_string(),
-        database: String::new(),
-    };
-    f.write_frame(&tds::TdsPacket::eom(tds::PKT_LOGIN7, login.build()))
-        .await?;
-    f.read_frame().await?.ok_or("no login reply")?;
-    Ok(())
-}
-
-async fn mongo_session(addr: SocketAddr) -> Result<(), Fail> {
-    let stream = TcpStream::connect(addr).await?;
-    let mut f = Framed::new(stream, MongoCodec);
-    for (rid, cmd) in [
-        doc! { "isMaster" => 1i32, "$db" => "admin" },
-        doc! { "buildInfo" => 1i32, "$db" => "admin" },
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        f.write_frame(&MongoMessage::msg(rid as i32 + 1, cmd))
-            .await?;
-        f.read_frame().await?.ok_or("server closed")?;
-    }
-    Ok(())
-}
-
-async fn http_session(addr: SocketAddr) -> Result<(), Fail> {
-    let stream = TcpStream::connect(addr).await?;
-    let mut f = Framed::new(stream, http::HttpClientCodec);
-    for req in [
-        http::HttpRequest::new("GET", "/"),
-        http::HttpRequest::new("POST", "/_search")
-            .with_body("application/json", r#"{"query":{"match_all":{}}}"#),
-    ] {
-        f.write_frame(&req).await?;
-        f.read_frame().await?.ok_or("server closed")?;
-    }
-    Ok(())
-}
 
 /// All six protocols at once, many concurrent clients each, on one shared
 /// store spooling into a journal.
@@ -170,66 +43,51 @@ async fn concurrent_wire_sessions_decode_cleanly_and_journal_in_parity() {
         .expect("open journal"),
     );
 
-    let specs = [
-        HoneypotId::new(
-            Dbms::Postgres,
-            InteractionLevel::Medium,
-            ConfigVariant::Default,
-            0,
+    use ConfigVariant::*;
+    use InteractionLevel::*;
+    let id = |dbms, level, config| HoneypotId::new(dbms, level, config, 0);
+    let creds = vec![("sa".to_string(), "smoke".to_string())];
+    let targets = [
+        (id(Dbms::Postgres, Medium, Default), SessionScript::PgScout),
+        (id(Dbms::MySql, Medium, Default), SessionScript::MysqlScout),
+        (id(Dbms::Redis, Medium, Default), SessionScript::AbcBot),
+        (
+            id(Dbms::Mssql, Low, MultiService),
+            SessionScript::MssqlBrute { creds },
         ),
-        HoneypotId::new(
-            Dbms::MySql,
-            InteractionLevel::Medium,
-            ConfigVariant::Default,
-            0,
+        (
+            id(Dbms::MongoDb, High, FakeData),
+            SessionScript::MongoScout { deep: false },
         ),
-        HoneypotId::new(
-            Dbms::Redis,
-            InteractionLevel::Medium,
-            ConfigVariant::Default,
-            0,
-        ),
-        HoneypotId::new(
-            Dbms::Mssql,
-            InteractionLevel::Low,
-            ConfigVariant::MultiService,
-            0,
-        ),
-        HoneypotId::new(
-            Dbms::MongoDb,
-            InteractionLevel::High,
-            ConfigVariant::FakeData,
-            0,
-        ),
-        HoneypotId::new(
-            Dbms::Elastic,
-            InteractionLevel::Medium,
-            ConfigVariant::Default,
-            0,
+        (
+            id(Dbms::Elastic, Medium, Default),
+            SessionScript::ElasticScout { deep: true },
         ),
     ];
     let mut running = Vec::new();
-    for id in specs {
-        let spec = HoneypotSpec::loopback(id, Clock::simulated(), 7);
-        running.push(spawn(store.clone(), spec).await.expect("spawn honeypot"));
-    }
-
     let mut clients = tokio::task::JoinSet::new();
-    for (proto, hp) in running.iter().enumerate() {
+    for (proto, (id, script)) in targets.into_iter().enumerate() {
+        let spec = HoneypotSpec::loopback(id, Clock::simulated(), 7);
+        let hp = spawn(store.clone(), spec).await.expect("spawn honeypot");
         let addr = hp.addr();
-        for _ in 0..CLIENTS_PER_PROTOCOL {
+        running.push(hp);
+        for client in 0..CLIENTS_PER_PROTOCOL {
+            let session = Arc::new(PlannedSession {
+                ts: EXPERIMENT_START,
+                actor_idx: client,
+                src: Ipv4Addr::new(198, 51, 100, client as u8),
+                target: TargetSelector {
+                    dbms: id.dbms,
+                    level: id.level,
+                    config: Some(id.config),
+                },
+                script: script.clone(),
+            });
             clients.spawn(async move {
                 for _ in 0..SESSIONS_PER_CLIENT {
-                    let outcome = match proto {
-                        0 => pg_session(addr).await,
-                        1 => mysql_session(addr).await,
-                        2 => resp_session(addr).await,
-                        3 => tds_session(addr).await,
-                        4 => mongo_session(addr).await,
-                        _ => http_session(addr).await,
-                    };
-                    if let Err(e) = outcome {
-                        return Err(format!("protocol #{proto} session failed: {e}"));
+                    let outcome = run_session(addr, &session).await;
+                    if outcome.errors > 0 {
+                        return Err(format!("protocol #{proto} session failed: {outcome:?}"));
                     }
                 }
                 Ok(())
@@ -254,6 +112,20 @@ async fn concurrent_wire_sessions_decode_cleanly_and_journal_in_parity() {
         malformed, 0,
         "well-formed concurrent traffic must not misparse"
     );
+    // a refused login is no protocol error: count the ones let in
+    for dbms in [Dbms::Postgres, Dbms::MySql] {
+        let logins = store.read(|log| {
+            log.iter()
+                .filter(|e| e.honeypot.dbms == dbms)
+                .filter(|e| matches!(e.kind, EventKindRef::LoginAttempt { success: true, .. }))
+                .count()
+        });
+        assert_eq!(
+            logins,
+            CLIENTS_PER_PROTOCOL * SESSIONS_PER_CLIENT,
+            "{dbms:?} logins let in"
+        );
+    }
     let recorded = store.len();
     assert!(
         recorded >= 6 * CLIENTS_PER_PROTOCOL * SESSIONS_PER_CLIENT * 2,

@@ -230,7 +230,7 @@ mod tests {
     use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use decoy_wire::http::HttpClientCodec;
 
-    type Client = Driver<CouchHoneypot, HttpClientCodec>;
+    type Client = Driver<HttpClientCodec>;
 
     fn connect_couch() -> (Client, Arc<EventStore>, CouchHoneypot) {
         let store = EventStore::new();

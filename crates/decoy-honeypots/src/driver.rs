@@ -1,52 +1,179 @@
-//! An in-memory client for session machines: tests drive a [`Session`]
-//! through the same [`Conversation`] and the same read rule
-//! ([`read_step`]) as decoy-fleet's socket shell, with byte buffers in
-//! place of a socket.
+//! The in-memory transport: client connections to session machines over
+//! byte buffers in place of a socket.
+//!
+//! A [`Driver`] runs a machine through the same [`Conversation`] and the
+//! same read rule ([`read_step`]) as decoy-fleet's socket shell, and
+//! [`Memory`] dials drivers to one deployed honeypot as the [`Dial`]
+//! transport the attack client (`decoy_agents::client`) speaks through.
+//! So tier-1 drives every scripted session through the honeypot code that
+//! logs it. A conversation in memory never waits on I/O, so [`poll_once`]
+//! completes a client's future in one poll.
 
+use crate::deploy::{self, Visitor};
 use crate::logging::SessionLogger;
-use crate::session::{Conversation, Session};
+use crate::session::{Conversation, Frame, Reply, Session};
 use decoy_base::time::Clock;
-use decoy_store::{Event, EventKind, EventStore, HoneypotId};
+use decoy_store::{EventStore, HoneypotId};
 use decoy_wire::buf::RecvBuf;
-use decoy_wire::codec::{read_step, Codec, ReadStep};
-use decoy_wire::error::NetResult;
-use std::net::Ipv4Addr;
+use decoy_wire::codec::{read_step, Codec, Connection, Dial, ReadStep};
+use decoy_wire::error::{NetError, NetResult};
+use std::future::Future;
+use std::net::{IpAddr, Ipv4Addr};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
-/// One connection to a session machine, seen from a client that speaks
-/// codec `C`.
-pub struct Driver<S: Session, C> {
-    /// `None` once the session has ended.
-    session: Option<Conversation<S>>,
-    server: S::Codec,
-    client: C,
-    /// Client bytes the session has not decoded yet.
-    inbound: RecvBuf,
-    /// Reply bytes the client has not read yet.
-    replies: RecvBuf,
+/// A session machine's end of an in-memory connection, its types erased:
+/// client bytes in, reply bytes out.
+trait Server {
+    /// Take the client's `bytes` (`eof`: the client has hung up) and run the
+    /// session until it waits for more or ends, appending its replies'
+    /// bytes to `replies`. `Err`: a reply failed to encode, which ends the
+    /// session as a failed socket write does.
+    fn feed(&mut self, bytes: &[u8], eof: bool, replies: &mut RecvBuf) -> NetResult<()>;
+
+    /// Whether the session reads on.
+    fn is_open(&self) -> bool;
 }
 
-impl<S: Session, C: Codec> Driver<S, C> {
-    /// Connect to `machine`, logging into `store` as honeypot `id` from
-    /// 127.0.0.1 on a simulated clock.
-    pub fn connect(machine: S, store: &Arc<EventStore>, id: HoneypotId, client: C) -> Self {
-        let peer = Ipv4Addr::LOCALHOST.into();
-        let log = SessionLogger::new(Arc::clone(store), id, Clock::simulated(), 1, peer, None);
-        let mut driver = Driver {
-            server: machine.codec(),
-            session: Some(Conversation::open(machine, log)),
-            client,
-            inbound: RecvBuf::default(),
-            replies: RecvBuf::default(),
+/// A [`Server`] over machine `S`.
+struct Serving<S: Session> {
+    /// `None` once the session has ended.
+    session: Option<Conversation<S>>,
+    codec: S::Codec,
+    /// Client bytes the session has not decoded yet.
+    inbound: RecvBuf,
+}
+
+impl<S: Session> Server for Serving<S> {
+    fn feed(&mut self, bytes: &[u8], eof: bool, replies: &mut RecvBuf) -> NetResult<()> {
+        self.inbound.extend_from_slice(bytes);
+        let mut written = Ok(());
+        while let Some(session) = self.session.as_mut() {
+            let mut wire = Vec::new();
+            for reply in session.replies() {
+                if written.is_ok() {
+                    written = self.codec.encode(&reply, &mut wire);
+                }
+            }
+            replies.extend_from_slice(&wire);
+            if written.is_err() || !session.is_open() {
+                break;
+            }
+            let read = match read_step(&mut self.codec, &mut self.inbound, eof) {
+                Ok(ReadStep::More) => return Ok(()),
+                Ok(ReadStep::Frame(frame)) => Ok(Some(frame)),
+                Ok(ReadStep::End) => Ok(None),
+                Err(e) => Err(e),
+            };
+            session.read(read, &self.inbound);
+        }
+        let Some(session) = self.session.take() else {
+            return Ok(());
         };
-        driver.pump(false);
+        let failed = written.as_ref().err().map(ToString::to_string);
+        session.close(written);
+        failed.map_or(Ok(()), |e| Err(NetError::Protocol(e)))
+    }
+
+    fn is_open(&self) -> bool {
+        self.session.is_some()
+    }
+}
+
+/// A session machine, its type erased: the in-memory end of a deployed
+/// honeypot.
+trait Machine {
+    /// Open a connection to a fresh clone of the machine, logged by `log`.
+    fn open(&self, log: SessionLogger) -> Box<dyn Server>;
+}
+
+impl<S: Session + Clone + 'static> Machine for S {
+    fn open(&self, log: SessionLogger) -> Box<dyn Server> {
+        Box::new(Serving {
+            codec: self.codec(),
+            session: Some(Conversation::open(self.clone(), log)),
+            inbound: RecvBuf::default(),
+        })
+    }
+}
+
+/// One client connection to a session machine, speaking codec `C`.
+/// Dropping it hangs up.
+pub struct Driver<C> {
+    server: Box<dyn Server>,
+    client: C,
+    /// Reply bytes the client has not read yet.
+    replies: RecvBuf,
+    /// The first reply that failed to encode.
+    written: NetResult<()>,
+}
+
+impl<C: Codec> Driver<C> {
+    fn from_server(server: Box<dyn Server>, client: C) -> Self {
+        let mut driver = Driver {
+            server,
+            client,
+            replies: RecvBuf::default(),
+            written: Ok(()),
+        };
+        driver.write(&[]);
         driver
     }
 
-    /// Send raw bytes, as one client write.
-    pub fn write(&mut self, bytes: &[u8]) {
-        self.inbound.extend_from_slice(bytes);
-        self.pump(false);
+    /// Send raw bytes, as one client write. Bytes sent after the session
+    /// ended are lost, as on a socket the peer has closed.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        self.feed(bytes, false);
+    }
+
+    /// Read one reply as a socket client's read would: `Ok(None)` once the
+    /// session has closed and every reply was read. A session that waits
+    /// for more of the client's bytes has written all it will, so reading
+    /// on is [`NetError::IdleTimeout`], where a socket client would wait.
+    pub(crate) fn read(&mut self) -> NetResult<Option<C::In>> {
+        let ended = !self.server.is_open();
+        match read_step(&mut self.client, &mut self.replies, ended)? {
+            ReadStep::Frame(frame) => Ok(Some(frame)),
+            ReadStep::End => Ok(None),
+            ReadStep::More => Err(NetError::IdleTimeout),
+        }
+    }
+
+    /// Hang up: the session applies the end-of-stream rule to the bytes it
+    /// has not decoded, then logs its disconnect. `Err`: a reply of the
+    /// session failed to encode with its own codec.
+    pub fn close(mut self) -> NetResult<()> {
+        self.feed(&[], true);
+        std::mem::replace(&mut self.written, Ok(()))
+    }
+
+    fn feed(&mut self, bytes: &[u8], eof: bool) {
+        if !self.server.is_open() {
+            return;
+        }
+        let fed = self.server.feed(bytes, eof, &mut self.replies);
+        if self.written.is_ok() {
+            self.written = fed;
+        }
+    }
+}
+
+/// Shorthands for the transcript tests: a frame the client cannot encode,
+/// or a reply that is not there, fails the test.
+#[cfg(test)]
+impl<C: Codec> Driver<C> {
+    /// Connect `client` to `machine`, logging into `store` as honeypot `id`
+    /// from 127.0.0.1 on a simulated clock, as session 1.
+    pub fn connect<S: Session + Clone + 'static>(
+        machine: S,
+        store: &Arc<EventStore>,
+        id: HoneypotId,
+        client: C,
+    ) -> Self {
+        let peer = Ipv4Addr::LOCALHOST.into();
+        let log = SessionLogger::new(Arc::clone(store), id, Clock::simulated(), 1, peer, None);
+        Driver::from_server(machine.open(log), client)
     }
 
     /// Encode `frame` with the client's codec and send it.
@@ -54,16 +181,6 @@ impl<S: Session, C: Codec> Driver<S, C> {
         let mut bytes = Vec::new();
         self.client.encode(frame, &mut bytes).unwrap();
         self.write(&bytes);
-    }
-
-    /// Read one reply as a socket client's `read_frame` would: `Ok(None)`
-    /// once the session has closed and every reply was read.
-    pub fn read(&mut self) -> NetResult<Option<C::In>> {
-        match read_step(&mut self.client, &mut self.replies, self.session.is_none())? {
-            ReadStep::Frame(frame) => Ok(Some(frame)),
-            ReadStep::End => Ok(None),
-            ReadStep::More => panic!("the client waits for a reply the session never wrote"),
-        }
     }
 
     /// The next reply, which must have been written.
@@ -76,45 +193,125 @@ impl<S: Session, C: Codec> Driver<S, C> {
         self.send(frame);
         self.recv()
     }
+}
 
-    /// The client hangs up: the session applies the end-of-stream rule to
-    /// the bytes it has not decoded, then logs its disconnect.
-    pub fn close(mut self) {
-        self.pump(true);
-    }
-
-    /// Write the session's replies and hand it every whole frame until it
-    /// needs more bytes than arrived or ends. `eof`: the client has hung
-    /// up. A reply its own codec cannot encode panics: a machine pushes
-    /// only what it can send.
-    fn pump(&mut self, eof: bool) {
-        while let Some(session) = self.session.as_mut() {
-            let mut wire = Vec::new();
-            for reply in session.replies() {
-                if let Err(e) = self.server.encode(&reply, &mut wire) {
-                    panic!("a reply failed to encode: {e}");
-                }
-            }
-            self.replies.extend_from_slice(&wire);
-            if !session.is_open() {
-                break;
-            }
-            let read = match read_step(&mut self.server, &mut self.inbound, eof) {
-                Ok(ReadStep::More) => return,
-                Ok(ReadStep::Frame(frame)) => Ok(Some(frame)),
-                Ok(ReadStep::End) => Ok(None),
-                Err(e) => Err(e),
-            };
-            session.read(read, &self.inbound);
-        }
-        if let Some(session) = self.session.take() {
-            session.close(Ok(()));
+impl<C> Drop for Driver<C> {
+    fn drop(&mut self) {
+        if self.server.is_open() {
+            let _ = self.server.feed(&[], true, &mut self.replies);
         }
     }
 }
 
+impl<C: Codec> Connection<C> for Driver<C> {
+    async fn send(&mut self, frame: &C::Out) -> NetResult<()> {
+        let mut bytes = Vec::new();
+        self.client.encode(frame, &mut bytes)?;
+        self.write(&bytes);
+        Ok(())
+    }
+
+    async fn recv(&mut self) -> NetResult<Option<C::In>> {
+        self.read()
+    }
+}
+
+/// One honeypot deployed in memory: every dial connects to a fresh clone
+/// of its machine, so state the machine shares across connections (a
+/// keyspace, a document store) lives as long as the instance, as on a
+/// listener. Connections are logged as the current source, on the
+/// instance's clock, under its next session number.
+pub struct Memory {
+    machine: Box<dyn Machine>,
+    store: Arc<EventStore>,
+    id: HoneypotId,
+    clock: Clock,
+    /// The last session number handed out.
+    sessions: u64,
+    src: IpAddr,
+}
+
+impl Memory {
+    /// Deploy honeypot `id` with the machine [`deploy::visit`] builds from
+    /// `seed`, logging into `store` on `clock`. Until
+    /// [`Memory::with_source`] names a source, connections come from
+    /// 127.0.0.1.
+    pub fn deploy(
+        store: &Arc<EventStore>,
+        id: HoneypotId,
+        seed: u64,
+        clock: Clock,
+    ) -> std::io::Result<Memory> {
+        Ok(Memory {
+            machine: deploy::visit(id, seed, Erase)?,
+            store: Arc::clone(store),
+            id,
+            clock,
+            sessions: 0,
+            src: Ipv4Addr::LOCALHOST.into(),
+        })
+    }
+
+    /// Log the next connections as coming from `src`.
+    pub fn with_source(&mut self, src: IpAddr) -> &mut Memory {
+        self.src = src;
+        self
+    }
+}
+
+impl Dial for Memory {
+    type Conn<C: Codec + 'static> = Driver<C>;
+
+    async fn dial<C: Codec + 'static>(&mut self, codec: C) -> Option<NetResult<Driver<C>>> {
+        self.sessions += 1;
+        let log = SessionLogger::new(
+            Arc::clone(&self.store),
+            self.id,
+            self.clock.clone(),
+            self.sessions,
+            self.src,
+            None,
+        );
+        Some(Ok(Driver::from_server(self.machine.open(log), codec)))
+    }
+}
+
+/// The [`Visitor`] that erases a machine's type.
+struct Erase;
+
+impl Visitor for Erase {
+    type Output = Box<dyn Machine>;
+
+    fn machine<S>(self, machine: S) -> Box<dyn Machine>
+    where
+        S: Session + Clone + Send + Sync + 'static,
+        S::Codec: Send,
+        Frame<S>: Send,
+        Reply<S>: Send + Sync,
+    {
+        Box::new(machine)
+    }
+}
+
+/// Poll `future` once: its output, or `None` if it waits. A client over
+/// [`Memory`] never waits, so one poll runs its whole visit.
+pub fn poll_once<F: Future>(future: F) -> Option<F::Output> {
+    /// A waker nothing waits on.
+    struct Noop;
+    impl Wake for Noop {
+        fn wake(self: Arc<Self>) {}
+    }
+    let waker = Waker::from(Arc::new(Noop));
+    match pin!(future).poll(&mut Context::from_waker(&waker)) {
+        Poll::Ready(output) => Some(output),
+        Poll::Pending => None,
+    }
+}
+
 /// Every login attempt logged in `store`, as `(username, password)`.
+#[cfg(test)]
 pub fn logins(store: &EventStore) -> Vec<(String, String)> {
+    use decoy_store::{Event, EventKind};
     let login = |e: Event| match e.kind {
         EventKind::LoginAttempt {
             username, password, ..
@@ -128,11 +325,12 @@ pub fn logins(store: &EventStore) -> Vec<(String, String)> {
 /// each machine's client transcripts, drawn by `decoy_base::rng::mutate`
 /// and cut in two reads at a drawn offset, run through [`Driver`] from
 /// connect to hang-up. No case may panic, every reply must encode with the
-/// machine's own codec (the driver panics on one that does not), and each
-/// session's events must open with `Connect` and end with `Disconnect`.
+/// machine's own codec, and each session's events must open with `Connect`
+/// and end with `Disconnect`.
 /// Attacker-shaped frames reach the handlers this way: docdb's filter
 /// matching, Elasticpot's rules and `mask::normalize_action` on every
 /// logged command.
+#[cfg(test)]
 mod campaign {
     use super::Driver;
     use crate::couch_med::CouchHoneypot;
@@ -158,19 +356,42 @@ mod campaign {
     /// Sessions per machine configuration.
     const CASES: u64 = 2_000;
 
-    fn run<S: Session + Clone>(seed: u64, machine: S, id: HoneypotId, transcripts: &[Vec<u8>]) {
+    /// Sessions per Redis configuration of the argument-level campaign,
+    /// whose 64 KiB arguments make a case costlier than a byte-level one.
+    const ARGUMENT_CASES: u64 = 500;
+
+    fn run<S: Session + Clone + 'static>(
+        seed: u64,
+        machine: S,
+        id: HoneypotId,
+        transcripts: &[Vec<u8>],
+    ) {
+        let machine = || machine.clone();
+        run_drawn(seed, CASES, machine, id, |rng| mutate(rng, transcripts));
+    }
+
+    /// [`run`] over `cases` sessions of the client bytes `draw` makes, each
+    /// connecting to the machine `machine` returns.
+    fn run_drawn<S: Session + Clone + 'static>(
+        seed: u64,
+        cases: u64,
+        machine: impl Fn() -> S,
+        id: HoneypotId,
+        mut draw: impl FnMut(&mut Rng) -> Vec<u8>,
+    ) {
         let gen = |rng: &mut Rng| {
-            let bytes = mutate(rng, transcripts);
+            let bytes = draw(rng);
             let cut = rng.gen_range(0..=bytes.len());
             (bytes, cut)
         };
-        for_all(seed, CASES, gen, |(bytes, cut)| {
+        for_all(seed, cases, gen, |(bytes, cut)| {
             let store = EventStore::new();
-            let mut client = Driver::connect(machine.clone(), &store, id, RawCodec);
+            let mut client = Driver::connect(machine(), &store, id, RawCodec);
             let (first, rest) = bytes.split_at(*cut);
             client.write(first);
             client.write(rest);
-            client.close();
+            let written = client.close();
+            assert!(written.is_ok(), "a reply failed to encode: {written:?}");
             let events = store.all();
             let first = events.first().map(|e| &e.kind);
             let last = events.last().map(|e| &e.kind);
@@ -290,6 +511,61 @@ mod campaign {
         run(0x20, empty, medium(ConfigVariant::Default), &transcripts);
         let fake = RedisHoneypot::with_fake_data(decoy_fakedata::fake_redis_entries(7));
         run(0x21, fake, medium(ConfigVariant::FakeData), &transcripts);
+    }
+
+    /// Argument-level mutants for the two Redis machines: the commands of a
+    /// session with drawn arguments swapped for edge values, re-encoded as
+    /// well-formed frames. A byte-level mutant rarely makes one (turning
+    /// `$1\r\n3` into a two-digit bulk needs a matching length edit).
+    #[test]
+    fn redis_machines_survive_argument_mutants() {
+        let commands: [&[&str]; 12] = [
+            &["SELECT", "3"],
+            &["SET", "x", "hello"],
+            &["GET", "x"],
+            &["KEYS", "*"],
+            &["TYPE", "x"],
+            &["HSET", "h", "f", "v"],
+            &["RPUSH", "q", "a", "b"],
+            &["LRANGE", "q", "0", "-1"],
+            &["CONFIG", "GET", "*"],
+            &["SLAVEOF", "198.51.100.3", "8886"],
+            &["AUTH", "hunter2"],
+            &["ECHO", "hi"],
+        ];
+        let (min, max) = (i64::MIN.to_string(), i64::MAX.to_string());
+        let long = "x".repeat(64 * 1024);
+        let edges = [
+            "-1", "0", "15", "16", &min, &max, "", &long, "*", "?", "[", "[a-", "\\", "[^*]",
+        ];
+        let draw = |rng: &mut Rng| {
+            let mut bytes = Vec::new();
+            for command in commands {
+                if rng.gen_bool(0.5) {
+                    continue;
+                }
+                let mut parts = command.to_vec();
+                for arg in parts.iter_mut().skip(1) {
+                    if rng.gen_bool(0.5) {
+                        *arg = edges[rng.gen_range(0..edges.len())];
+                    }
+                }
+                let frame = RespValue::command(&parts);
+                RespCodec::client().encode(&frame, &mut bytes).unwrap();
+            }
+            bytes
+        };
+        // a fresh keyspace per case, so the lists and values of earlier
+        // cases do not pile up
+        let id = |level, config| id(Dbms::Redis, level, config);
+        let low = id(InteractionLevel::Low, ConfigVariant::MultiService);
+        run_drawn(0x22, ARGUMENT_CASES, || LowRedis, low, draw);
+        let medium = id(InteractionLevel::Medium, ConfigVariant::Default);
+        run_drawn(0x23, ARGUMENT_CASES, RedisHoneypot::default, medium, draw);
+        let bait = decoy_fakedata::fake_redis_entries(7);
+        let fake = || RedisHoneypot::with_fake_data(bait.clone());
+        let fake_id = id(InteractionLevel::Medium, ConfigVariant::FakeData);
+        run_drawn(0x24, ARGUMENT_CASES, fake, fake_id, draw);
     }
 
     #[test]

@@ -274,10 +274,14 @@ impl Session for ElasticPot {
         log: &SessionLogger,
     ) -> Flow {
         log.command(&render(&req));
-        if decoy_store::foreign::recognize(&req.body).is_some()
-            || decoy_store::foreign::recognize(req.target.as_bytes()).is_some()
+        // a foreign probe in the body (or, failing that, the target) is
+        // captured as it arrived
+        let parts = [req.body.as_ref(), req.target.as_bytes()];
+        if let Some(probe) = parts
+            .into_iter()
+            .find(|part| decoy_store::foreign::recognize(part).is_some())
         {
-            log.payload(&[req.target.as_bytes(), b" ", req.body.as_ref()].concat());
+            log.payload(probe);
         }
         out.push(self.respond(&req));
         flow_after(&req)
@@ -309,7 +313,7 @@ mod tests {
     use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use decoy_wire::http::HttpClientCodec;
 
-    type Client = Driver<ElasticPot, HttpClientCodec>;
+    type Client = Driver<HttpClientCodec>;
 
     fn connect(book: ResponseBook) -> (Client, Arc<EventStore>) {
         let store = EventStore::new();

@@ -40,7 +40,10 @@
 //! [`session::Conversation`] logs a connection's life around it, and
 //! decoy-fleet's shell is the only code that puts a machine on a socket
 //! (with the PROXY-protocol sniff that preserves simulated source
-//! addresses exactly as a production load balancer would). Every session
+//! addresses exactly as a production load balancer would). [`deploy`]
+//! builds the machine each deployed honeypot runs, for that shell and for
+//! [`driver`], the in-memory transport the attack client
+//! (`decoy_agents::client`) runs against in tier-1. Every session
 //! logs standardized [`decoy_store::Event`]s through
 //! [`logging::SessionLogger`]. Honeypots never execute captured payloads
 //! (Appendix A): exploit bytes are stored, recognized, and answered with
@@ -58,9 +61,9 @@
 
 pub mod catalog;
 pub mod couch_med;
+pub mod deploy;
 pub mod docdb;
-#[cfg(test)]
-mod driver;
+pub mod driver;
 pub mod elastic;
 pub mod logging;
 pub mod low;

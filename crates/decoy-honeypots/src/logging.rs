@@ -48,6 +48,16 @@ impl SessionLogger {
         self.src
     }
 
+    /// The honeypot this session connected to.
+    pub fn honeypot(&self) -> HoneypotId {
+        self.honeypot
+    }
+
+    /// The session's number on its honeypot.
+    pub fn session(&self) -> u64 {
+        self.session
+    }
+
     fn push(&self, kind: EventKind) {
         self.store.log(Event {
             ts: self.clock.now(),

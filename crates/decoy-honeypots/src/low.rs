@@ -8,8 +8,7 @@
 
 use crate::logging::SessionLogger;
 use crate::redis_med::prelude;
-use crate::session::{Flow, Session};
-use decoy_wire::cursor::sat_u8;
+use crate::session::{connection_rng, Flow, Session};
 use decoy_wire::{mysql, pgwire, resp, tds};
 
 /// Low-interaction MySQL: greet, capture the login, deny it.
@@ -24,18 +23,7 @@ impl Session for LowMySql {
     }
 
     fn open(&mut self, out: &mut Vec<mysql::MySqlPacket>, log: &SessionLogger) {
-        // Derive a per-session challenge from the session context; a fixed
-        // value would fingerprint the honeypot.
-        let mut auth_data = [0u8; 20];
-        for (i, b) in auth_data.iter_mut().enumerate() {
-            let mix = (usize::from(log.src().to_canonical().is_ipv4()) + i * 7) % 60;
-            *b = 0x21 + sat_u8(mix);
-        }
-        let greeting = mysql::Greeting::honeypot_default(rand_thread_id(log), auth_data);
-        out.push(mysql::MySqlPacket {
-            seq: 0,
-            payload: greeting.build(),
-        });
+        out.push(mysql_greeting(log));
     }
 
     fn on_frame(
@@ -201,13 +189,18 @@ impl Session for LowMssql {
     }
 }
 
-/// Vary the advertised MySQL thread id per session without real randomness.
-fn rand_thread_id(log: &SessionLogger) -> u32 {
-    let mut h: u32 = 0x9e37_79b9;
-    if let std::net::IpAddr::V4(v4) = log.src() {
-        h ^= u32::from(v4);
+/// The greeting both MySQL machines open with. Its thread id and 20-byte
+/// auth scramble are drawn per connection: a fixed value would fingerprint
+/// the honeypot.
+pub(crate) fn mysql_greeting(log: &SessionLogger) -> mysql::MySqlPacket {
+    let mut rng = connection_rng(log);
+    let thread_id = rng.gen_range(10..100_010);
+    // printable, like a real server's scramble
+    let auth_data = std::array::from_fn(|_| rng.gen_range(0x21..0x7f));
+    mysql::MySqlPacket {
+        seq: 0,
+        payload: mysql::Greeting::honeypot_default(thread_id, auth_data).build(),
     }
-    h.rotate_left(13).wrapping_mul(0x85eb_ca6b) % 100_000 + 10
 }
 
 #[cfg(test)]
@@ -218,11 +211,11 @@ mod tests {
     use decoy_wire::codec::{Codec, RawCodec};
     use std::sync::Arc;
 
-    fn connect<S: Session, C: Codec>(
+    fn connect<S: Session + Clone + 'static, C: Codec>(
         machine: S,
         dbms: Dbms,
         client: C,
-    ) -> (Driver<S, C>, Arc<EventStore>) {
+    ) -> (Driver<C>, Arc<EventStore>) {
         let store = EventStore::new();
         let id = HoneypotId::new(dbms, InteractionLevel::Low, ConfigVariant::MultiService, 0);
         (Driver::connect(machine, &store, id, client), store)
@@ -319,7 +312,7 @@ mod tests {
     fn jdwp_probe_is_captured_as_payload() {
         let (mut client, store) = connect(LowRedis, Dbms::Redis, RawCodec);
         client.write(b"JDWP-Handshake\r\n");
-        client.close();
+        client.close().unwrap();
         let payloads = store.filter(|e| {
             matches!(&e.kind, EventKind::Payload { recognized: Some(r), .. } if r == "jdwp-scan")
         });
@@ -330,7 +323,7 @@ mod tests {
     fn garbage_tds_is_logged_not_crashed() {
         let (mut client, store) = connect(LowMssql, Dbms::Mssql, RawCodec);
         client.write(&[0xde, 0xad, 0xbe, 0xef]);
-        client.close();
+        client.close().unwrap();
         // either a malformed or payload event was recorded alongside connect
         let interactive = store.filter(|e| e.kind.is_interactive());
         assert!(!interactive.is_empty());

@@ -214,7 +214,7 @@ impl MongoHoneypot {
                 error_reply(18, "Authentication failed.")
             }
             other => {
-                log.command(&format!("unknown:{other}"));
+                log.command(other);
                 error_reply(59, &format!("no such command: '{other}'"))
             }
         }
@@ -297,7 +297,7 @@ mod tests {
     use crate::driver::Driver;
     use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
 
-    type Client = Driver<MongoHoneypot, MongoCodec>;
+    type Client = Driver<MongoCodec>;
 
     fn connect() -> (Client, Arc<EventStore>, MongoHoneypot) {
         let store = EventStore::new();

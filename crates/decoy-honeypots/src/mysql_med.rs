@@ -30,15 +30,8 @@ impl Session for MySqlHoneypot {
         MySqlCodec
     }
 
-    fn open(&mut self, out: &mut Vec<MySqlPacket>, _log: &SessionLogger) {
-        let mut auth_data = [0u8; 20];
-        for (i, b) in auth_data.iter_mut().enumerate() {
-            *b = 0x23 + sat_u8((i * 11) % 60);
-        }
-        out.push(MySqlPacket {
-            seq: 0,
-            payload: mysql::Greeting::honeypot_default(42_042, auth_data).build(),
-        });
+    fn open(&mut self, out: &mut Vec<MySqlPacket>, log: &SessionLogger) {
+        out.push(crate::low::mysql_greeting(log));
     }
 
     fn on_frame(
@@ -190,7 +183,7 @@ mod tests {
     use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
     use std::sync::Arc;
 
-    type Client = Driver<MySqlHoneypot, MySqlCodec>;
+    type Client = Driver<MySqlCodec>;
 
     fn login() -> (Client, Arc<EventStore>) {
         let store = EventStore::new();

@@ -9,7 +9,7 @@
 
 use crate::catalog;
 use crate::logging::SessionLogger;
-use crate::session::{Flow, Session};
+use crate::session::{connection_rng, Flow, Session};
 use decoy_wire::pgwire::{BackendMessage, FrontendMessage, PgServerCodec};
 
 /// The medium-interaction PostgreSQL honeypot.
@@ -72,9 +72,11 @@ impl Session for StickyElephant {
                             value: value.into(),
                         });
                     }
+                    // the cancel key is per connection, as on a real server
+                    let mut rng = connection_rng(log);
                     out.push(BackendMessage::BackendKeyData {
-                        pid: 24_601,
-                        secret: 0x5eed_cafe,
+                        pid: rng.gen_range(1_000..64_000),
+                        secret: rng.gen_range(0..=u32::MAX),
                     });
                     out.push(BackendMessage::ReadyForQuery { status: b'I' });
                 } else {
@@ -214,7 +216,7 @@ mod tests {
     use decoy_wire::pgwire::PgClientCodec;
     use std::sync::Arc;
 
-    type Client = Driver<StickyElephant, PgClientCodec>;
+    type Client = Driver<PgClientCodec>;
 
     fn honeypot(allow_login: bool) -> (Arc<EventStore>, HoneypotId) {
         let id = HoneypotId::new(

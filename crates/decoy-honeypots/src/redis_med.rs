@@ -394,7 +394,7 @@ mod tests {
     use crate::driver::{logins, Driver};
     use decoy_store::{ConfigVariant, Dbms, EventKind, EventStore, HoneypotId, InteractionLevel};
 
-    type Client = Driver<RedisHoneypot, RespCodec>;
+    type Client = Driver<RespCodec>;
 
     fn connect(fake_data: bool) -> (Client, Arc<EventStore>, RedisHoneypot) {
         let store = EventStore::new();

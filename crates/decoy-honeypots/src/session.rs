@@ -10,8 +10,10 @@
 //! transcript and mutation campaign runs the code a live attacker reaches.
 
 use crate::logging::SessionLogger;
+use decoy_base::rng::{splitmix64, Rng};
 use decoy_wire::codec::Codec;
 use decoy_wire::error::NetResult;
+use std::net::IpAddr;
 
 /// A frame a session reads.
 pub type Frame<S> = <<S as Session>::Codec as Codec>::In;
@@ -115,4 +117,22 @@ impl<S: Session> Conversation<S> {
         }
         self.log.disconnect();
     }
+}
+
+/// The generator one connection draws its greeting secrets from (a MySQL
+/// scramble and thread id, a PostgreSQL cancel key), seeded from the
+/// honeypot, the session number and the source: two connections differ,
+/// and a replay of the same connection repeats its bytes.
+pub(crate) fn connection_rng(log: &SessionLogger) -> Rng {
+    let src = match log.src() {
+        IpAddr::V4(v4) => v4.to_ipv6_mapped().octets(),
+        IpAddr::V6(v6) => v6.octets(),
+    };
+    let mut key = log.honeypot().to_string().into_bytes();
+    key.extend(log.session().to_le_bytes());
+    key.extend(src);
+    let seed = key
+        .into_iter()
+        .fold(0, |h, byte| splitmix64(h ^ u64::from(byte)));
+    Rng::seed_from_u64(seed)
 }

@@ -99,19 +99,6 @@ where
         self.stream.flush().await?;
         Ok(())
     }
-
-    /// Write raw bytes (used for canned banners that bypass the codec).
-    pub async fn write_raw(&mut self, bytes: &[u8]) -> NetResult<()> {
-        self.stream.write_all(bytes).await?;
-        self.stream.flush().await?;
-        Ok(())
-    }
-
-    /// Consume the wrapper, returning the underlying stream and any
-    /// unconsumed buffered bytes. The write buffer returns to the pool.
-    pub fn into_parts(self) -> (S, RecvBuf) {
-        (self.stream, self.read_buf)
-    }
 }
 
 #[cfg(test)]

@@ -83,6 +83,39 @@ pub fn read_step<C: Codec>(
     }
 }
 
+/// The client side of a frame transport: how a scripted client opens the
+/// connections of one visit. decoy-fleet's TCP transport and
+/// decoy-honeypots' in-memory driver implement it, so the attack client
+/// (`decoy_agents::client`) speaks the same frames over a socket and to a
+/// session machine in memory.
+#[allow(
+    async_fn_in_trait,
+    reason = "a client generic over the transport is `Send` wherever the concrete transport is"
+)]
+pub trait Dial {
+    /// An open connection whose frames codec `C` encodes and decodes.
+    type Conn<C: Codec + 'static>: Connection<C>;
+
+    /// Open a connection speaking `codec`. `None` once the transport opens
+    /// no more connections for this visit (a spent time budget), so a burst
+    /// stops at a connection boundary.
+    async fn dial<C: Codec + 'static>(&mut self, codec: C) -> Option<NetResult<Self::Conn<C>>>;
+}
+
+/// One client connection of a [`Dial`] transport. Dropping it hangs up.
+#[allow(
+    async_fn_in_trait,
+    reason = "a client generic over the transport is `Send` wherever the concrete transport is"
+)]
+pub trait Connection<C: Codec> {
+    /// Encode `frame` and send it.
+    async fn send(&mut self, frame: &C::Out) -> NetResult<()>;
+
+    /// Read the next frame: `Ok(None)` once the peer has closed at a frame
+    /// boundary.
+    async fn recv(&mut self) -> NetResult<Option<C::In>>;
+}
+
 /// Read an exact big-endian `u32` length prefix if available, without
 /// consuming it. Helper shared by several codecs.
 pub fn peek_u32_be(buf: &[u8]) -> Option<u32> {

@@ -52,7 +52,7 @@ impl RespValue {
     }
 
     /// Shorthand for a command array of bulk strings.
-    pub fn command(parts: &[&str]) -> Self {
+    pub fn command<S: AsRef<[u8]>>(parts: &[S]) -> Self {
         RespValue::Array(parts.iter().map(RespValue::bulk).collect())
     }
 

@@ -31,7 +31,8 @@
 //! families of Table 3 as sans-IO session machines). The socket half is
 //! the `net/` workspace: `decoy-net` (framing, PROXY protocol, listeners,
 //! supervision), `decoy-fingerprint`, `decoy-bench` and `decoy-fleet` (the
-//! honeypots' socket shell, the TCP drivers and the network-mode runner).
+//! honeypots' socket shell, the attack client's TCP transport and the
+//! network-mode runner).
 //!
 //! ## Quickstart
 //!

@@ -1,25 +1,26 @@
-//! Campaign end-to-end tests: every Table 9 attack, executed over real TCP
-//! against the corresponding honeypot, must come out the other end of the
-//! pipeline with the right classification and campaign tag — the listings
-//! of the paper reproduced as living integration tests.
+//! Campaign end-to-end tests: every Table 9 attack, run by the attack
+//! client against the corresponding honeypot's session machine in memory,
+//! must come out the other end of the pipeline with the right
+//! classification and campaign tag — the listings of the paper reproduced
+//! as living integration tests.
 
-use decoy_agents::actors::TargetSelector;
-use decoy_agents::schedule::PlannedSession;
-use decoy_agents::scripts::SessionScript;
-use decoy_analysis::classify::{classify_sources, Behavior};
-use decoy_analysis::frame::{AnalysisFrame, Partition};
-use decoy_analysis::tagging::{tag_sources, AttackCategory, CampaignTag};
-use decoy_base::time::{Clock, EXPERIMENT_START};
-use decoy_core::deployment::instance_seed;
-use decoy_fleet::deploy::{spawn, HoneypotSpec};
-use decoy_fleet::driver::run_session;
-use decoy_geo::GeoDb;
-use decoy_store::{ConfigVariant, Dbms, EventStore, HoneypotId, InteractionLevel};
+use decoy_databases::agents::actors::TargetSelector;
+use decoy_databases::agents::client;
+use decoy_databases::agents::schedule::PlannedSession;
+use decoy_databases::agents::scripts::SessionScript;
+use decoy_databases::analysis::classify::{classify_sources, Behavior};
+use decoy_databases::analysis::frame::{AnalysisFrame, Partition};
+use decoy_databases::analysis::tagging::{tag_sources, AttackCategory, CampaignTag};
+use decoy_databases::base::time::{Clock, EXPERIMENT_START};
+use decoy_databases::core::deployment::instance_seed;
+use decoy_databases::geo::GeoDb;
+use decoy_databases::store::{ConfigVariant, Dbms, EventStore, HoneypotId, InteractionLevel};
+use decoy_honeypots::driver::{poll_once, Memory};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
-/// Run one scripted attack over TCP, returning the log and the source.
-async fn attack(
+/// Run one scripted attack, returning the log and the source.
+fn attack(
     dbms: Dbms,
     level: InteractionLevel,
     config: ConfigVariant,
@@ -27,12 +28,8 @@ async fn attack(
 ) -> (Arc<EventStore>, IpAddr) {
     let store = EventStore::new();
     let id = HoneypotId::new(dbms, level, config, 0);
-    let hp = spawn(
-        store.clone(),
-        HoneypotSpec::loopback(id, Clock::simulated(), instance_seed(5, id)),
-    )
-    .await
-    .expect("spawn honeypot");
+    let seed = instance_seed(5, id);
+    let mut honeypot = Memory::deploy(&store, id, seed, Clock::simulated()).expect("deploy");
     let src = Ipv4Addr::new(60, 9, 1, 23);
     let session = PlannedSession {
         ts: EXPERIMENT_START,
@@ -45,10 +42,9 @@ async fn attack(
         },
         script,
     };
-    let outcome = run_session(hp.addr(), &session).await;
+    let outcome = poll_once(client::run(honeypot.with_source(IpAddr::V4(src)), &session));
+    let outcome = outcome.expect("an in-memory visit never waits");
     assert_eq!(outcome.errors, 0, "campaign errored against {dbms:?}");
-    tokio::time::sleep(std::time::Duration::from_millis(150)).await;
-    hp.shutdown().await;
     (store, IpAddr::V4(src))
 }
 
@@ -76,15 +72,14 @@ fn assert_verdict(
     assert_eq!(tag.category(), category);
 }
 
-#[tokio::test]
-async fn listing1_p2pinfect() {
+#[test]
+fn listing1_p2pinfect() {
     let (store, src) = attack(
         Dbms::Redis,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::P2pInfect,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -94,15 +89,14 @@ async fn listing1_p2pinfect() {
     );
 }
 
-#[tokio::test]
-async fn listing2_abcbot() {
+#[test]
+fn listing2_abcbot() {
     let (store, src) = attack(
         Dbms::Redis,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::AbcBot,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -112,15 +106,14 @@ async fn listing2_abcbot() {
     );
 }
 
-#[tokio::test]
-async fn listing3_redis_cve_2022_0543() {
+#[test]
+fn listing3_redis_cve_2022_0543() {
     let (store, src) = attack(
         Dbms::Redis,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::RedisCve20220543,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -130,15 +123,14 @@ async fn listing3_redis_cve_2022_0543() {
     );
 }
 
-#[tokio::test]
-async fn listing4_kinsing() {
+#[test]
+fn listing4_kinsing() {
     let (store, src) = attack(
         Dbms::Postgres,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::Kinsing,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -148,15 +140,14 @@ async fn listing4_kinsing() {
     );
 }
 
-#[tokio::test]
-async fn listings5_6_lucifer() {
+#[test]
+fn listings5_6_lucifer() {
     let (store, src) = attack(
         Dbms::Elastic,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::Lucifer,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -166,16 +157,15 @@ async fn listings5_6_lucifer() {
     );
 }
 
-#[tokio::test]
-async fn listings7_8_mongo_ransom_both_groups() {
+#[test]
+fn listings7_8_mongo_ransom_both_groups() {
     for group in [0u8, 1] {
         let (store, src) = attack(
             Dbms::MongoDb,
             InteractionLevel::High,
             ConfigVariant::FakeData,
             SessionScript::MongoRansom { group },
-        )
-        .await;
+        );
         assert_verdict(
             &store,
             src,
@@ -186,14 +176,13 @@ async fn listings7_8_mongo_ransom_both_groups() {
     }
 }
 
-#[tokio::test]
-async fn listing10_rdp_scan_is_scouting_not_exploiting() {
+#[test]
+fn listing10_rdp_scan_is_scouting_not_exploiting() {
     for (dbms, level) in [
         (Dbms::Redis, InteractionLevel::Medium),
         (Dbms::Postgres, InteractionLevel::Medium),
     ] {
-        let (store, src) =
-            attack(dbms, level, ConfigVariant::Default, SessionScript::RdpProbe).await;
+        let (store, src) = attack(dbms, level, ConfigVariant::Default, SessionScript::RdpProbe);
         assert_verdict(
             &store,
             src,
@@ -204,15 +193,14 @@ async fn listing10_rdp_scan_is_scouting_not_exploiting() {
     }
 }
 
-#[tokio::test]
-async fn listing11_jdwp_scan() {
+#[test]
+fn listing11_jdwp_scan() {
     let (store, src) = attack(
         Dbms::Redis,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::JdwpProbe,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -222,29 +210,27 @@ async fn listing11_jdwp_scan() {
     );
 }
 
-#[tokio::test]
-async fn listing12_vmware_recon() {
+#[test]
+fn listing12_vmware_recon() {
     let (store, src) = attack(
         Dbms::Elastic,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::VmwareRecon,
-    )
-    .await;
+    );
     let frame = AnalysisFrame::build(&store, &GeoDb::builtin());
     let tags = tag_sources(frame.view(Partition::All), None);
     assert!(tags[&src].contains(&CampaignTag::VmwareRecon));
 }
 
-#[tokio::test]
-async fn listing13_privilege_manipulation() {
+#[test]
+fn listing13_privilege_manipulation() {
     let (store, src) = attack(
         Dbms::Postgres,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::PgPrivilege,
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -254,15 +240,14 @@ async fn listing13_privilege_manipulation() {
     );
 }
 
-#[tokio::test]
-async fn listing14_craftcms_probe() {
+#[test]
+fn listing14_craftcms_probe() {
     let (store, src) = attack(
         Dbms::Elastic,
         InteractionLevel::Medium,
         ConfigVariant::Default,
         SessionScript::CraftCms,
-    )
-    .await;
+    );
     let frame = AnalysisFrame::build(&store, &GeoDb::builtin());
     let tags = tag_sources(frame.view(Partition::All), None);
     assert!(tags[&src].contains(&CampaignTag::CraftCmsProbe));
@@ -272,8 +257,8 @@ async fn listing14_craftcms_probe() {
     );
 }
 
-#[tokio::test]
-async fn bruteforce_tagging_from_mssql_burst() {
+#[test]
+fn bruteforce_tagging_from_mssql_burst() {
     let creds: Vec<(String, String)> = vec![
         ("sa".into(), "123".into()),
         ("sa".into(), "123456".into()),
@@ -284,8 +269,7 @@ async fn bruteforce_tagging_from_mssql_burst() {
         InteractionLevel::Low,
         ConfigVariant::MultiService,
         SessionScript::MssqlBrute { creds },
-    )
-    .await;
+    );
     assert_verdict(
         &store,
         src,
@@ -295,15 +279,14 @@ async fn bruteforce_tagging_from_mssql_burst() {
     );
 }
 
-#[tokio::test]
-async fn pure_scanner_stays_a_scanner() {
+#[test]
+fn pure_scanner_stays_a_scanner() {
     let (store, src) = attack(
         Dbms::Mssql,
         InteractionLevel::Low,
         ConfigVariant::MultiService,
         SessionScript::ConnectOnly,
-    )
-    .await;
+    );
     let frame = AnalysisFrame::build(&store, &GeoDb::builtin());
     let profiles = classify_sources(frame.view(Partition::All), None);
     assert_eq!(profiles[&src].primary(), Behavior::Scanning);
