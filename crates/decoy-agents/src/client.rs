@@ -540,8 +540,9 @@ async fn raw_probe<D: Dial>(net: &mut D, payload: Vec<u8>) -> NetResult<()> {
 
 /// The scanner side of the fingerprinting arms race (§7): grab the banner,
 /// cross-check an advertised capability, and elicit one error-catalog
-/// response, the network shape of the `decoy-fingerprint` battery.
-/// MSSQL gets a banner grab only.
+/// response, the network shape of the `decoy-fingerprint` battery. It is
+/// not the battery: MySQL logs in as root/root, Redis sends no HELLO, and
+/// no round trip is timed. MSSQL gets a banner grab only.
 async fn fingerprint<D: Dial>(net: &mut D, dbms: Dbms) -> NetResult<()> {
     match dbms {
         Dbms::Redis => {

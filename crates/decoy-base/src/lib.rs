@@ -13,7 +13,7 @@
 //! health the supervisor tracks, the event store logs and the report
 //! renders; [`sync`], the one lock type, which never poisons; and
 //! [`latency`], the seeded response-latency shaper the listeners and the
-//! fingerprint corpus draw from. With these here, the event store, the
+//! fingerprint battery's in-memory timing draw from. With these here, the event store, the
 //! analysis and the report name no crate that opens a socket.
 
 pub mod health;

@@ -2,8 +2,8 @@
 //!
 //! Criterion micro- and ablation benches (wire codecs, substrate, journal
 //! ingest, frame fold, Ward scaling, clustering ablations) plus the
-//! `wire_load` and `fingerprint_scorecard` binaries. The paper's report
-//! sections are measured end to end by the offline `bench/` package.
+//! `wire_load` binary. The paper's report sections are measured end to end
+//! by the offline `bench/` package.
 //!
 //! Benches that need a realistic capture share one direct-mode run (fixed
 //! seed and scale) cached in a `OnceLock`.

@@ -9,16 +9,19 @@
 //!   capability-flag coherence, error-catalog fidelity, timing
 //!   distribution) that inspects a captured [`Surface`] the way a
 //!   fingerprinting scanner would and emits weighted findings.
-//! * [`engine`] -- drives that battery against live honeypot listeners
-//!   over loopback TCP using the genuine client codecs.
+//! * [`engine`] -- captures each family's surface through the honeypot's
+//!   genuine client protocol, over any `decoy_wire::codec::Dial`
+//!   transport: the session machines in memory (tier-1 and the
+//!   `fingerprint_scorecard` binary) or live listeners over TCP
+//!   (decoy-fleet's test).
 //! * [`score`] -- folds findings into a per-family detectability
 //!   [`Scorecard`], persisted as `FINGERPRINT_BASELINE.json` with a
 //!   write-baseline ratchet that refuses regressions.
 //!
-//! [`corpus`] pins the pre-hardening surfaces so the score improvement
-//! from the hardening layer (`decoy_honeypots::catalog`, the seeded
-//! latency shaper in `decoy_base::latency`) stays measurable and
-//! regression-proof.
+//! [`corpus`] rebuilds the pre-hardening surfaces from captured ones, so
+//! the score improvement from the hardening layer
+//! (`decoy_honeypots::catalog`, the seeded latency shaper in
+//! `decoy_base::latency`) stays measurable and regression-proof.
 
 // The probes parse live honeypot responses, attacker-shaped bytes; clippy
 // holds them to the byte-path wall (DESIGN.md "Threat model of the byte
@@ -47,7 +50,7 @@ pub mod engine;
 pub mod probes;
 pub mod score;
 
-pub use engine::{fingerprint_fleet, EngineOptions};
+pub use engine::{capture, capture_in_memory, Timing, TARGETS};
 pub use probes::{run_all, ProbeFinding, Surface, FAMILIES};
 pub use score::Scorecard;
 
@@ -56,16 +59,4 @@ pub fn evaluate(surfaces: &[Surface]) -> (Vec<ProbeFinding>, Scorecard) {
     let findings: Vec<ProbeFinding> = surfaces.iter().flat_map(probes::run_all).collect();
     let card = Scorecard::tally(&findings);
     (findings, card)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn evaluate_scores_the_hardened_corpus_at_zero() {
-        let (findings, card) = evaluate(&corpus::hardened());
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(card.total(), 0);
-    }
 }

@@ -20,9 +20,9 @@
 //! 4. **timing** -- does the latency distribution look like a real
 //!    networked database, or like an in-process canned responder?
 //!
-//! This module is deliberately `std`-only so the probe logic can be
-//! exercised against both captured live surfaces ([`crate::engine`])
-//! and the frozen regression corpus ([`crate::corpus`]).
+//! The stages read only a [`Surface`], so they score the surfaces the
+//! engine captures ([`crate::engine`]) and the frozen pre-hardening ones
+//! ([`crate::corpus`]) alike.
 
 /// The six protocol families the fleet deploys, by scorecard key.
 pub const FAMILIES: [&str; 6] = [

@@ -1,5 +1,6 @@
 //! Network mode's transport: [`run_session`] runs the attack client
-//! (`decoy_agents::client`) over real TCP against a live honeypot.
+//! (`decoy_agents::client`) over real TCP against a live honeypot, and
+//! [`loopback`] lends the same transport to the fingerprint battery.
 //!
 //! Each connection announces the simulated actor's source address with a
 //! PROXY v1 header (exactly what a honeypot behind a TCP load balancer
@@ -14,7 +15,7 @@ use decoy_net::proxy;
 use decoy_wire::codec::{Codec, Connection, Dial, RawCodec};
 use decoy_wire::error::{NetError, NetResult};
 use std::any::TypeId;
-use std::net::{IpAddr, SocketAddr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncRead, AsyncWrite, AsyncWriteExt};
 use tokio::net::TcpStream;
@@ -64,6 +65,23 @@ where
             connections: 1,
             errors: 1,
         },
+    }
+}
+
+/// The TCP transport to the honeypot at `addr` for a client that is no
+/// planned session (the fingerprint battery): its PROXY header names a
+/// loopback source, and each connection's socket passes through `wrap`
+/// before the header.
+pub fn loopback<S, W>(addr: SocketAddr, wrap: W) -> impl Dial
+where
+    S: AsyncRead + AsyncWrite + Unpin,
+    W: Fn(TcpStream) -> std::io::Result<S>,
+{
+    Tcp {
+        addr,
+        src: SocketAddr::from((Ipv4Addr::LOCALHOST, 40_000)),
+        started: Instant::now(),
+        wrap,
     }
 }
 

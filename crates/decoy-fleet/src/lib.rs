@@ -12,7 +12,8 @@
 //!   bind a honeypot spec, alone or under supervision.
 //! * [`driver`] — the TCP transport of the attack client
 //!   (`decoy_agents::client`): runs one planned session against a live
-//!   honeypot, announcing the actor's address via the PROXY protocol. The
+//!   honeypot, announcing the actor's address via the PROXY protocol, and
+//!   carries the fingerprint battery (`tests/fingerprint.rs`). The
 //!   same client runs against the session machines in memory in tier-1,
 //!   where `tests/modes_offline.rs` holds it to direct mode event for event;
 //!   `modes_equivalent` here checks this shell against direct mode.

@@ -16,10 +16,10 @@
 //! * **Error renderers** — the real servers' error messages, rendered with
 //!   `write!` into a caller-provided buffer (no per-error `format!`).
 //!
-//! The module needs only std and the std-only `decoy_base::json` escaper,
-//! on purpose: `decoy-fingerprint` builds its post-hardening response
-//! corpus from these same renderers, so the probe corpus can never drift
-//! from what the honeypots actually send.
+//! The module needs only std and the std-only `decoy_base::json` escaper.
+//! `decoy-fingerprint` does not read these renderers: its battery captures
+//! what the session machines reply through their client protocols, so its
+//! score measures the strings the honeypots actually send.
 
 use decoy_base::json;
 use std::fmt::{self, Write as _};

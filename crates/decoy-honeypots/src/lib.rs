@@ -51,8 +51,9 @@
 //!
 //! The [`catalog`] module is the fingerprinting-hardening layer: one
 //! authoritative version profile and real error-message catalog per DBMS,
-//! validated for coherence at deploy time and shared with the
-//! `decoy-fingerprint` probe corpus so honeypot strings cannot drift.
+//! validated for coherence at deploy time. The `decoy-fingerprint` battery
+//! scores it through the machines: it captures their replies over
+//! [`driver::Memory`], so no probe reads the renderers directly.
 //!
 //! The [`docdb`] module is the document engine behind [`mongo_high`] and
 //! [`couch_med`]: a miniature MongoDB (databases → collections → BSON

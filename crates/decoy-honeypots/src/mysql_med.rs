@@ -165,8 +165,8 @@ pub fn scripted_result(sql: &str) -> Vec<MySqlPacket> {
         }];
     }
     // 1064 with the full manual clause real servers send — truncating it
-    // was a probe-visible tell (catalog keeps the honeypots and the
-    // fingerprint corpus on the same string).
+    // was a probe-visible tell (the fingerprint battery's error stage
+    // checks the clause in what this machine replies).
     let near: String = sql.chars().take(24).collect();
     let mut msg = String::new();
     let _ = catalog::mysql_syntax_error(&mut msg, &near);

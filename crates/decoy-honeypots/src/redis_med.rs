@@ -340,8 +340,8 @@ pub(crate) fn prelude(
                 .name
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-');
-        if decoy_store::foreign::recognize(line.as_bytes()).is_some() || !plausible {
-            log.payload(line.as_bytes());
+        if decoy_store::foreign::recognize(line).is_some() || !plausible {
+            log.payload(line);
             out.push(RespValue::Error(
                 "ERR Protocol error: unbalanced quotes in request".into(),
             ));

@@ -155,7 +155,7 @@ impl Default for ListenerOptions {
 
 /// Why the session stream stopped delivering bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionCut {
+enum SessionCut {
     /// The wall-clock deadline passed.
     Deadline,
     /// No read progress within the idle window.
@@ -263,11 +263,6 @@ impl SessionStream {
             byte_budget: None,
         };
         SessionStream::new(stream, &no_limits, None)
-    }
-
-    /// Which limit ended the session, if one did.
-    pub fn cut_reason(&self) -> Option<SessionCut> {
-        self.cut
     }
 
     fn deadline_passed(&mut self, cx: &mut Context<'_>) -> bool {

@@ -40,9 +40,10 @@ pub enum RespValue {
     Array(Vec<RespValue>),
     /// `*-1\r\n`
     NullArray,
-    /// An inline command line (server-side decode only). Kept verbatim so
-    /// honeypots can log exactly what was thrown at the port.
-    Inline(String),
+    /// An inline command line, without its line ending (server-side decode
+    /// only). Kept verbatim, a zero-copy view of the frame, so honeypots
+    /// can log exactly what was thrown at the port.
+    Inline(Bytes),
 }
 
 impl RespValue {
@@ -59,8 +60,10 @@ impl RespValue {
     /// The bulk payload as UTF-8 text, if this is a bulk value.
     pub fn as_text(&self) -> Option<String> {
         match self {
-            RespValue::Bulk(b) => Some(String::from_utf8_lossy(b).into_owned()),
-            RespValue::Simple(s) | RespValue::Inline(s) => Some(s.to_owned()),
+            RespValue::Bulk(b) | RespValue::Inline(b) => {
+                Some(String::from_utf8_lossy(b).into_owned())
+            }
+            RespValue::Simple(s) => Some(s.to_owned()),
             _ => None,
         }
     }
@@ -108,10 +111,8 @@ pub fn as_command(value: &RespValue) -> Option<RedisCommand> {
                 match item {
                     // Shares the frame bytes; no payload copy.
                     // decoy-lint: allow(alloc-clone) -- a Bytes clone bumps a refcount
-                    RespValue::Bulk(b) => parts.push(b.clone()),
-                    RespValue::Simple(s) | RespValue::Inline(s) => {
-                        parts.push(Bytes::copy_from_slice(s.as_bytes()))
-                    }
+                    RespValue::Bulk(b) | RespValue::Inline(b) => parts.push(b.clone()),
+                    RespValue::Simple(s) => parts.push(Bytes::copy_from_slice(s.as_bytes())),
                     _ => return None,
                 }
             }
@@ -125,13 +126,13 @@ pub fn as_command(value: &RespValue) -> Option<RedisCommand> {
             })
         }
         RespValue::Inline(line) => {
-            let mut parts = line.split_whitespace();
-            let name = parts.next()?.to_uppercase();
+            // C's isspace, as real Redis splits an inline command.
+            let space = |b: &u8| b.is_ascii_whitespace() || *b == 0x0b;
+            let mut parts = line.split(space).filter(|p| !p.is_empty());
+            let name = String::from_utf8_lossy(parts.next()?).to_uppercase();
             Some(RedisCommand {
                 name,
-                args: parts
-                    .map(|p| Bytes::copy_from_slice(p.as_bytes()))
-                    .collect(),
+                args: parts.map(|p| line.slice_ref(p)).collect(),
             })
         }
         _ => None,
@@ -403,11 +404,10 @@ impl Codec for RespCodec {
             let Some(pos) = buf.iter().position(|&b| b == b'\n') else {
                 return Ok(None);
             };
-            let line = buf.get(..pos).unwrap_or_default();
+            let frame = buf.split_to(pos + 1);
+            let line = frame.get(..pos).unwrap_or_default();
             let line = line.strip_suffix(b"\r").unwrap_or(line);
-            let inline = String::from_utf8_lossy(line).into_owned();
-            buf.advance(pos + 1);
-            return Ok(Some(RespValue::Inline(inline)));
+            return Ok(Some(RespValue::Inline(frame.slice_ref(line))));
         }
         let Some(consumed) = measure_value(buf, 0, 0, self.max_frame)? else {
             return Ok(None);
@@ -467,8 +467,8 @@ fn encode_value(v: &RespValue, buf: &mut Vec<u8>) {
         }
         RespValue::NullArray => buf.extend_from_slice(b"*-1\r\n"),
         // Inline values re-encode as the raw line (client replay of captures).
-        RespValue::Inline(s) => {
-            buf.extend_from_slice(s.as_bytes());
+        RespValue::Inline(line) => {
+            buf.extend_from_slice(line);
             buf.extend_from_slice(b"\r\n");
         }
     }
@@ -547,6 +547,22 @@ mod tests {
             .unwrap();
         assert_eq!(v, RespValue::Inline("JDWP-Handshake".into()));
         assert_eq!(as_command(&v).unwrap().name, "JDWP-HANDSHAKE".to_string());
+    }
+
+    #[test]
+    fn inline_lines_decode_to_their_exact_bytes() {
+        // An RDP cookie line: the 0xE0 byte is no UTF-8, and no U+FFFD
+        // takes its place.
+        let mut server = RespCodec::server();
+        let line = b"\x03\x00\x00\x2f\x2a\xe0\x00\x00 Cookie: mstshash=x";
+        let wire = [&line[..], b"\r\n"].concat();
+        let v = decode_one(&mut server, &wire).unwrap().unwrap();
+        assert_eq!(v, RespValue::Inline(Bytes::copy_from_slice(line)));
+        let cmd = as_command(&v).unwrap();
+        assert_eq!(cmd.args.first().map(|a| &a[..]), Some(&b"Cookie:"[..]));
+        let mut encoded = Vec::new();
+        RespCodec::client().encode(&v, &mut encoded).unwrap();
+        assert_eq!(encoded, wire);
     }
 
     #[test]

@@ -25,14 +25,15 @@
 //! | [`analysis`] | `decoy-analysis` | classification, clustering, tables, figures |
 //! | [`core`] | `decoy-core` | Table 4 deployment, the direct runner, report |
 //!
-//! Two more std-only crates sit in the root workspace but are not
+//! Three more std-only crates sit in the root workspace but are not
 //! re-exported here: `decoy-wire` (MySQL, PostgreSQL, TDS, RESP,
-//! MongoDB+BSON and HTTP codecs) and `decoy-honeypots` (the five honeypot
-//! families of Table 3 as sans-IO session machines). The socket half is
-//! the `net/` workspace: `decoy-net` (framing, PROXY protocol, listeners,
-//! supervision), `decoy-fingerprint`, `decoy-bench` and `decoy-fleet` (the
-//! honeypots' socket shell, the attack client's TCP transport and the
-//! network-mode runner).
+//! MongoDB+BSON and HTTP codecs), `decoy-honeypots` (the five honeypot
+//! families of Table 3 as sans-IO session machines) and
+//! `decoy-fingerprint` (the probe battery that scores those machines'
+//! detectability). The socket half is the `net/` workspace: `decoy-net`
+//! (framing, PROXY protocol, listeners, supervision), `decoy-bench` and
+//! `decoy-fleet` (the honeypots' socket shell, the attack client's TCP
+//! transport and the network-mode runner).
 //!
 //! ## Quickstart
 //!

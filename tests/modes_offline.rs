@@ -131,8 +131,8 @@ fn after_ransom(script: &SessionScript, direct: &[Event]) -> Vec<Event> {
 /// A named case. Direct mode logs the RDP probe of Listing 10 as one
 /// 47-byte payload. On a Redis port its first byte is no RESP type byte, so
 /// the honeypots read an inline command, a line of text, as real Redis does.
-/// They log the probe's first line as text (its `\r\n` cut, its one
-/// non-UTF-8 byte replaced: 39 bytes, still an RDP scan), then the 8-byte
+/// They log the probe's first line as it came (its `\r\n` cut: 37 raw
+/// bytes, its non-UTF-8 byte kept, still an RDP scan), then the 8-byte
 /// negotiation request left unterminated when the client hangs up.
 fn rdp_on_redis(direct: &[Event]) -> Vec<Event> {
     let probe = foreign::rdp_connection_request("Administr");
@@ -140,8 +140,13 @@ fn rdp_on_redis(direct: &[Event]) -> Vec<Event> {
         .iter()
         .position(|&b| b == b'\n')
         .map_or(0, |at| at + 1);
-    let line = String::from_utf8_lossy(&probe[..end]);
-    let parts = [line.trim_end_matches("\r\n").as_bytes(), &probe[end..]];
+    let line = probe[..end].strip_suffix(b"\r\n").unwrap_or_default();
+    assert_eq!(line.len(), 37);
+    assert_eq!(
+        foreign::recognize(line).map(|f| f.label()),
+        Some("rdp-scan")
+    );
+    let parts = [line, &probe[end..]];
     let mut expected = Vec::new();
     for event in direct {
         match event.kind {
