@@ -1,6 +1,7 @@
 //! Listener health, as the supervisor tracks it, the event store logs it
 //! and the report's fleet section renders it.
 
+use crate::supervision::Transition;
 use std::net::SocketAddr;
 
 /// Health of one supervised listener.
@@ -36,6 +37,18 @@ pub struct ListenerHealth {
     pub restarts: u32,
     /// Bound address; `None` once the listener is down.
     pub addr: Option<SocketAddr>,
+}
+
+impl ListenerHealth {
+    /// Take `transition`'s state and restart count; a listener that goes
+    /// down loses its address.
+    pub fn apply(&mut self, transition: &Transition) {
+        self.state = transition.state;
+        self.restarts = transition.restarts;
+        if transition.state == HealthState::Down {
+            self.addr = None;
+        }
+    }
 }
 
 /// Point-in-time health of every supervised listener.

@@ -11,15 +11,21 @@
 //! fingerprint baseline; [`time`], the virtual clock and the
 //! [`time::Timestamp`] every event carries; [`health`], the listener
 //! health the supervisor tracks, the event store logs and the report
-//! renders; [`sync`], the one lock type, which never poisons; and
+//! renders; [`sync`], the one lock type, which never poisons;
 //! [`latency`], the seeded response-latency shaper the listeners and the
-//! fingerprint battery's in-memory timing draw from. With these here, the event store, the
-//! analysis and the report name no crate that opens a socket.
+//! fingerprint battery's in-memory timing draw from; [`chaos`], the
+//! seeded fault plan and the byte rule of a faulted connection; and
+//! [`supervision`], the restart policy of a supervised listener. With
+//! these here, the event store, the analysis and the report name no crate
+//! that opens a socket, and the fleet's failure handling runs in memory as
+//! it does on sockets.
 
+pub mod chaos;
 pub mod health;
 pub mod json;
 pub mod latency;
 pub mod rng;
+pub mod supervision;
 pub mod sync;
 pub mod time;
 

@@ -3,9 +3,10 @@
 //! running listener. The network runner uses them to stand up the full
 //! Table 4 fleet; the examples use them for single instances.
 
+use decoy_base::supervision::Transition;
 use decoy_base::time::Clock;
-use decoy_base::HealthState;
 use decoy_honeypots::deploy::{self, Visitor};
+use decoy_honeypots::logging::log_transition;
 use decoy_honeypots::session::{Conversation, Frame, Reply, Session};
 use decoy_honeypots::SessionLogger;
 use decoy_net::framed::Framed;
@@ -13,14 +14,13 @@ use decoy_net::proxy;
 use decoy_net::server::{
     Listener, ListenerOptions, ServerHandle, SessionCtx, SessionHandler, SessionStream,
 };
-use decoy_net::supervisor::{
-    ListenerFactory, SupervisedListener, Supervisor, Transition, TransitionObserver,
-};
-use decoy_store::{Dbms, Event, EventKind, EventStore, HoneypotId};
+use decoy_net::supervisor::{ListenerFactory, SupervisedListener, Supervisor, TransitionObserver};
+use decoy_store::{Dbms, EventStore, HoneypotId};
 use decoy_wire::error::NetResult;
 use std::future::Future;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::net::{Ipv4Addr, SocketAddr};
 use std::pin::Pin;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -163,24 +163,27 @@ pub async fn spawn_with_options(
     options: ListenerOptions,
 ) -> std::io::Result<RunningHoneypot> {
     let id = spec.id;
-    let server = bind_listener(store, &spec, options, spec.bind).await?;
+    let server = bind_listener(store, &spec, options, spec.bind, Arc::default()).await?;
     Ok(RunningHoneypot { id, server })
 }
 
 /// Bind the listener for `spec` at `addr`, around the machine
-/// [`deploy::visit`] builds for it. The supervisor calls it again on every
-/// restart, re-seeding fake data identically from `spec.seed`.
+/// [`deploy::visit`] builds for it, numbering its sessions on from
+/// `sessions`. The supervisor calls it again on every restart with the
+/// same counter, re-seeding fake data identically from `spec.seed`.
 async fn bind_listener(
     store: Arc<EventStore>,
     spec: &HoneypotSpec,
     options: ListenerOptions,
     addr: SocketAddr,
+    sessions: Arc<AtomicU64>,
 ) -> std::io::Result<ServerHandle> {
     let bind = Bind {
         addr,
         store,
         id: spec.id,
         options,
+        sessions,
     };
     deploy::visit(spec.id, spec.seed, bind)?.await
 }
@@ -191,6 +194,7 @@ struct Bind {
     store: Arc<EventStore>,
     id: HoneypotId,
     options: ListenerOptions,
+    sessions: Arc<AtomicU64>,
 }
 
 impl Visitor for Bind {
@@ -204,7 +208,12 @@ impl Visitor for Bind {
         Reply<S>: Send + Sync,
     {
         let shell = Shell::new(self.store, self.id, machine);
-        Box::pin(Listener::bind(self.addr, shell, self.options))
+        Box::pin(Listener::bind_counting(
+            self.addr,
+            shell,
+            self.options,
+            self.sessions,
+        ))
     }
 }
 
@@ -225,15 +234,11 @@ impl SupervisedHoneypot {
     }
 }
 
-/// Source address health events are logged under (not attacker traffic).
-const HEALTH_SRC: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
-
 /// Spawn `spec` under `supervisor`: the listener restarts on death with the
-/// supervisor's backoff policy, and every post-bind health transition is
-/// appended to `store` as an [`EventKind::Health`] event so the report can
-/// build the fleet-uptime table. The initial healthy-on-bind transition is
-/// not logged, keeping fault-free network runs byte-identical to direct
-/// mode.
+/// supervisor's backoff policy, its session numbers running on across
+/// restarts, and every health transition goes to
+/// [`log_transition`], which appends the post-bind ones to `store` as
+/// `Health` events so the report can build the fleet-uptime table.
 pub async fn spawn_supervised(
     store: Arc<EventStore>,
     spec: HoneypotSpec,
@@ -245,30 +250,16 @@ pub async fn spawn_supervised(
     let fault_seed = spec.seed;
     let bind = spec.bind;
     let factory_store = store.clone();
+    let sessions = Arc::new(AtomicU64::new(0));
     let factory: ListenerFactory = Box::new(move |addr| {
         let store = factory_store.clone();
         let spec = spec.clone();
         let options = options.clone();
-        Box::pin(async move { bind_listener(store, &spec, options, addr).await })
+        let sessions = sessions.clone();
+        Box::pin(async move { bind_listener(store, &spec, options, addr, sessions).await })
     });
-    let observer_store = store.clone();
-    let observer: TransitionObserver = Arc::new(move |t: &Transition| {
-        // Skip the initial healthy-on-bind transition; log every real one.
-        if t.state == HealthState::Healthy && t.restarts == 0 {
-            return;
-        }
-        observer_store.log(Event {
-            ts: t.at,
-            honeypot: id,
-            src: HEALTH_SRC,
-            session: 0,
-            kind: EventKind::Health {
-                state: t.state,
-                restarts: t.restarts,
-                detail: t.detail.clone(),
-            },
-        });
-    });
+    let observer: TransitionObserver =
+        Arc::new(move |t: &Transition| log_transition(&store, id, t));
     let listener = supervisor
         .supervise(name, bind, fault_seed, factory, Some(observer))
         .await?;

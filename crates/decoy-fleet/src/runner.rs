@@ -6,13 +6,14 @@
 use crate::deploy::{spawn_supervised, HoneypotSpec, SupervisedHoneypot};
 use crate::driver;
 use decoy_agents::schedule::PlannedSession;
+use decoy_base::chaos::FaultPlan;
+use decoy_base::supervision::SupervisorOptions;
 use decoy_base::time::{Clock, SimClock};
 use decoy_core::deployment::DeploymentPlan;
 use decoy_core::runner::{ExperimentConfig, ExperimentResult, Replay};
-use decoy_net::chaos::FaultPlan;
+use decoy_honeypots::logging::drop_appends;
 use decoy_net::server::ListenerOptions;
-use decoy_net::supervisor::{Supervisor, SupervisorOptions};
-use decoy_store::EventKind;
+use decoy_net::supervisor::Supervisor;
 use std::sync::Arc;
 
 /// Planned sessions the network replay keeps in flight.
@@ -27,14 +28,9 @@ pub async fn run(
 ) -> std::io::Result<ExperimentResult> {
     let mut replay = Replay::start(config)?;
     let clock = Clock::Sim(Arc::clone(&replay.sim));
-    // Chaos plans may drop event-store appends too; health events are
-    // exempt so the uptime table never loses a transition.
+    // Chaos plans may drop event-store appends too.
     if let Some(plan) = faults.clone() {
-        let appends = std::sync::atomic::AtomicU64::new(0);
-        replay.store.set_fault_hook(move |e| {
-            !matches!(e.kind, EventKind::Health { .. })
-                && plan.drops_append(appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
-        });
+        drop_appends(&replay.store, plan);
     }
     // stand the fleet up under supervision
     let supervisor = Supervisor::new(SupervisorOptions::fast_replay(), clock.clone());

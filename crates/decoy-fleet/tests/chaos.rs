@@ -4,18 +4,22 @@
 //! and assert the fleet supervisor keeps the replay usable.
 //!
 //! Fault decisions are pure functions of `(seed, listener key, session
-//! seq)`, so this run is reproducible: reruns with the same seed hit the
-//! same sessions with the same faults regardless of task interleaving.
+//! seq)`, so reruns with the same seed hit the same sessions with the same
+//! faults regardless of task interleaving. Wall-clock restarts and task
+//! interleaving still move the counts, so this socket copy checks bounds;
+//! the root's `tests/chaos_replay.rs` replays the same run through the
+//! session machines in memory, on the run's simulated clock, and checks
+//! each count exactly.
 
 mod common;
 
 use common::wait_for_events;
 use decoy_analysis::fleet::{fleet_totals, fleet_uptime};
 use decoy_analysis::frame::AnalysisFrame;
+use decoy_base::chaos::FaultPlan;
 use decoy_base::HealthState;
 use decoy_core::report::Report;
 use decoy_core::runner::ExperimentConfig;
-use decoy_net::chaos::FaultPlan;
 use decoy_store::EventKindRef;
 use std::time::Duration;
 
@@ -26,8 +30,8 @@ const SCALE: f64 = 0.004;
 async fn chaotic_replay_survives_with_bounded_loss() {
     let mut config = ExperimentConfig::direct(SEED, SCALE);
     config.deployment_scale = 0.05;
-    // Crash rate above mild(): with a few hundred accepts spread over the
-    // fleet, at least one listener crash is certain for this fixed seed.
+    // Crash rate above mild(): over this run's 116,195 connections to 22
+    // listeners, listener crashes are certain for this fixed seed.
     let mut plan = FaultPlan::mild(SEED);
     plan.crash_per_mille = 60;
 
@@ -103,23 +107,4 @@ async fn chaotic_replay_survives_with_bounded_loss() {
         "fleet section body: {}",
         section.body
     );
-}
-
-/// The same seed must produce the same fault schedule: the plan's decisions
-/// are pure, so two plans constructed alike agree on every session.
-#[test]
-fn fault_schedule_is_reproducible_across_plan_clones() {
-    let a = FaultPlan::mild(SEED);
-    let b = a.clone();
-    for key in [instance_key(0), instance_key(1), instance_key(2)] {
-        for seq in 0..2_000 {
-            assert_eq!(a.at_accept(key, seq), b.at_accept(key, seq));
-            assert_eq!(a.for_session(key, seq), b.for_session(key, seq));
-        }
-    }
-}
-
-fn instance_key(n: u64) -> u64 {
-    // arbitrary distinct listener fault keys
-    0xDEC0_1000 + n
 }

@@ -8,28 +8,42 @@
 //! So tier-1 drives every scripted session through the honeypot code that
 //! logs it. A conversation in memory never waits on I/O, so [`poll_once`]
 //! completes a client's future in one poll.
+//!
+//! A [`Memory`] instance is supervised as decoy-fleet's listeners are: it
+//! draws each accept's fault from its plan (zero-rate until
+//! [`Memory::with_faults`]), applies the byte rule of `decoy_base::chaos`
+//! to its end of each connection, and hands its crashes to the restart
+//! policy of `decoy_base::supervision`, whose deadlines fall due on the
+//! instance's clock.
 
 use crate::deploy::{self, Visitor};
-use crate::logging::SessionLogger;
+use crate::logging::{log_transition, SessionLogger};
 use crate::session::{Conversation, Frame, Reply, Session};
-use decoy_base::time::Clock;
+use decoy_base::chaos::{AcceptFault, FaultPlan, FaultedIo, SessionFaults};
+use decoy_base::health::ListenerHealth;
+use decoy_base::supervision::{Due, Supervision, SupervisorOptions, Transition};
+use decoy_base::time::{Clock, Timestamp};
+use decoy_base::HealthState;
 use decoy_store::{EventStore, HoneypotId};
 use decoy_wire::buf::RecvBuf;
 use decoy_wire::codec::{read_step, Codec, Connection, Dial, ReadStep};
 use decoy_wire::error::{NetError, NetResult};
 use std::future::Future;
+use std::io;
 use std::net::{IpAddr, Ipv4Addr};
 use std::pin::pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
+use std::time::Duration;
 
 /// A session machine's end of an in-memory connection, its types erased:
 /// client bytes in, reply bytes out.
 trait Server {
     /// Take the client's `bytes` (`eof`: the client has hung up) and run the
     /// session until it waits for more or ends, appending its replies'
-    /// bytes to `replies`. `Err`: a reply failed to encode, which ends the
-    /// session as a failed socket write does.
+    /// bytes to `replies`. `Err`: a reply failed to encode, or to cross a
+    /// faulted connection, which ends the session as a failed socket write
+    /// does.
     fn feed(&mut self, bytes: &[u8], eof: bool, replies: &mut RecvBuf) -> NetResult<()>;
 
     /// Whether the session reads on.
@@ -40,33 +54,89 @@ trait Server {
 struct Serving<S: Session> {
     /// `None` once the session has ended.
     session: Option<Conversation<S>>,
-    codec: S::Codec,
-    /// Client bytes the session has not decoded yet.
+    end: End<S::Codec>,
+}
+
+/// The server's end of a connection: its codec over the client's bytes,
+/// read and written as `Framed` reads and writes a socket, under the
+/// connection's byte rule (`ChaosStream`'s on a socket).
+struct End<C> {
+    codec: C,
+    /// Client bytes the session has not read yet, as a socket holds them.
+    pending: Vec<u8>,
+    /// Bytes read but not decoded yet.
     inbound: RecvBuf,
+    /// One reply's encoding.
+    wire: Vec<u8>,
+    io: FaultedIo,
+}
+
+impl<C: Codec> End<C> {
+    /// Read one frame as `Framed::read_frame` does: decode what was read,
+    /// and read on while that is no whole frame. `None`: the session waits
+    /// for bytes the client has not sent (`eof`: it has hung up, so none
+    /// will come).
+    fn read(&mut self, eof: bool) -> Option<NetResult<Option<C::In>>> {
+        let mut ended = false;
+        loop {
+            match read_step(&mut self.codec, &mut self.inbound, ended) {
+                Ok(ReadStep::Frame(frame)) => return Some(Ok(Some(frame))),
+                Ok(ReadStep::End) => return Some(Ok(None)),
+                Ok(ReadStep::More) => {}
+                Err(e) => return Some(Err(e)),
+            }
+            let n = match self.io.one_byte() {
+                Ok(true) => self.pending.len().min(1),
+                Ok(false) => self.pending.len(),
+                Err(reset) => return Some(Err(NetError::Io(reset))),
+            };
+            match (n, eof) {
+                (0, false) => return None,
+                (0, true) => ended = true,
+                _ => {
+                    self.inbound
+                        .extend_from_slice(self.pending.get(..n).unwrap_or_default());
+                    self.pending.drain(..n);
+                    self.io.record(n);
+                }
+            }
+        }
+    }
+
+    /// Write one reply as `Framed::write_frame` does: encode it, then
+    /// write until every byte has crossed.
+    fn write(&mut self, reply: &C::Out, replies: &mut RecvBuf) -> NetResult<()> {
+        self.wire.clear();
+        self.codec.encode(reply, &mut self.wire)?;
+        let mut rest = self.wire.as_slice();
+        while !rest.is_empty() {
+            let n = if self.io.one_byte()? { 1 } else { rest.len() };
+            let (sent, unsent) = rest.split_at(n);
+            replies.extend_from_slice(sent);
+            self.io.record(n);
+            rest = unsent;
+        }
+        Ok(())
+    }
 }
 
 impl<S: Session> Server for Serving<S> {
     fn feed(&mut self, bytes: &[u8], eof: bool, replies: &mut RecvBuf) -> NetResult<()> {
-        self.inbound.extend_from_slice(bytes);
+        self.end.pending.extend_from_slice(bytes);
         let mut written = Ok(());
         while let Some(session) = self.session.as_mut() {
-            let mut wire = Vec::new();
             for reply in session.replies() {
                 if written.is_ok() {
-                    written = self.codec.encode(&reply, &mut wire);
+                    written = self.end.write(&reply, replies);
                 }
             }
-            replies.extend_from_slice(&wire);
             if written.is_err() || !session.is_open() {
                 break;
             }
-            let read = match read_step(&mut self.codec, &mut self.inbound, eof) {
-                Ok(ReadStep::More) => return Ok(()),
-                Ok(ReadStep::Frame(frame)) => Ok(Some(frame)),
-                Ok(ReadStep::End) => Ok(None),
-                Err(e) => Err(e),
+            let Some(read) = self.end.read(eof) else {
+                return Ok(());
             };
-            session.read(read, &self.inbound);
+            session.read(read, &self.end.inbound);
         }
         let Some(session) = self.session.take() else {
             return Ok(());
@@ -84,16 +154,22 @@ impl<S: Session> Server for Serving<S> {
 /// A session machine, its type erased: the in-memory end of a deployed
 /// honeypot.
 trait Machine {
-    /// Open a connection to a fresh clone of the machine, logged by `log`.
-    fn open(&self, log: SessionLogger) -> Box<dyn Server>;
+    /// Open a connection to a fresh clone of the machine, logged by `log`,
+    /// its end faulted by `faults`.
+    fn open(&self, log: SessionLogger, faults: SessionFaults) -> Box<dyn Server>;
 }
 
 impl<S: Session + Clone + 'static> Machine for S {
-    fn open(&self, log: SessionLogger) -> Box<dyn Server> {
+    fn open(&self, log: SessionLogger, faults: SessionFaults) -> Box<dyn Server> {
         Box::new(Serving {
-            codec: self.codec(),
             session: Some(Conversation::open(self.clone(), log)),
-            inbound: RecvBuf::default(),
+            end: End {
+                codec: self.codec(),
+                pending: Vec::new(),
+                inbound: RecvBuf::default(),
+                wire: Vec::new(),
+                io: FaultedIo::new(faults),
+            },
         })
     }
 }
@@ -173,7 +249,7 @@ impl<C: Codec> Driver<C> {
     ) -> Self {
         let peer = Ipv4Addr::LOCALHOST.into();
         let log = SessionLogger::new(Arc::clone(store), id, Clock::simulated(), 1, peer, None);
-        Driver::from_server(machine.open(log), client)
+        Driver::from_server(machine.open(log, SessionFaults::default()), client)
     }
 
     /// Encode `frame` with the client's codec and send it.
@@ -225,31 +301,65 @@ pub struct Memory {
     machine: Box<dyn Machine>,
     store: Arc<EventStore>,
     id: HoneypotId,
+    /// Builds the machine, again on every restart, and keys the faults.
+    seed: u64,
     clock: Clock,
-    /// The last session number handed out.
+    /// The last session number handed out; a restart continues it.
     sessions: u64,
     src: IpAddr,
+    /// Draws each accept's faults, keyed by the seed.
+    plan: FaultPlan,
+    supervision: Supervision,
+    health: ListenerHealth,
 }
 
 impl Memory {
     /// Deploy honeypot `id` with the machine [`deploy::visit`] builds from
-    /// `seed`, logging into `store` on `clock`. Until
-    /// [`Memory::with_source`] names a source, connections come from
-    /// 127.0.0.1.
+    /// `seed`, logging into `store` on `clock`, under a zero-rate fault
+    /// plan and the restart policy `decoy_fleet::run` supervises its
+    /// listeners with ([`SupervisorOptions::fast_replay`]), whose jitter
+    /// the seed keys. Until [`Memory::with_source`] names a source,
+    /// connections come from 127.0.0.1.
     pub fn deploy(
         store: &Arc<EventStore>,
         id: HoneypotId,
         seed: u64,
         clock: Clock,
     ) -> std::io::Result<Memory> {
+        let name = id.to_string();
+        let options = SupervisorOptions::fast_replay();
+        let supervision = Supervision::new(&*name, &options, seed, offset(clock.now()));
         Ok(Memory {
             machine: deploy::visit(id, seed, Erase)?,
             store: Arc::clone(store),
             id,
+            seed,
             clock,
             sessions: 0,
             src: Ipv4Addr::LOCALHOST.into(),
+            plan: FaultPlan::new(seed),
+            supervision,
+            health: ListenerHealth {
+                name,
+                state: HealthState::Healthy,
+                restarts: 0,
+                addr: None,
+            },
         })
+    }
+
+    /// Run the instance under `plan`, keyed by its seed as decoy-fleet
+    /// keys a listener's `fault_key`. Each dial draws
+    /// [`FaultPlan::at_accept`] for the next session number: a refusal
+    /// fails the dial, and so does a crash, which the restart policy then
+    /// restarts. While no machine serves, dials fail and take no session
+    /// number. A delivered connection's end is faulted by
+    /// [`FaultPlan::for_session`] through the byte rule; its stall is not
+    /// applied, being shorter than every session limit and the clock not
+    /// moving during a visit, so it changes nothing a session logs.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Memory {
+        self.plan = plan;
+        self
     }
 
     /// Log the next connections as coming from `src`.
@@ -257,13 +367,86 @@ impl Memory {
         self.src = src;
         self
     }
+
+    /// The last session number handed out.
+    pub fn sessions(&self) -> u64 {
+        self.sessions
+    }
+
+    /// The instance's health.
+    pub fn health(&self) -> ListenerHealth {
+        self.health.clone()
+    }
+
+    /// Take `transition` into the health, and log it as decoy-fleet's
+    /// listeners do.
+    fn apply(&mut self, transition: &Transition) {
+        self.health.apply(transition);
+        log_transition(&self.store, self.id, transition);
+    }
+
+    /// Run the restart policy's deadlines that have fallen due on the
+    /// clock, each at its due time, which stamps its transition. A rebind
+    /// redeploys the machine from the seed, as decoy-fleet's factory
+    /// rebinds a listener. Every dial catches up first.
+    pub fn catch_up(&mut self) {
+        let now = offset(self.clock.now());
+        while let Some(due) = self.supervision.deadline().filter(|due| *due <= now) {
+            let at = Timestamp::from_millis(u64::try_from(due.as_millis()).unwrap_or(u64::MAX));
+            match self.supervision.due(due, at) {
+                Some(Due::Rebind) => match deploy::visit(self.id, self.seed, Erase) {
+                    Ok(machine) => {
+                        self.machine = machine;
+                        let back = self.supervision.rebound(due, at);
+                        self.apply(&back);
+                    }
+                    Err(e) => {
+                        let failed = self.supervision.rebind_failed(due, at, &e.to_string());
+                        if let Some(down) = failed {
+                            self.apply(&down);
+                        }
+                    }
+                },
+                Some(Due::Promote(promoted)) => self.apply(&promoted),
+                None => break,
+            }
+        }
+    }
+
+    /// Accept one connection as a listener does: the next session number
+    /// and the faults the plan draws for it.
+    fn accept(&mut self) -> NetResult<SessionFaults> {
+        if !self.supervision.serving() {
+            return Err(io::Error::from(io::ErrorKind::ConnectionRefused).into());
+        }
+        self.sessions += 1;
+        match self.plan.at_accept(self.seed, self.sessions) {
+            AcceptFault::Deliver => Ok(self.plan.for_session(self.seed, self.sessions)),
+            AcceptFault::Refuse => Err(io::Error::from(io::ErrorKind::ConnectionReset).into()),
+            AcceptFault::CrashListener => {
+                let at = self.clock.now();
+                let crash = self.supervision.crashed(offset(at), at);
+                self.apply(&crash);
+                Err(io::Error::from(io::ErrorKind::ConnectionReset).into())
+            }
+        }
+    }
+}
+
+/// `at` as the monotonic offset the restart policy counts in.
+fn offset(at: Timestamp) -> Duration {
+    Duration::from_millis(at.as_millis())
 }
 
 impl Dial for Memory {
     type Conn<C: Codec + 'static> = Driver<C>;
 
     async fn dial<C: Codec + 'static>(&mut self, codec: C) -> Option<NetResult<Driver<C>>> {
-        self.sessions += 1;
+        self.catch_up();
+        let faults = match self.accept() {
+            Ok(faults) => faults,
+            Err(e) => return Some(Err(e)),
+        };
         let log = SessionLogger::new(
             Arc::clone(&self.store),
             self.id,
@@ -272,7 +455,10 @@ impl Dial for Memory {
             self.src,
             None,
         );
-        Some(Ok(Driver::from_server(self.machine.open(log), codec)))
+        Some(Ok(Driver::from_server(
+            self.machine.open(log, faults),
+            codec,
+        )))
     }
 }
 
@@ -697,5 +883,176 @@ mod campaign {
             high,
             &transcripts,
         );
+    }
+}
+
+/// A supervised instance under a fault plan: the restart policy sees each
+/// crash once, session numbers run on across restarts, and the byte rule
+/// faults the machine's end of a connection.
+#[cfg(test)]
+mod chaos {
+    use super::{poll_once, Memory};
+    use decoy_base::chaos::{AcceptFault, FaultPlan};
+    use decoy_base::supervision::SupervisorOptions;
+    use decoy_base::time::{Clock, SimClock, EXPERIMENT_START};
+    use decoy_base::HealthState;
+    use decoy_store::InteractionLevel;
+    use decoy_store::{ConfigVariant, Dbms, Event, EventKind, EventStore, HoneypotId};
+    use decoy_wire::codec::{Connection, Dial};
+    use decoy_wire::error::{NetError, NetResult};
+    use decoy_wire::resp::{RespCodec, RespValue};
+    use std::sync::Arc;
+
+    fn redis(store: &Arc<EventStore>, sim: &Arc<SimClock>, seed: u64) -> Memory {
+        let id = HoneypotId::new(
+            Dbms::Redis,
+            InteractionLevel::Medium,
+            ConfigVariant::Default,
+            0,
+        );
+        Memory::deploy(store, id, seed, Clock::Sim(Arc::clone(sim))).unwrap()
+    }
+
+    /// One connection sending `commands`, each answered before the next.
+    fn visit(memory: &mut Memory, commands: &[&[&str]]) -> NetResult<Vec<Option<RespValue>>> {
+        let visit = async {
+            let dialed = memory.dial(RespCodec::client()).await;
+            let mut conn = dialed.unwrap_or(Err(NetError::Shutdown))?;
+            let mut replies = Vec::new();
+            for command in commands {
+                Connection::send(&mut conn, &RespValue::command(command)).await?;
+                replies.push(Connection::recv(&mut conn).await?);
+            }
+            Ok(replies)
+        };
+        poll_once(visit).expect("an in-memory visit never waits")
+    }
+
+    fn health(events: &[Event]) -> Vec<(HealthState, u32, String, u64)> {
+        let health = |e: &Event| match &e.kind {
+            EventKind::Health {
+                state,
+                restarts,
+                detail,
+            } => Some((*state, *restarts, detail.clone(), e.ts.as_millis())),
+            _ => None,
+        };
+        events.iter().filter_map(health).collect()
+    }
+
+    #[test]
+    fn a_crash_at_session_one_restarts_once_and_numbering_runs_on() {
+        let plan = FaultPlan {
+            crash_per_mille: 60,
+            ..FaultPlan::new(904)
+        };
+        // An instance whose first accept crashes and whose next six do not.
+        let seed = (0..)
+            .find(|&seed| {
+                plan.at_accept(seed, 1) == AcceptFault::CrashListener
+                    && (2..=7).all(|n| plan.at_accept(seed, n) == AcceptFault::Deliver)
+            })
+            .unwrap();
+        let store = EventStore::new();
+        let sim = SimClock::starting_at(EXPERIMENT_START);
+        let options = SupervisorOptions::fast_replay();
+        let mut memory = redis(&store, &sim, seed).with_faults(plan);
+
+        assert!(
+            visit(&mut memory, &[&["PING"]]).is_err(),
+            "session 1 crashes"
+        );
+        // Down until the first rebind attempt: dials fail, taking no number.
+        assert!(visit(&mut memory, &[&["PING"]]).is_err());
+        assert_eq!(memory.sessions(), 1);
+        let delay = options.backoff.delay(seed, 0).as_millis() as u64;
+        sim.advance_millis(delay);
+        for _ in 2..=7 {
+            let replies = visit(&mut memory, &[&["PING"]]).unwrap();
+            assert_eq!(replies, [Some(RespValue::Simple("PONG".into()))]);
+        }
+        sim.advance_millis(1_500);
+        memory.catch_up();
+
+        let t0 = EXPERIMENT_START.as_millis();
+        let restarted = t0 + delay;
+        assert_eq!(
+            health(&store.all()),
+            [
+                (
+                    HealthState::Degraded,
+                    1,
+                    "accept loop died; restarting".into(),
+                    t0
+                ),
+                (
+                    HealthState::Degraded,
+                    1,
+                    "restarted (restart #1)".into(),
+                    restarted
+                ),
+                (
+                    HealthState::Healthy,
+                    1,
+                    "stable since restart".into(),
+                    restarted + 1_500
+                ),
+            ]
+        );
+        let health = memory.health();
+        assert_eq!((health.state, health.restarts), (HealthState::Healthy, 1));
+        let connects: Vec<u64> = store
+            .all()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Connect))
+            .map(|e| e.session)
+            .collect();
+        assert_eq!(connects, [2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn one_byte_io_decodes_the_same_frames() {
+        let commands: &[&[&str]] = &[
+            &["PING"],
+            &["SET", "key", "a value longer than one read"],
+            &["GET", "key"],
+            &["INFO"],
+        ];
+        let sim = SimClock::starting_at(EXPERIMENT_START);
+        let clean = EventStore::new();
+        let expected = visit(&mut redis(&clean, &sim, 7), commands).unwrap();
+        let plan = FaultPlan {
+            partial_per_mille: 1000,
+            ..FaultPlan::new(1)
+        };
+        let faulted = EventStore::new();
+        let mut memory = redis(&faulted, &sim, 7).with_faults(plan);
+        assert_eq!(visit(&mut memory, commands).unwrap(), expected);
+        assert_eq!(faulted.all(), clean.all());
+    }
+
+    #[test]
+    fn a_reset_ends_the_session_once_its_budget_has_crossed() {
+        // PING is 14 bytes and +PONG 7: the read after them finds the
+        // 20-byte budget spent.
+        let plan = FaultPlan {
+            reset_per_mille: 1000,
+            reset_after_bytes: 20,
+            ..FaultPlan::new(1)
+        };
+        let store = EventStore::new();
+        let sim = SimClock::starting_at(EXPERIMENT_START);
+        let mut memory = redis(&store, &sim, 7).with_faults(plan);
+        let replies = visit(&mut memory, &[&["PING"], &["PING"]]).unwrap();
+        assert_eq!(replies, [Some(RespValue::Simple("PONG".into())), None]);
+        let kinds: Vec<EventKind> = store.all().into_iter().map(|e| e.kind).collect();
+        assert!(matches!(
+            kinds.as_slice(),
+            [
+                EventKind::Connect,
+                EventKind::Command { .. },
+                EventKind::Disconnect
+            ]
+        ));
     }
 }

@@ -5,12 +5,58 @@
 //! PROXY-protocol announcement when present), stamps events with the
 //! honeypot's id and the session's virtual time, and provides typed helpers
 //! for the event kinds of §4.3.
+//!
+//! Two functions log the fleet's own state, and both fleets call them:
+//! decoy-fleet's supervised listeners and the in-memory transport's
+//! ([`crate::driver::Memory`]). [`log_transition`] turns a supervision
+//! transition into an [`EventKind::Health`] event, and [`drop_appends`]
+//! installs a fault plan's store drops.
 
+use decoy_base::chaos::FaultPlan;
+use decoy_base::supervision::Transition;
 use decoy_base::time::Clock;
+use decoy_base::HealthState;
 use decoy_store::foreign;
 use decoy_store::{Event, EventKind, EventStore, HoneypotId};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source address health events are logged under (not attacker traffic).
+const HEALTH_SRC: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+
+/// Log honeypot `id`'s health `transition` into `store` as an
+/// [`EventKind::Health`] event, so the report can build the fleet-uptime
+/// table. The initial healthy-on-bind transition is not logged, which
+/// keeps fault-free runs byte-identical to direct mode.
+pub fn log_transition(store: &EventStore, id: HoneypotId, transition: &Transition) {
+    if transition.state == HealthState::Healthy && transition.restarts == 0 {
+        return;
+    }
+    store.log(Event {
+        ts: transition.at,
+        honeypot: id,
+        src: HEALTH_SRC,
+        session: 0,
+        kind: EventKind::Health {
+            state: transition.state,
+            restarts: transition.restarts,
+            detail: transition.detail.clone(),
+        },
+    });
+}
+
+/// Drop the appends to `store` that `plan` draws: the `n`-th append that
+/// is not a health event is dropped when [`FaultPlan::drops_append`] says
+/// so. Health events are exempt, so the uptime table never loses a
+/// transition.
+pub fn drop_appends(store: &EventStore, plan: FaultPlan) {
+    let appends = AtomicU64::new(0);
+    store.set_fault_hook(move |e| {
+        !matches!(e.kind, EventKind::Health { .. })
+            && plan.drops_append(appends.fetch_add(1, Ordering::Relaxed))
+    });
+}
 
 /// Per-session logging handle.
 #[derive(Clone)]

@@ -1,25 +1,15 @@
-//! Deterministic fault injection for resilience testing.
+//! The socket side of fault injection: [`ChaosStream`] applies one
+//! delivered session's `decoy_base::chaos::SessionFaults` to the server's
+//! socket. The plan, its draws and the byte rule a faulted connection
+//! follows are decoy-base's (`decoy_base::chaos`), shared with the
+//! in-memory transport; this wrapper adds only what needs a runtime, the
+//! stall before the first read.
 //!
-//! A seeded [`FaultPlan`] decides — as a pure function of stable identifiers
-//! (the listener's fault key and the per-listener session sequence) — which
-//! faults strike which sessions. Because no shared counters or wall-clock
-//! reads participate, the same seed always yields the same fault schedule no
-//! matter how tasks interleave: the chaos replay in decoy-fleet's
-//! `tests/chaos.rs` is reproducible.
-//!
-//! Three layers consume the plan:
-//!
-//! * the accept loop in [`crate::server::Listener`] calls
-//!   [`FaultPlan::at_accept`] and either refuses the connection or crashes
-//!   the whole accept task (exercising the supervisor's restart path);
-//! * every delivered session gets its [`SessionFaults`] applied by a
-//!   [`ChaosStream`] wrapped under the session's
-//!   [`crate::server::SessionStream`]: a stall before the first read,
-//!   1-byte partial reads/writes, and a mid-stream connection reset;
-//! * `decoy-store` installs [`FaultPlan::drops_append`] as an event-store
-//!   fault hook so log-pipeline loss is injectable too.
+//! The listener ([`crate::server::Listener`]) draws each accept's fault and
+//! wraps a delivered session's socket in a [`ChaosStream`] under its
+//! [`crate::server::SessionStream`].
 
-use decoy_base::splitmix64;
+use decoy_base::chaos::{FaultedIo, SessionFaults};
 use std::future::Future;
 use std::io;
 use std::pin::Pin;
@@ -28,149 +18,17 @@ use std::time::Duration;
 use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
 use tokio::time::Sleep;
 
-/// A deterministic per-mille roll in `0..1000` derived from
-/// `(seed, key, seq, salt)`. Pure: same inputs, same roll.
-pub(crate) fn per_mille(seed: u64, key: u64, seq: u64, salt: u64) -> u64 {
-    splitmix64(splitmix64(splitmix64(seed ^ salt) ^ key) ^ seq) % 1000
-}
-
-// Distinct salts keep the individual fault decisions independent.
-const SALT_REFUSE: u64 = 0xA1;
-const SALT_CRASH: u64 = 0xA2;
-const SALT_RESET: u64 = 0xA3;
-const SALT_STALL: u64 = 0xA4;
-const SALT_PARTIAL: u64 = 0xA5;
-const SALT_STORE: u64 = 0xA6;
-
-/// What the accept loop should do with one accepted connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptFault {
-    /// Hand the connection to the session handler (possibly with
-    /// [`SessionFaults`]).
-    Deliver,
-    /// Drop the connection at accept, as an overloaded or flaky host would.
-    Refuse,
-    /// Kill the whole accept task: the supervisor must notice and restart.
-    CrashListener,
-}
-
-/// Faults applied to one delivered session's byte stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionFaults {
-    /// Degrade the transport to 1-byte reads and writes.
-    pub partial_io: bool,
-    /// Stall this long before the first read completes.
-    pub stall: Option<Duration>,
-    /// Inject a connection reset after this many transferred bytes.
-    pub reset_after: Option<u64>,
-}
-
-impl SessionFaults {
-    /// True when no fault is active and the stream can run unwrapped.
-    pub fn is_noop(&self) -> bool {
-        *self == SessionFaults::default()
-    }
-}
-
-/// A seeded, pure-function fault schedule.
-///
-/// Rates are expressed per mille (`0..=1000`) of sessions/appends affected.
-/// All decision methods are pure functions of their arguments plus the
-/// seed, so a plan can be cloned freely across listeners and tasks without
-/// perturbing the schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Seed every decision derives from.
-    pub seed: u64,
-    /// ‰ of accepted connections refused at accept.
-    pub refuse_per_mille: u64,
-    /// ‰ of accepts that crash the accept task.
-    pub crash_per_mille: u64,
-    /// ‰ of delivered sessions that reset mid-stream.
-    pub reset_per_mille: u64,
-    /// ‰ of delivered sessions stalled before their first read.
-    pub stall_per_mille: u64,
-    /// ‰ of delivered sessions degraded to 1-byte I/O.
-    pub partial_per_mille: u64,
-    /// ‰ of event-store appends dropped.
-    pub store_drop_per_mille: u64,
-    /// How long a stalled session waits.
-    pub stall_for: Duration,
-    /// Bytes a resetting session transfers before the injected reset.
-    pub reset_after_bytes: u64,
-}
-
-impl FaultPlan {
-    /// A plan with every rate at zero (no faults) under `seed`.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            refuse_per_mille: 0,
-            crash_per_mille: 0,
-            reset_per_mille: 0,
-            stall_per_mille: 0,
-            partial_per_mille: 0,
-            store_drop_per_mille: 0,
-            stall_for: Duration::from_millis(50),
-            reset_after_bytes: 64,
-        }
-    }
-
-    /// A mild all-fault mix suitable for smoke replays: every fault class is
-    /// exercised while keeping expected session loss well under 10%.
-    pub fn mild(seed: u64) -> Self {
-        FaultPlan {
-            refuse_per_mille: 8,
-            crash_per_mille: 20,
-            reset_per_mille: 15,
-            stall_per_mille: 25,
-            partial_per_mille: 40,
-            store_drop_per_mille: 5,
-            ..FaultPlan::new(seed)
-        }
-    }
-
-    /// Accept-time decision for session `seq` on the listener with fault
-    /// key `key`. Crash is checked before refuse so a crash-heavy plan is
-    /// not masked by its refuse rate.
-    pub fn at_accept(&self, key: u64, seq: u64) -> AcceptFault {
-        if per_mille(self.seed, key, seq, SALT_CRASH) < self.crash_per_mille {
-            AcceptFault::CrashListener
-        } else if per_mille(self.seed, key, seq, SALT_REFUSE) < self.refuse_per_mille {
-            AcceptFault::Refuse
-        } else {
-            AcceptFault::Deliver
-        }
-    }
-
-    /// Stream faults for delivered session `seq` on listener `key`.
-    pub fn for_session(&self, key: u64, seq: u64) -> SessionFaults {
-        SessionFaults {
-            partial_io: per_mille(self.seed, key, seq, SALT_PARTIAL) < self.partial_per_mille,
-            stall: (per_mille(self.seed, key, seq, SALT_STALL) < self.stall_per_mille)
-                .then_some(self.stall_for),
-            reset_after: (per_mille(self.seed, key, seq, SALT_RESET) < self.reset_per_mille)
-                .then_some(self.reset_after_bytes),
-        }
-    }
-
-    /// Whether the `n`-th event-store append should be dropped.
-    pub fn drops_append(&self, n: u64) -> bool {
-        per_mille(self.seed, 0, n, SALT_STORE) < self.store_drop_per_mille
-    }
-}
-
 /// An `AsyncRead + AsyncWrite` wrapper applying one session's
-/// [`SessionFaults`] to the underlying transport.
+/// [`SessionFaults`] to the underlying transport: the stall before the
+/// first read, then the byte rule of [`FaultedIo`] on every read and write.
 #[derive(Debug)]
 pub struct ChaosStream<S> {
     inner: S,
-    faults: SessionFaults,
+    /// The stall still to serve before the first read.
+    stall: Option<Duration>,
     /// Armed lazily on the first read when a stall fault is active.
-    stall: Option<Pin<Box<Sleep>>>,
-    stalled: bool,
-    /// Bytes transferred in either direction, for the reset fault.
-    transferred: u64,
+    sleep: Option<Pin<Box<Sleep>>>,
+    io: FaultedIo,
 }
 
 impl<S> ChaosStream<S> {
@@ -178,21 +36,10 @@ impl<S> ChaosStream<S> {
     pub fn new(inner: S, faults: SessionFaults) -> Self {
         ChaosStream {
             inner,
-            faults,
-            stall: None,
-            stalled: false,
-            transferred: 0,
+            stall: faults.stall,
+            sleep: None,
+            io: FaultedIo::new(faults),
         }
-    }
-
-    fn reset_tripped(&self) -> bool {
-        self.faults
-            .reset_after
-            .is_some_and(|limit| self.transferred >= limit)
-    }
-
-    fn injected_reset() -> io::Error {
-        io::Error::new(io::ErrorKind::ConnectionReset, "chaos: injected reset")
     }
 }
 
@@ -203,39 +50,28 @@ impl<S: AsyncRead + Unpin> AsyncRead for ChaosStream<S> {
         buf: &mut ReadBuf<'_>,
     ) -> Poll<io::Result<()>> {
         let this = self.get_mut();
-        if !this.stalled {
-            if let Some(wait) = this.faults.stall {
-                let sleep = this
-                    .stall
-                    .get_or_insert_with(|| Box::pin(tokio::time::sleep(wait)));
-                ready!(sleep.as_mut().poll(cx));
-                this.stalled = true;
-                this.stall = None;
-            } else {
-                this.stalled = true;
-            }
+        if let Some(wait) = this.stall {
+            let sleep = this
+                .sleep
+                .get_or_insert_with(|| Box::pin(tokio::time::sleep(wait)));
+            ready!(sleep.as_mut().poll(cx));
+            this.stall = None;
+            this.sleep = None;
         }
-        if this.reset_tripped() {
-            return Poll::Ready(Err(Self::injected_reset()));
-        }
-        if this.faults.partial_io {
+        if this.io.one_byte()? {
             // One byte at a time through a bounce buffer; the copy is
             // irrelevant at chaos-test volumes.
             let mut byte = [0u8; 1];
             let mut one = ReadBuf::new(&mut byte);
             ready!(Pin::new(&mut this.inner).poll_read(cx, &mut one))?;
             buf.put_slice(one.filled());
-            this.transferred = this.transferred.saturating_add(one.filled().len() as u64);
-            Poll::Ready(Ok(()))
+            this.io.record(one.filled().len());
         } else {
             let before = buf.filled().len();
-            let res = Pin::new(&mut this.inner).poll_read(cx, buf);
-            if let Poll::Ready(Ok(())) = res {
-                let n = buf.filled().len().saturating_sub(before);
-                this.transferred = this.transferred.saturating_add(n as u64);
-            }
-            res
+            ready!(Pin::new(&mut this.inner).poll_read(cx, buf))?;
+            this.io.record(buf.filled().len().saturating_sub(before));
         }
+        Poll::Ready(Ok(()))
     }
 }
 
@@ -246,16 +82,13 @@ impl<S: AsyncWrite + Unpin> AsyncWrite for ChaosStream<S> {
         buf: &[u8],
     ) -> Poll<io::Result<usize>> {
         let this = self.get_mut();
-        if this.reset_tripped() {
-            return Poll::Ready(Err(Self::injected_reset()));
-        }
-        let cut = if this.faults.partial_io {
+        let cut = if this.io.one_byte()? {
             buf.get(..1.min(buf.len())).unwrap_or(buf)
         } else {
             buf
         };
         let n = ready!(Pin::new(&mut this.inner).poll_write(cx, cut))?;
-        this.transferred = this.transferred.saturating_add(n as u64);
+        this.io.record(n);
         Poll::Ready(Ok(n))
     }
 
@@ -272,56 +105,6 @@ impl<S: AsyncWrite + Unpin> AsyncWrite for ChaosStream<S> {
 mod tests {
     use super::*;
     use tokio::io::{AsyncReadExt, AsyncWriteExt};
-
-    #[test]
-    fn decisions_are_pure_and_seed_dependent() {
-        let a = FaultPlan::mild(42);
-        let b = FaultPlan::mild(42);
-        let c = FaultPlan::mild(43);
-        let mut diverged = false;
-        for key in [1u64, 7, 99] {
-            for seq in 0..500u64 {
-                assert_eq!(a.at_accept(key, seq), b.at_accept(key, seq));
-                assert_eq!(a.for_session(key, seq), b.for_session(key, seq));
-                assert_eq!(a.drops_append(seq), b.drops_append(seq));
-                if a.at_accept(key, seq) != c.at_accept(key, seq)
-                    || a.for_session(key, seq) != c.for_session(key, seq)
-                {
-                    diverged = true;
-                }
-            }
-        }
-        assert!(diverged, "different seeds produced identical schedules");
-    }
-
-    #[test]
-    fn rates_are_roughly_honored() {
-        let plan = FaultPlan {
-            crash_per_mille: 100,
-            refuse_per_mille: 100,
-            store_drop_per_mille: 100,
-            ..FaultPlan::new(7)
-        };
-        let n = 20_000u64;
-        let crashes = (0..n)
-            .filter(|&s| plan.at_accept(3, s) == AcceptFault::CrashListener)
-            .count();
-        let drops = (0..n).filter(|&s| plan.drops_append(s)).count();
-        // 10% ± 2% over 20k draws
-        for observed in [crashes, drops] {
-            assert!((1600..=2400).contains(&observed), "observed {observed}");
-        }
-    }
-
-    #[test]
-    fn zero_rate_plan_is_silent() {
-        let plan = FaultPlan::new(1);
-        for seq in 0..2000 {
-            assert_eq!(plan.at_accept(9, seq), AcceptFault::Deliver);
-            assert!(plan.for_session(9, seq).is_noop());
-            assert!(!plan.drops_append(seq));
-        }
-    }
 
     #[tokio::test]
     async fn partial_io_degrades_to_single_bytes() {

@@ -34,17 +34,24 @@
 //! * [`pool`] — a thread-safe, size-classed [`pool::BufferPool`] of
 //!   `Vec<u8>` write buffers, reused across connections instead of
 //!   allocated per session.
-//! * [`limiter`] — per-source token-bucket rate limiting and connection caps,
-//!   protecting honeypots from accidental self-DoS during replay.
+//! * [`limiter`] — the connection gate that caps a listener's concurrent
+//!   sessions, protecting honeypots from accidental self-DoS during replay.
 //! * [`server`] — a supervised TCP listener: accept loop, per-session tasks,
 //!   uniform session limits (deadline, idle timeout, byte budget), optional
 //!   response-latency shaping (the std-only `decoy_base::latency` shaper),
 //!   and graceful shutdown, following the Tokio guide idioms.
-//! * [`supervisor`] — restart-on-death with jittered exponential backoff, a
-//!   crash-loop circuit breaker, and fleet health snapshots
+//! * [`supervisor`] — restart-on-death: the tokio shell of the restart
+//!   policy (`decoy_base::supervision`: jittered exponential backoff, a
+//!   crash-loop circuit breaker), and fleet health snapshots
 //!   ([`decoy_base::HealthState`] per listener).
-//! * [`chaos`] — a seeded, deterministic fault-injection plan and stream
-//!   wrapper used by the resilience test suite.
+//! * [`chaos`] — the stream wrapper that applies a seeded fault plan's
+//!   session faults (`decoy_base::chaos`) to a socket, used by the chaos
+//!   and resilience suites.
+//!
+//! The fault plan, the byte rule of a faulted connection and the restart
+//! policy are std-only and live in `decoy-base`, where the in-memory
+//! transport runs them in tier-1; this crate keeps only the shells that
+//! apply them to sockets.
 //!
 //! decoy-fleet's honeypot shell and its attacker drivers share these
 //! primitives, so both sides of every recorded interaction flow through the
@@ -66,14 +73,12 @@ pub mod supervisor;
 /// package, which still imports the clock through this crate.
 pub use decoy_base::time;
 
-pub use chaos::{ChaosStream, FaultPlan, SessionFaults};
+pub use chaos::ChaosStream;
 pub use framed::Framed;
-pub use limiter::{ConnectionGate, RateLimiter};
+pub use limiter::ConnectionGate;
 pub use pool::{BufferPool, PooledBuf};
 pub use server::{
     Listener, ListenerExit, ListenerOptions, ServerHandle, SessionCtx, SessionHandler,
     SessionLimits, SessionStream, ShutdownSignal,
 };
-pub use supervisor::{
-    BackoffPolicy, BreakerPolicy, Supervisor, SupervisorOptions, Transition, TransitionObserver,
-};
+pub use supervisor::{Supervisor, TransitionObserver};

@@ -10,14 +10,16 @@
 //! The returned [`ServerHandle`] shuts the listener down on request and can
 //! wait for in-flight sessions to drain.
 
-use crate::chaos::{AcceptFault, ChaosStream, FaultPlan, SessionFaults};
+use crate::chaos::ChaosStream;
 use crate::limiter::ConnectionGate;
 use crate::time::Clock;
+use decoy_base::chaos::{AcceptFault, FaultPlan, SessionFaults};
 use decoy_base::latency::LatencyShaper;
 use std::future::Future;
 use std::io;
 use std::net::SocketAddr;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll};
 use std::time::Duration;
@@ -76,7 +78,8 @@ pub struct SessionCtx {
     pub clock: Clock,
     /// Cooperative shutdown flag.
     pub shutdown: ShutdownSignal,
-    /// Monotone per-listener session counter (1-based).
+    /// Monotone per-listener session counter (1-based), continued across
+    /// the restarts of a supervised listener.
     pub session_seq: u64,
 }
 
@@ -396,11 +399,26 @@ const HARD_CAP_GRACE: Duration = Duration::from_secs(5);
 pub struct Listener;
 
 impl Listener {
-    /// Bind `addr` and serve sessions with `handler` until shutdown.
+    /// Bind `addr` and serve sessions with `handler` until shutdown,
+    /// numbering them from 1.
     pub async fn bind<H: SessionHandler>(
         addr: SocketAddr,
         handler: Arc<H>,
         options: ListenerOptions,
+    ) -> io::Result<ServerHandle> {
+        Listener::bind_counting(addr, handler, options, Arc::default()).await
+    }
+
+    /// [`Listener::bind`], numbering sessions on from the last number in
+    /// `sessions`. A supervised instance owns the counter and passes it to
+    /// every bind, so a rebound listener continues its sessions' numbers
+    /// and the fault plan's draws, and the latency shaper's keys, where the
+    /// crashed one stopped.
+    pub async fn bind_counting<H: SessionHandler>(
+        addr: SocketAddr,
+        handler: Arc<H>,
+        options: ListenerOptions,
+        sessions: Arc<AtomicU64>,
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr).await?;
         let local_addr = listener.local_addr()?;
@@ -409,7 +427,6 @@ impl Listener {
         let accept_gate = gate.clone();
 
         let accept_task: JoinHandle<ListenerExit> = tokio::spawn(async move {
-            let mut session_seq: u64 = 0;
             let mut shutdown = ShutdownSignal {
                 rx: shutdown_rx.clone(),
             };
@@ -432,7 +449,10 @@ impl Listener {
                     drop(stream);
                     continue;
                 };
-                session_seq += 1;
+                // Relaxed: the counter publishes no other data, and one
+                // bind's accept loop has ended (its task joined by the
+                // supervisor) before the next bind's starts.
+                let session_seq = sessions.fetch_add(1, Ordering::Relaxed).saturating_add(1);
                 let mut session_faults = None;
                 if let Some(plan) = options.faults.as_ref() {
                     match plan.at_accept(options.fault_key, session_seq) {

@@ -1,22 +1,20 @@
-//! Restart supervision for the honeypot fleet.
+//! Restart supervision for the honeypot fleet: the tokio shell of the
+//! restart policy.
 //!
-//! The paper's artifact is 278 honeypots surviving 20 days unattended —
-//! uptime *is* the experiment. A [`Supervisor`] keeps each
-//! [`crate::server::Listener`] alive: when an accept loop dies it rebinds
-//! the same address under jittered exponential [`BackoffPolicy`] delays,
-//! a crash-loop circuit [`BreakerPolicy`] takes persistent failures to
-//! [`HealthState::Down`] instead of restarting forever, and every
-//! transition is pushed through an observer callback so the deployment can
-//! log it into the event store. [`Supervisor::fleet_health`] exposes the
-//! whole fleet's state as a [`FleetHealth`] snapshot for reports.
-//!
-//! Determinism: backoff jitter is derived from the seeded hash in
-//! [`crate::chaos`] (keyed by listener and attempt), never from a global
-//! RNG, so a seeded chaos replay schedules the same delays every run.
+//! A [`Supervisor`] keeps each [`crate::server::Listener`] alive. What
+//! happens when an accept loop dies (the backoff before each rebind, the
+//! crash-loop breaker, the promotion after a stable window, the move to
+//! [`HealthState::Down`]) is decided by one `decoy_base::supervision::Supervision`
+//! per listener, the machine the in-memory transport runs too. This shell
+//! feeds it wall-clock offsets, sleeps until its deadline, rebinds the
+//! socket through the listener's factory when it asks, and pushes every
+//! transition through an observer callback, so the deployment can log it
+//! into the event store. [`Supervisor::fleet_health`] exposes the whole
+//! fleet's state as a [`FleetHealth`] snapshot for reports.
 
-use crate::chaos::per_mille;
 use crate::server::{ListenerExit, ServerHandle};
 use decoy_base::health::{FleetHealth, HealthState, ListenerHealth};
+use decoy_base::supervision::{Due, Supervision, SupervisorOptions, Transition};
 use decoy_base::sync::Mutex;
 use decoy_base::time::{Clock, Timestamp};
 use std::future::Future;
@@ -27,115 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::watch;
 use tokio::task::JoinHandle;
-
-/// Jittered exponential backoff between restart attempts.
-#[derive(Debug, Clone)]
-pub struct BackoffPolicy {
-    /// Delay before the first restart attempt.
-    pub base: Duration,
-    /// Upper bound on the exponential delay.
-    pub cap: Duration,
-    /// Extra jitter added on top, up to this ‰ of the computed delay.
-    pub jitter_per_mille: u64,
-    /// Rebind attempts before the listener is declared [`HealthState::Down`].
-    pub max_attempts: u32,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-            jitter_per_mille: 250,
-            max_attempts: 8,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay before restart attempt `attempt` (0-based), deterministic
-    /// in `(seed, attempt)`.
-    pub fn delay(&self, seed: u64, attempt: u32) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(2u32.saturating_pow(attempt.min(16)))
-            .min(self.cap);
-        let base_ms = u64::try_from(exp.as_millis()).unwrap_or(u64::MAX);
-        let roll = per_mille(seed, u64::from(attempt), 0, 0xB0);
-        let extra_ms = base_ms
-            .saturating_mul(self.jitter_per_mille.min(1000))
-            .saturating_mul(roll)
-            / 1_000_000;
-        Duration::from_millis(base_ms.saturating_add(extra_ms))
-    }
-}
-
-/// Crash-loop circuit breaker: more than `max_restarts` crashes inside
-/// `window` opens the circuit ([`HealthState::Down`], no more restarts).
-#[derive(Debug, Clone)]
-pub struct BreakerPolicy {
-    /// Crashes tolerated within the window before going down.
-    pub max_restarts: u32,
-    /// Sliding crash-counting window; also the stable-uptime span after
-    /// which a degraded listener is promoted back to healthy.
-    pub window: Duration,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            max_restarts: 5,
-            window: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Supervisor tuning knobs.
-#[derive(Debug, Clone, Default)]
-pub struct SupervisorOptions {
-    /// Restart delay policy.
-    pub backoff: BackoffPolicy,
-    /// Crash-loop circuit breaker.
-    pub breaker: BreakerPolicy,
-    /// Session-drain allowance on orderly shutdown.
-    pub drain: Duration,
-}
-
-impl SupervisorOptions {
-    /// Tight timings for compressed-time replays and tests: restarts within
-    /// tens of milliseconds, a breaker window short enough to both trip and
-    /// recover inside a test run.
-    pub fn fast_replay() -> Self {
-        SupervisorOptions {
-            backoff: BackoffPolicy {
-                base: Duration::from_millis(10),
-                cap: Duration::from_millis(250),
-                jitter_per_mille: 250,
-                max_attempts: 8,
-            },
-            breaker: BreakerPolicy {
-                max_restarts: 32,
-                window: Duration::from_millis(1500),
-            },
-            drain: Duration::from_secs(5),
-        }
-    }
-}
-
-/// One health transition, pushed to the observer as it happens.
-#[derive(Debug, Clone)]
-pub struct Transition {
-    /// Supervised listener's display name.
-    pub name: String,
-    /// State entered.
-    pub state: HealthState,
-    /// Total restarts of this listener so far.
-    pub restarts: u32,
-    /// Human-readable cause.
-    pub detail: String,
-    /// When (on the supervisor's clock — virtual time in replays).
-    pub at: Timestamp,
-}
+use tokio::time::Instant;
 
 /// Callback invoked on every health transition.
 pub type TransitionObserver = Arc<dyn Fn(&Transition) + Send + Sync>;
@@ -205,31 +95,29 @@ impl Supervisor {
         let name = name.into();
         let handle = factory(bind).await?;
         let pinned = handle.local_addr();
+        let start = Instant::now();
+        let policy = Supervision::new(&*name, &self.options, fault_seed, start.elapsed());
         let slot = Arc::new(Mutex::new(ListenerHealth {
-            name: name.clone(),
+            name,
             state: HealthState::Healthy,
             restarts: 0,
             addr: Some(pinned),
         }));
-        emit(
-            &slot,
-            &observer,
-            &self.clock,
-            HealthState::Healthy,
-            0,
-            format!("listener bound at {pinned}"),
-        );
-        let shutdown = watch_signal(&self.shutdown_tx);
-        let task = tokio::spawn(run_loop(RunLoop {
-            pinned,
-            handle,
-            factory,
+        let shell = Shell {
             slot: slot.clone(),
             observer,
-            options: self.options.clone(),
             clock: self.clock.clone(),
-            shutdown,
-            fault_seed,
+            start,
+        };
+        shell.emit(policy.bound(self.clock.now()));
+        let task = tokio::spawn(run_loop(RunLoop {
+            pinned,
+            handle: Some(handle),
+            factory,
+            policy,
+            shell,
+            drain: self.options.drain,
+            shutdown: watch_signal(&self.shutdown_tx),
         }));
         self.slots.lock().push(slot.clone());
         self.tasks.lock().push(task);
@@ -257,153 +145,105 @@ fn watch_signal(tx: &watch::Sender<bool>) -> crate::server::ShutdownSignal {
     crate::server::shutdown_signal_from(tx.subscribe())
 }
 
-fn emit(
-    slot: &Arc<Mutex<ListenerHealth>>,
-    observer: &Option<TransitionObserver>,
-    clock: &Clock,
-    state: HealthState,
-    restarts: u32,
-    detail: String,
-) {
-    let name = {
-        let mut s = slot.lock();
-        s.state = state;
-        s.restarts = restarts;
-        if state == HealthState::Down {
-            s.addr = None;
+/// Where one listener's transitions go, and the clocks they are read on.
+struct Shell {
+    slot: Arc<Mutex<ListenerHealth>>,
+    observer: Option<TransitionObserver>,
+    /// Stamps each transition.
+    clock: Clock,
+    /// The origin of the policy's monotonic offsets.
+    start: Instant,
+}
+
+impl Shell {
+    /// The policy's `now` and the transition's `at`.
+    fn now(&self) -> (Duration, Timestamp) {
+        (self.start.elapsed(), self.clock.now())
+    }
+
+    fn emit(&self, transition: Transition) {
+        self.slot.lock().apply(&transition);
+        if let Some(observer) = &self.observer {
+            observer(&transition);
         }
-        s.name.clone()
-    };
-    if let Some(obs) = observer {
-        obs(&Transition {
-            name,
-            state,
-            restarts,
-            detail,
-            at: clock.now(),
-        });
     }
 }
 
 struct RunLoop {
     pinned: SocketAddr,
-    handle: ServerHandle,
+    /// `None` while no accept loop runs.
+    handle: Option<ServerHandle>,
     factory: ListenerFactory,
-    slot: Arc<Mutex<ListenerHealth>>,
-    observer: Option<TransitionObserver>,
-    options: SupervisorOptions,
-    clock: Clock,
+    policy: Supervision,
+    shell: Shell,
+    drain: Duration,
     shutdown: crate::server::ShutdownSignal,
-    fault_seed: u64,
 }
 
 enum Tick {
     Exit(ListenerExit),
     Quit,
-    Promote,
+    Due,
+}
+
+/// The accept loop's exit; never, while none runs.
+async fn exit_of(handle: &mut Option<ServerHandle>) -> ListenerExit {
+    match handle {
+        Some(handle) => handle.wait_exit().await,
+        None => std::future::pending().await,
+    }
+}
+
+/// The policy's deadline; never, while it has none.
+async fn deadline(at: Option<Instant>) {
+    match at {
+        Some(at) => tokio::time::sleep_until(at).await,
+        None => std::future::pending().await,
+    }
 }
 
 async fn run_loop(mut rl: RunLoop) {
-    let mut restarts: u32 = 0;
-    let mut window_start = tokio::time::Instant::now();
-    let mut in_window: u32 = 0;
-    // Armed (checked by the `degraded` guard) only after a restart.
-    let mut stable_at = tokio::time::Instant::now();
-    let mut handle = rl.handle;
     loop {
-        let degraded = rl.slot.lock().state == HealthState::Degraded;
+        let due = rl.policy.deadline().map(|d| rl.shell.start + d);
         let tick = tokio::select! {
             biased;
             _ = rl.shutdown.wait() => Tick::Quit,
-            exit = handle.wait_exit() => Tick::Exit(exit),
-            _ = tokio::time::sleep_until(stable_at), if degraded => Tick::Promote,
+            exit = exit_of(&mut rl.handle) => Tick::Exit(exit),
+            _ = deadline(due) => Tick::Due,
         };
+        let (now, at) = rl.shell.now();
         match tick {
             Tick::Quit => {
-                handle.shutdown_with_deadline(rl.options.drain).await;
+                if let Some(handle) = rl.handle {
+                    handle.shutdown_with_deadline(rl.drain).await;
+                }
                 return;
-            }
-            Tick::Promote => {
-                emit(
-                    &rl.slot,
-                    &rl.observer,
-                    &rl.clock,
-                    HealthState::Healthy,
-                    restarts,
-                    "stable since restart".to_string(),
-                );
             }
             // Externally shut down: nothing left to supervise.
             Tick::Exit(ListenerExit::Shutdown) => return,
             Tick::Exit(ListenerExit::Crashed) => {
-                let now = tokio::time::Instant::now();
-                if now.duration_since(window_start) > rl.options.breaker.window {
-                    window_start = now;
-                    in_window = 0;
-                }
-                in_window += 1;
-                restarts = restarts.saturating_add(1);
-                if in_window > rl.options.breaker.max_restarts {
-                    emit(
-                        &rl.slot,
-                        &rl.observer,
-                        &rl.clock,
-                        HealthState::Down,
-                        restarts,
-                        format!(
-                            "crash loop: {in_window} crashes within {:?}; circuit open",
-                            rl.options.breaker.window
-                        ),
-                    );
-                    rl.shutdown.wait().await;
-                    return;
-                }
-                emit(
-                    &rl.slot,
-                    &rl.observer,
-                    &rl.clock,
-                    HealthState::Degraded,
-                    restarts,
-                    "accept loop died; restarting".to_string(),
-                );
-                let mut attempt: u32 = 0;
-                handle = loop {
-                    let delay = rl.options.backoff.delay(rl.fault_seed, attempt);
-                    attempt = attempt.saturating_add(1);
-                    tokio::select! {
-                        biased;
-                        _ = rl.shutdown.wait() => return,
-                        _ = tokio::time::sleep(delay) => {}
-                    }
-                    match (rl.factory)(rl.pinned).await {
-                        Ok(h) => break h,
+                rl.handle = None;
+                rl.shell.emit(rl.policy.crashed(now, at));
+            }
+            Tick::Due => match rl.policy.due(now, at) {
+                Some(Due::Rebind) => {
+                    let rebound = (rl.factory)(rl.pinned).await;
+                    let (now, at) = rl.shell.now();
+                    match rebound {
+                        Ok(handle) => {
+                            rl.handle = Some(handle);
+                            rl.shell.emit(rl.policy.rebound(now, at));
+                        }
                         Err(e) => {
-                            if attempt >= rl.options.backoff.max_attempts {
-                                emit(
-                                    &rl.slot,
-                                    &rl.observer,
-                                    &rl.clock,
-                                    HealthState::Down,
-                                    restarts,
-                                    format!("rebind failed after {attempt} attempts: {e}"),
-                                );
-                                rl.shutdown.wait().await;
-                                return;
+                            if let Some(down) = rl.policy.rebind_failed(now, at, &e.to_string()) {
+                                rl.shell.emit(down);
                             }
                         }
                     }
-                };
-                rl.slot.lock().addr = Some(rl.pinned);
-                emit(
-                    &rl.slot,
-                    &rl.observer,
-                    &rl.clock,
-                    HealthState::Degraded,
-                    restarts,
-                    format!("restarted (restart #{restarts}) at {}", rl.pinned),
-                );
-                stable_at = tokio::time::Instant::now() + rl.options.breaker.window;
-            }
+                }
+                Some(Due::Promote(promoted)) => rl.shell.emit(promoted),
+                None => {}
+            },
         }
     }
 }
@@ -411,9 +251,10 @@ async fn run_loop(mut rl: RunLoop) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::FaultPlan;
     use crate::framed::Framed;
     use crate::server::{Listener, ListenerOptions, SessionCtx, SessionHandler, SessionStream};
+    use decoy_base::chaos::FaultPlan;
+    use decoy_base::supervision::{BackoffPolicy, BreakerPolicy};
     use decoy_wire::codec::LineCodec;
     use std::sync::atomic::{AtomicU32, Ordering};
     use tokio::net::TcpStream;
@@ -428,20 +269,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let policy = BackoffPolicy::default();
-        for attempt in 0..20 {
-            assert_eq!(policy.delay(7, attempt), policy.delay(7, attempt));
-            // jitter adds at most 25% on top of the capped exponential
-            let cap = policy.cap + policy.cap / 4;
-            assert!(policy.delay(7, attempt) <= cap);
-        }
-        assert!(policy.delay(7, 3) >= policy.base * 8);
-        // different seeds, different jitter somewhere
-        assert!((0..20).any(|a| policy.delay(1, a) != policy.delay(2, a)));
     }
 
     /// Factory whose first bind injects a crash-on-accept fault and whose

@@ -314,6 +314,11 @@ mod tests {
                 include_str!("../../decoy-fingerprint/src/lib.rs"),
             ),
             ("json.rs", include_str!("../../decoy-base/src/json.rs")),
+            ("chaos.rs", include_str!("../../decoy-base/src/chaos.rs")),
+            (
+                "supervision.rs",
+                include_str!("../../decoy-base/src/supervision.rs"),
+            ),
         ];
         for (name, src) in walled {
             let wall = src
